@@ -6,7 +6,7 @@ from slln_lab.hypotheses import verify_hypotheses
 
 def show(name: str) -> None:
     spec = cli.load_config(name)
-    report = verify_hypotheses(spec.mixed_config(), infrequency_threshold=spec.infrequency_threshold)
+    report = verify_hypotheses(spec)
     print(f"{name}:")
     for e in report.entries:
         print(f"  {e.id:<12} {e.status:<5} value={e.value:<12.6g} {e.detail}")

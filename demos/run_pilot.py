@@ -31,14 +31,10 @@ def summarize(report):
 
 def main() -> None:
     theorem = dataclasses.replace(cli.load_config("theorem.json"), seed=PILOT_SEED, n_paths=60)
-    rep_theorem = diagnostics.run_ensemble(
-        theorem.mixed_config(), theorem.n_paths, theorem.checkpoints, epsilons=theorem.epsilons
-    )
+    rep_theorem = diagnostics.run_ensemble(theorem)
 
     pure = dataclasses.replace(cli.load_config("pure-x.json"), seed=PILOT_SEED, n_paths=60)
-    rep_pure = diagnostics.run_ensemble(
-        pure.mixed_config(), pure.n_paths, pure.checkpoints, epsilons=pure.epsilons
-    )
+    rep_pure = diagnostics.run_ensemble(pure)
 
     payload = {
         "pilot_seed": PILOT_SEED,

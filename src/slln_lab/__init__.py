@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .diagnostics import ConvergenceReport, PathSummary, Verdict, run_ensemble, suffix_sup, verdict
 from .generators import DependenceMode, TailEnvelope, XFamily
-from .mixture import MixedSequenceConfig, run_path
+from .mixture import ExperimentSpec, run_path
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern, build_sparsity
 
@@ -21,7 +21,7 @@ __all__ = [
     "Channel",
     "ConvergenceReport",
     "DependenceMode",
-    "MixedSequenceConfig",
+    "ExperimentSpec",
     "MomentSchedule",
     "PathSummary",
     "ScheduleForm",

@@ -193,11 +193,6 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     ).enforce()
 
 
-def integral_bound_B(envelope: TailEnvelope) -> float:
-    """The sharper analytic bound on the boundary series, integral_2^inf G."""
-    return envelope.tail_integral(2.0)
-
-
 def combined_series_bound(
     envelope: TailEnvelope, p: float, truncation: int = DEFAULT_TRUNCATION
 ) -> BoundCheck:

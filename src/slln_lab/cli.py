@@ -17,195 +17,19 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .calculus import DEFAULT_PS, bound_suite
-from .diagnostics import (
-    DEFAULT_CHECKPOINTS,
-    DEFAULT_EPSILONS,
-    ConvergenceReport,
-    Verdict,
-    run_ensemble,
-)
-from .errors import BoundViolation, ConfigError, ScheduleRejected, SllnLabError
-from .generators import DependenceMode, TailEnvelope, XFamily
+from .diagnostics import ConvergenceReport, Verdict, run_ensemble
+from .errors import BoundViolation, ConfigError, SllnLabError
 from .hypotheses import verify_hypotheses
-from .mixture import DEFAULT_MEMORY_BUDGET, MixedSequenceConfig
-from .schedules import (
-    MomentSchedule,
-    ScheduleForm,
-    SparsityMode,
-    SparsityPattern,
-    validate_schedule,
-)
+from .mixture import ExperimentSpec, _clip_checkpoints
 
 _FMT = "{:.17g}"
-
-
-@dataclass
-class ExperimentSpec:
-    """One fully resolved experiment; round-trips losslessly through JSON."""
-
-    name: str
-    seed: int
-    horizon: int
-    n_paths: int
-    x_family: XFamily
-    envelope: TailEnvelope
-    dependence: DependenceMode
-    schedule: MomentSchedule
-    sparsity_mode: SparsityMode
-    sparsity_c: float
-    sparsity_alpha: tuple[int, ...] | None
-    checkpoints: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    epsilon_target: float
-    fraction_target: float
-    infrequency_threshold: float | None
-    compensated_sum: bool
-    memory_budget: int
-
-    def to_dict(self) -> dict:
-        sparsity: dict = {"mode": self.sparsity_mode.value, "c": self.sparsity_c}
-        if self.sparsity_alpha is not None:
-            sparsity["alpha"] = list(self.sparsity_alpha)
-        schedule: dict = {"form": self.schedule.form.value}
-        if self.schedule.constant_a is not None:
-            schedule["constant_a"] = self.schedule.constant_a
-        if self.schedule.floor_index is not None:
-            schedule["floor_index"] = self.schedule.floor_index
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "n_paths": self.n_paths,
-            "x": self.x_family.to_dict(),
-            "y": {"envelope": self.envelope.to_dict(), "dependence": self.dependence.value},
-            "schedule": schedule,
-            "sparsity": sparsity,
-            "checkpoints": list(self.checkpoints),
-            "epsilons": list(self.epsilons),
-            "verdict": {
-                "epsilon_target": self.epsilon_target,
-                "fraction_target": self.fraction_target,
-            },
-            "infrequency_threshold": self.infrequency_threshold,
-            "compensated_sum": self.compensated_sum,
-            "memory_budget": self.memory_budget,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        try:
-            schedule = MomentSchedule(
-                form=ScheduleForm(data.get("schedule", {}).get("form", "inv_sqrt_log")),
-                constant_a=data.get("schedule", {}).get("constant_a"),
-                floor_index=data.get("schedule", {}).get("floor_index"),
-            )
-        except (ScheduleRejected, ValueError) as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
-        try:
-            x_family = XFamily.from_dict(data.get("x", {"family": "parity_rademacher"}))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"x: {exc}") from exc
-        y = data.get("y", {})
-        try:
-            envelope = TailEnvelope.from_dict(y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
-            dependence = DependenceMode(y.get("dependence", "independent"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"y: {exc}") from exc
-        sparsity = data.get("sparsity", {})
-        try:
-            mode = SparsityMode(sparsity.get("mode", "auto"))
-        except ValueError as exc:
-            raise ConfigError(f"sparsity.mode: {exc}") from exc
-        alpha = tuple(sparsity["alpha"]) if "alpha" in sparsity else None
-        horizon = int(data.get("horizon", 10 ** 6))
-        checkpoints = tuple(
-            int(c) for c in data.get("checkpoints", _default_checkpoints(horizon))
-        )
-        epsilons = tuple(float(e) for e in data.get("epsilons", DEFAULT_EPSILONS))
-        verdict_cfg = data.get("verdict", {})
-        epsilon_target = float(verdict_cfg.get("epsilon_target", 0.05))
-        fraction_target = float(verdict_cfg.get("fraction_target", 0.10))
-        if epsilon_target not in epsilons:
-            epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
-        spec = cls(
-            name=str(data.get("name", "experiment")),
-            seed=int(data.get("seed", 0)),
-            horizon=horizon,
-            n_paths=int(data.get("n_paths", 100)),
-            x_family=x_family,
-            envelope=envelope,
-            dependence=dependence,
-            schedule=schedule,
-            sparsity_mode=mode,
-            sparsity_c=float(sparsity.get("c", 1.0)),
-            sparsity_alpha=alpha,
-            checkpoints=checkpoints,
-            epsilons=epsilons,
-            epsilon_target=epsilon_target,
-            fraction_target=fraction_target,
-            infrequency_threshold=data.get("infrequency_threshold"),
-            compensated_sum=bool(data.get("compensated_sum", False)),
-            memory_budget=int(data.get("memory_budget", DEFAULT_MEMORY_BUDGET)),
-        )
-        spec.validate()
-        return spec
-
-    def validate(self) -> None:
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.n_paths < 2:
-            raise ConfigError("n_paths must be >= 2")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.sparsity_c <= 0:
-            raise ConfigError("sparsity.c must be positive")
-        if list(self.checkpoints) != sorted(set(self.checkpoints)):
-            raise ConfigError("checkpoints must be sorted and unique")
-        if self.checkpoints[0] < 1 or self.checkpoints[-1] > self.horizon:
-            raise ConfigError("checkpoints must lie in [1, horizon]")
-        if not all(0 < e for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
-        if not 0 < self.fraction_target <= 1:
-            raise ConfigError("fraction_target must lie in (0, 1]")
-        try:
-            validate_schedule(self.schedule, min(max(self.horizon, 3), 10 ** 5))
-        except ScheduleRejected as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
-
-    def pattern(self) -> SparsityPattern:
-        return SparsityPattern(
-            mode=self.sparsity_mode,
-            c=self.sparsity_c,
-            schedule=self.schedule if self.sparsity_mode is SparsityMode.AUTO else None,
-            explicit=self.sparsity_alpha,
-        )
-
-    def mixed_config(self) -> MixedSequenceConfig:
-        return MixedSequenceConfig(
-            x_family=self.x_family,
-            envelope=self.envelope,
-            dependence=self.dependence,
-            schedule=self.schedule,
-            pattern=self.pattern(),
-            horizon=self.horizon,
-            master_seed=self.seed,
-            compensated_sum=self.compensated_sum,
-            memory_budget=self.memory_budget,
-        )
-
-
-def _default_checkpoints(horizon: int) -> list[int]:
-    cps = [c for c in DEFAULT_CHECKPOINTS if c <= horizon]
-    if not cps or cps[-1] != horizon:
-        cps.append(horizon)
-    return cps
 
 
 def resolve_config_path(path: str) -> Path:
@@ -342,12 +166,9 @@ def run(
     want = (
         {"hypotheses", "calculus", "simulate"} if subcommand == "all" else {subcommand}
     )
-    config = spec.mixed_config()
 
     if "hypotheses" in want:
-        report = verify_hypotheses(
-            config, infrequency_threshold=spec.infrequency_threshold
-        )
+        report = verify_hypotheses(spec)
         sections["hypotheses"] = report.to_dict()
         ok = report.all_pass()
         status["hypotheses"] = "PASS" if ok else "FAIL"
@@ -366,15 +187,7 @@ def run(
             failures.append("calculus")
 
     if "simulate" in want:
-        report = run_ensemble(
-            config,
-            spec.n_paths,
-            spec.checkpoints,
-            epsilons=spec.epsilons,
-            epsilon_target=spec.epsilon_target,
-            fraction_target=spec.fraction_target,
-            threads=threads,
-        )
+        report = run_ensemble(spec, threads=threads)
         sections["convergence"] = report.to_dict()
         status["convergence"] = report.verdict.value
         if report.verdict is not Verdict.CONVERGENT:
@@ -430,13 +243,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, SllnLabError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-
-
-def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ...]:
-    kept = [c for c in checkpoints if c <= horizon]
-    if not kept or kept[-1] != horizon:
-        kept.append(horizon)
-    return tuple(kept)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -156,105 +155,44 @@ def aggregate_paths(
     )
 
 
-def run_ensemble(
-    config,
-    n_paths: int,
-    checkpoints: Sequence[int],
-    epsilons: Sequence[float] = DEFAULT_EPSILONS,
-    epsilon_target: float | None = None,
-    fraction_target: float | None = None,
-    threads: int = 1,
-) -> ConvergenceReport:
-    """Run ``n_paths`` independent paths of ``config`` and aggregate.
+def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
+    """Run the ``spec.n_paths`` paths of an :class:`~slln_lab.mixture.ExperimentSpec`,
+    aggregate them at its checkpoints and epsilons, and give the verdict.
 
     Paths use per-path derived streams, so the report is a pure function of
-    (config, seed, n_paths) no matter how many workers execute it.  Any path
-    error propagates; partial reports are never produced.
+    the spec no matter how many workers execute it.  Any path error
+    propagates; partial reports are never produced.
     """
     from .mixture import run_path  # local import: mixture depends on this module
 
-    if n_paths < 2:
+    if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    cps = tuple(int(c) for c in checkpoints)
-    indices = list(range(n_paths))
+    indices = range(spec.n_paths)
     if threads <= 1:
-        summaries = [run_path(config.with_path(i), cps) for i in indices]
+        summaries = [run_path(spec.with_path(i), spec.checkpoints) for i in indices]
     else:
         import concurrent.futures as cf
 
-        payload = _config_payload(config)
-        with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(_path_task, [(payload, cps, i) for i in indices], chunksize=8))
-    report = aggregate_paths(summaries, epsilons, config.master_seed)
-    if epsilon_target is not None and fraction_target is not None:
-        report.verdict = verdict(report, epsilon_target, fraction_target)
-        report.epsilon_target = epsilon_target
-        report.fraction_target = fraction_target
+        with cf.ProcessPoolExecutor(
+            max_workers=threads, initializer=_set_worker_spec, initargs=(spec,)
+        ) as pool:
+            summaries = list(pool.map(_path_task, indices, chunksize=8))
+    report = aggregate_paths(summaries, spec.epsilons, spec.seed)
+    report.verdict = verdict(report, spec.epsilon_target, spec.fraction_target)
+    report.epsilon_target = spec.epsilon_target
+    report.fraction_target = spec.fraction_target
     return report
 
 
-def _config_payload(config) -> str:
-    import json
-
-    return json.dumps(config.with_path(0).to_dict(), sort_keys=True)
+_worker_spec = None  # set only in pool workers, once each, so tasks are bare path indices
 
 
-@lru_cache(maxsize=4)
-def _cached_config(payload: str):
-    # per-process cache so workers rebuild pattern arrays once, not per path
-    import json
-
-    from .mixture import MixedSequenceConfig
-
-    return MixedSequenceConfig.from_dict(json.loads(payload))
+def _set_worker_spec(spec) -> None:
+    global _worker_spec
+    _worker_spec = spec
 
 
-def _path_task(args) -> PathSummary:
-    payload, checkpoints, path_index = args
+def _path_task(path_index: int) -> PathSummary:
     from .mixture import run_path
 
-    config = _cached_config(payload)
-    return run_path(config.with_path(path_index), checkpoints)
-
-
-def x_part_experiment(
-    x_family,
-    horizon: int,
-    n_paths: int,
-    master_seed: int = 0,
-    checkpoints: Sequence[int] | None = None,
-    epsilons: Sequence[float] = DEFAULT_EPSILONS,
-    epsilon_target: float = 0.02,
-    fraction_target: float = 0.05,
-    threads: int = 1,
-) -> ConvergenceReport:
-    """Pure pairwise-independent regime: no heavy inserts at all.
-
-    Exercises the averaged sums of the well-behaved part alone, most
-    interestingly with the parity family, which is pairwise independent but
-    not mutually independent.
-    """
-    from .generators import DependenceMode, TailEnvelope
-    from .mixture import MixedSequenceConfig
-    from .schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern
-
-    if checkpoints is None:
-        checkpoints = tuple(c for c in DEFAULT_CHECKPOINTS if c <= horizon)
-    config = MixedSequenceConfig(
-        x_family=x_family,
-        envelope=TailEnvelope.pareto(2.0),
-        dependence=DependenceMode.INDEPENDENT,
-        schedule=MomentSchedule(ScheduleForm.INV_SQRT_LOG),
-        pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO),
-        horizon=horizon,
-        master_seed=master_seed,
-    )
-    return run_ensemble(
-        config,
-        n_paths,
-        checkpoints,
-        epsilons=epsilons,
-        epsilon_target=epsilon_target,
-        fraction_target=fraction_target,
-        threads=threads,
-    )
+    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints)

@@ -31,7 +31,3 @@ class BoundViolation(SllnLabError):
 
 class SearchExhausted(SllnLabError):
     """An index search passed its cap without satisfying the target."""
-
-
-class HorizonOverflow(SllnLabError):
-    """A requested horizon exceeds the configured memory budget."""

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DivergentIntegral, InvalidExponent
+from .errors import InvalidExponent
 from .rng import UniformStream
 from .schedules import MomentSchedule
 
@@ -255,14 +255,6 @@ class XFamily:
         return values.reshape(-1)[:count]
 
 
-def sample_x_block(family: XFamily, count: int, stream: UniformStream) -> np.ndarray:
-    return family.sample_block(count, stream)
-
-
-def tail_x(family: XFamily, x):
-    return family.tail(x)
-
-
 @dataclass
 class MeanCheck:
     status: str  # PASS / FAIL / N-A
@@ -451,10 +443,3 @@ def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule, horizo
             lo = mid + 1
     return lo
 
-
-def check_divergent_mean(family: XFamily) -> None:
-    """Raise :class:`DivergentIntegral` for families whose |X| has no mean."""
-    if not family.has_finite_mean():
-        raise DivergentIntegral(
-            f"E|X| diverges for Pareto shape {family.shape}: tail remainder is infinite"
-        )

@@ -181,12 +181,15 @@ def verify_hypotheses(
     infrequency_threshold: float | None = None,
     check_horizon: int | None = None,
 ) -> HypothesisReport:
-    """Run every hypothesis check against one mixed-sequence config.
+    """Run every hypothesis check against one experiment spec.
 
-    ``check_horizon`` caps the horizon used for the index-wise checks so a
-    large simulation config can be vetted quickly; defaults to the config
-    horizon capped at 10**6.
+    ``infrequency_threshold`` defaults to the spec's own.  ``check_horizon``
+    caps the horizon used for the index-wise checks so a large simulation
+    config can be vetted quickly; defaults to the config horizon capped at
+    10**6.
     """
+    if infrequency_threshold is None:
+        infrequency_threshold = config.infrequency_threshold
     horizon = check_horizon or min(config.horizon, 10 ** 6)
     horizon = max(horizon, 3)
     entries: list[HypothesisEntry] = []

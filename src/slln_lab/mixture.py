@@ -7,6 +7,11 @@ produce bit-identical values: :func:`next_z` steps one index at a time,
 :func:`run_path` runs the whole horizon vectorized.  Both consume uniforms
 in the same order from the same derived streams, and both accumulate the
 running sum strictly left to right in double precision.
+
+An :class:`ExperimentSpec` describes one experiment: the recipe every path
+runs from, plus the ensemble around the paths.  It is what a JSON config
+decodes to, and every entry point (``run_path``, ``run_ensemble``,
+``verify_hypotheses``, the CLI) takes it as is.
 """
 
 from __future__ import annotations
@@ -16,18 +21,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import PathSummary, suffix_sup
-from .errors import HorizonOverflow
+from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
+from .errors import ConfigError, ScheduleRejected
 from .generators import DependenceMode, TailEnvelope, XFamily
 from .rng import Channel, StreamKey, UniformStream, derive_stream
-from .schedules import MomentSchedule, SparsityMode, SparsityPattern
+from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
-DEFAULT_MEMORY_BUDGET = 10 ** 7  # deviation buffer entries (8 bytes each)
+MAX_HORIZON = 10 ** 7  # run_path holds a few float64 buffers of this length
+
+_TOP_LEVEL_KEYS = frozenset({
+    "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",
+    "checkpoints", "epsilons", "verdict", "infrequency_threshold",
+})
 
 
-@dataclass
-class MixedSequenceConfig:
-    """Full recipe for one stochastic path of the mixed sequence."""
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment: the recipe of its paths and the ensemble around them.
+
+    Round-trips losslessly through JSON.  ``path_index`` is not part of the
+    JSON: it picks one path of the ensemble (see :meth:`with_path`).  An
+    AUTO ``pattern`` follows the schedule it was built with, so replace the
+    two together.
+    """
 
     x_family: XFamily
     envelope: TailEnvelope
@@ -35,80 +51,123 @@ class MixedSequenceConfig:
     schedule: MomentSchedule
     pattern: SparsityPattern
     horizon: int
-    master_seed: int = 0
+    seed: int = 0
     path_index: int = 0
-    compensated_sum: bool = False
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
+    name: str = "experiment"
+    n_paths: int = 100
+    checkpoints: tuple[int, ...] = ()
+    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
+    epsilon_target: float = 0.05
+    fraction_target: float = 0.10
+    infrequency_threshold: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-    def with_path(self, path_index: int) -> "MixedSequenceConfig":
+    def with_path(self, path_index: int) -> "ExperimentSpec":
         """Same recipe, different derived streams; the pattern cache is shared."""
         return replace(self, path_index=path_index)
 
+    def mixed_config(self) -> "ExperimentSpec":
+        # the benchmark under bench/ calls this; the spec is its own path recipe
+        return self
+
     def to_dict(self) -> dict:
         return {
-            "x": self.x_family.to_dict(),
-            "y": {
-                "envelope": self.envelope.to_dict(),
-                "dependence": self.dependence.value,
-            },
-            "schedule": _schedule_to_dict(self.schedule),
-            "sparsity": self.pattern.to_dict(),
+            "name": self.name,
+            "seed": self.seed,
             "horizon": self.horizon,
-            "seed": self.master_seed,
-            "path_index": self.path_index,
-            "compensated_sum": self.compensated_sum,
-            "memory_budget": self.memory_budget,
+            "n_paths": self.n_paths,
+            "x": self.x_family.to_dict(),
+            "y": {"envelope": self.envelope.to_dict(), "dependence": self.dependence.value},
+            "schedule": self.schedule.to_dict(),
+            "sparsity": self.pattern.to_dict(),
+            "checkpoints": list(self.checkpoints),
+            "epsilons": list(self.epsilons),
+            "verdict": {
+                "epsilon_target": self.epsilon_target,
+                "fraction_target": self.fraction_target,
+            },
+            "infrequency_threshold": self.infrequency_threshold,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MixedSequenceConfig":
-        schedule = _schedule_from_dict(data["schedule"])
-        return cls(
-            x_family=XFamily.from_dict(data["x"]),
-            envelope=TailEnvelope.from_dict(data["y"]["envelope"]),
-            dependence=DependenceMode(data["y"]["dependence"]),
+    def from_dict(cls, data: dict) -> "ExperimentSpec":
+        """Parse and validate; missing keys take their defaults, unknown
+        top-level keys are rejected."""
+        unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
+        schedule = _parse("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
+        x_family = _parse("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
+        y = data.get("y", {})
+        envelope = _parse("y", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
+        dependence = _parse("y", DependenceMode, y.get("dependence", "independent"))
+        pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
+        horizon = _parse("horizon", int, data.get("horizon", 10 ** 6))
+        checkpoints = data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon))
+        epsilons = tuple(float(e) for e in data.get("epsilons", cls.epsilons))
+        verdict_cfg = data.get("verdict", {})
+        epsilon_target = float(verdict_cfg.get("epsilon_target", cls.epsilon_target))
+        if epsilon_target not in epsilons:
+            epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
+        spec = cls(
+            x_family=x_family,
+            envelope=envelope,
+            dependence=dependence,
             schedule=schedule,
-            pattern=_pattern_from_dict(data["sparsity"], schedule),
-            horizon=int(data["horizon"]),
-            master_seed=int(data.get("seed", 0)),
-            path_index=int(data.get("path_index", 0)),
-            compensated_sum=bool(data.get("compensated_sum", False)),
-            memory_budget=int(data.get("memory_budget", DEFAULT_MEMORY_BUDGET)),
+            pattern=pattern,
+            horizon=horizon,
+            seed=int(data.get("seed", cls.seed)),
+            name=str(data.get("name", cls.name)),
+            n_paths=int(data.get("n_paths", cls.n_paths)),
+            checkpoints=tuple(int(c) for c in checkpoints),
+            epsilons=epsilons,
+            epsilon_target=epsilon_target,
+            fraction_target=float(verdict_cfg.get("fraction_target", cls.fraction_target)),
+            infrequency_threshold=data.get("infrequency_threshold", cls.infrequency_threshold),
         )
+        spec.validate()
+        return spec
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError`, naming the field, if one is out of range."""
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
+        if self.n_paths < 2:
+            raise ConfigError("n_paths must be >= 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        explicit = self.pattern.explicit
+        if self.pattern.mode is SparsityMode.EXPLICIT and len(explicit) < self.horizon:
+            raise ConfigError(
+                f"sparsity.alpha has {len(explicit)} entries, fewer than the horizon {self.horizon}"
+            )
+        if list(self.checkpoints) != sorted(set(self.checkpoints)):
+            raise ConfigError("checkpoints must be sorted and unique")
+        if not self.checkpoints or self.checkpoints[0] < 1 or self.checkpoints[-1] > self.horizon:
+            raise ConfigError("checkpoints must lie in [1, horizon]")
+        if not all(0 < e for e in self.epsilons):
+            raise ConfigError("epsilons must be positive")
+        if not 0 < self.fraction_target <= 1:
+            raise ConfigError("fraction_target must lie in (0, 1]")
+        try:
+            validate_schedule(self.schedule, min(max(self.horizon, 3), 10 ** 5))
+        except ScheduleRejected as exc:
+            raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _schedule_to_dict(schedule: MomentSchedule) -> dict:
-    out: dict = {"form": schedule.form.value}
-    if schedule.constant_a is not None:
-        out["constant_a"] = schedule.constant_a
-    if schedule.floor_index is not None:
-        out["floor_index"] = schedule.floor_index
-    return out
+def _parse(field: str, build, *args):
+    """``build(*args)``, with any failure reported as a ConfigError on ``field``."""
+    try:
+        return build(*args)
+    except (KeyError, TypeError, ValueError, ScheduleRejected) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
-def _schedule_from_dict(data: dict) -> MomentSchedule:
-    from .schedules import ScheduleForm
-
-    return MomentSchedule(
-        form=ScheduleForm(data["form"]),
-        constant_a=data.get("constant_a"),
-        floor_index=data.get("floor_index"),
-    )
-
-
-def _pattern_from_dict(data: dict, schedule: MomentSchedule) -> SparsityPattern:
-    mode = SparsityMode(data.get("mode", "auto"))
-    explicit = tuple(data["alpha"]) if "alpha" in data else None
-    return SparsityPattern(
-        mode=mode,
-        c=float(data.get("c", 1.0)),
-        schedule=schedule if mode is SparsityMode.AUTO else None,
-        explicit=explicit,
-    )
+def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ...]:
+    """The checkpoints up to ``horizon``, ending at ``horizon``."""
+    kept = [c for c in checkpoints if c <= horizon]
+    if not kept or kept[-1] != horizon:
+        kept.append(horizon)
+    return tuple(kept)
 
 
 @dataclass
@@ -143,7 +202,7 @@ class PathState:
         return self.insert_count + self.other_count == self.n
 
 
-def next_z(state: PathState, config: MixedSequenceConfig, streams: PathStreams) -> tuple[float, PathState]:
+def next_z(state: PathState, config: ExperimentSpec, streams: PathStreams) -> tuple[float, PathState]:
     """Emit the value at index n+1 and the advanced state."""
     if state.n >= config.horizon:
         raise ValueError("path already ran to its horizon")
@@ -180,13 +239,13 @@ def next_z(state: PathState, config: MixedSequenceConfig, streams: PathStreams) 
     return z, new_state
 
 
-def _emit_values(config: MixedSequenceConfig) -> tuple[np.ndarray, dict]:
+def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, dict]:
     """All horizon values of one path, plus bookkeeping facts."""
     horizon = config.horizon
     alpha = config.pattern.alpha(horizon).astype(bool)
     n_insert = int(alpha.sum())
     n_other = horizon - n_insert
-    streams = derive_path_streams(config.master_seed, config.path_index)
+    streams = derive_path_streams(config.seed, config.path_index)
 
     values = np.empty(horizon, dtype=np.float64)
     if n_other:
@@ -204,33 +263,13 @@ def _emit_values(config: MixedSequenceConfig) -> tuple[np.ndarray, dict]:
     return values, info
 
 
-def _running_sums(values: np.ndarray, compensated: bool) -> np.ndarray:
-    if not compensated:
-        return np.cumsum(values)
-    # Kahan accumulation; slow pure-python loop, only for small-horizon studies
-    sums = np.empty_like(values)
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values.tolist()):
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        sums[i] = total
-    return sums
-
-
-def run_path(config: MixedSequenceConfig, checkpoints: Sequence[int]) -> PathSummary:
+def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:
     """Stream one path to its horizon and summarize it at the checkpoints.
 
     Keeps exactly one real per index (the |S_m/m| buffer) so suffix-sup
     statistics can be computed in a single backward pass.
     """
     horizon = config.horizon
-    if horizon > config.memory_budget:
-        raise HorizonOverflow(
-            f"horizon {horizon} exceeds memory budget {config.memory_budget}"
-        )
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
     if cps.size == 0:
         raise ValueError("at least one checkpoint is required")
@@ -238,8 +277,7 @@ def run_path(config: MixedSequenceConfig, checkpoints: Sequence[int]) -> PathSum
         raise ValueError("checkpoints must lie in [1, horizon]")
 
     values, info = _emit_values(config)
-    sums = _running_sums(values, config.compensated_sum)
-    averages = sums / np.arange(1, horizon + 1, dtype=np.float64)
+    averages = np.cumsum(values) / np.arange(1, horizon + 1, dtype=np.float64)
     deviations = np.abs(averages)
     return PathSummary(
         path_index=config.path_index,

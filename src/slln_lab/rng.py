@@ -93,7 +93,3 @@ def derive_stream(key: StreamKey) -> UniformStream:
     """Pure derivation: the stream is a function of the key alone."""
     return UniformStream(key)
 
-
-def next_uniform(stream: UniformStream) -> float:
-    """Advance ``stream`` by one draw."""
-    return stream.next()

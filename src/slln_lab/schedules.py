@@ -78,10 +78,21 @@ class MomentSchedule:
             out = 1.0 / np.log(idx)
         return float(out) if scalar else out
 
+    def to_dict(self) -> dict:
+        out: dict = {"form": self.form.value}
+        if self.constant_a is not None:
+            out["constant_a"] = self.constant_a
+        if self.floor_index is not None:
+            out["floor_index"] = self.floor_index
+        return out
 
-def eval_a(schedule: MomentSchedule, n) -> float:
-    """Exponent at index ``n``."""
-    return schedule.value(n)
+    @classmethod
+    def from_dict(cls, data: dict) -> "MomentSchedule":
+        return cls(
+            form=ScheduleForm(data.get("form", "inv_sqrt_log")),
+            constant_a=data.get("constant_a"),
+            floor_index=data.get("floor_index"),
+        )
 
 
 @dataclass
@@ -158,7 +169,7 @@ class SparsityPattern:
 
     AUTO mode fires an insert exactly when ceil(c * n**a_n) increments, so
     phi_n tracks ceil(c * n**a_n) and the sup of phi_n / n**a_n stays below
-    c + 1.  Arrays are materialized lazily per horizon and cached.
+    c + 1.  The alpha array is materialized lazily per horizon and cached.
     """
 
     mode: SparsityMode
@@ -184,19 +195,19 @@ class SparsityPattern:
             raise ValueError("horizon must be >= 1")
         cached = self._cache.get("alpha")
         if cached is None or cached.size < horizon:
-            self._cache["alpha"] = self._build_alpha(horizon)
-            self._cache.pop("phi", None)
-            cached = self._cache["alpha"]
+            cached = self._cache["alpha"] = self._build_alpha(horizon)
         return cached[:horizon]
 
     def phi(self, horizon: int) -> np.ndarray:
-        """Running insert count phi_1..phi_horizon."""
-        alpha = self.alpha(horizon)
-        cached = self._cache.get("phi")
-        if cached is None or cached.size < horizon:
-            self._cache["phi"] = np.cumsum(self._cache["alpha"], dtype=np.int64)
-            cached = self._cache["phi"]
-        return cached[:horizon]
+        """Running insert count phi_1..phi_horizon.
+
+        Built from a fresh alpha and not cached: a spec keeps its pattern
+        for as long as its caller keeps the spec, and only the simulation
+        reads alpha often enough to be worth keeping.
+        """
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        return np.cumsum(self._build_alpha(horizon), dtype=np.int64)
 
     def psi(self, horizon: int) -> np.ndarray:
         """Running count of non-insert positions, n - phi_n."""
@@ -224,6 +235,17 @@ class SparsityPattern:
         if self.explicit is not None:
             out["alpha"] = list(self.explicit)
         return out
+
+    @classmethod
+    def from_dict(cls, data: dict, schedule: MomentSchedule) -> "SparsityPattern":
+        """``schedule`` drives the AUTO mode and is ignored by the others."""
+        mode = SparsityMode(data.get("mode", "auto"))
+        return cls(
+            mode=mode,
+            c=float(data.get("c", 1.0)),
+            schedule=schedule if mode is SparsityMode.AUTO else None,
+            explicit=tuple(data["alpha"]) if "alpha" in data else None,
+        )
 
 
 def build_sparsity(schedule: MomentSchedule, c: float, horizon: int | None = None) -> SparsityPattern:

@@ -11,7 +11,6 @@ from slln_lab.calculus import (
     build_block_schedule,
     combined_series_bound,
     envelope_power_integral,
-    integral_bound_B,
     kronecker_check,
     series_bound_A,
     series_bound_B,
@@ -120,8 +119,8 @@ def test_series_B_values():
     assert b_pareto.value == pytest.approx(0.39493, abs=1e-5)
     assert b_pareto.bound == 2.0
     # the sharper analytic bound from monotonicity
-    assert b_exp.value <= integral_bound_B(EXP)
-    assert b_pareto.value <= integral_bound_B(PARETO2)
+    assert b_exp.value <= EXP.tail_integral(2.0)
+    assert b_pareto.value <= PARETO2.tail_integral(2.0)
 
 
 def test_series_B_truncation_independent_bound():

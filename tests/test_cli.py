@@ -17,7 +17,7 @@ def test_bundled_theorem_fixture():
     assert spec.envelope.gamma == 2.0
     assert spec.dependence is DependenceMode.COMONOTONE
     assert spec.schedule.form is ScheduleForm.INV_SQRT_LOG
-    assert spec.sparsity_c == 1.0
+    assert spec.pattern.c == 1.0
     assert spec.seed == 0
     assert spec.n_paths == 200
     assert spec.horizon == 10 ** 6
@@ -25,7 +25,7 @@ def test_bundled_theorem_fixture():
 
 def test_bundled_violation_fixtures():
     sparsity = cli.load_config("violate-sparsity.json")
-    assert sparsity.sparsity_mode is SparsityMode.ALL_ONE
+    assert sparsity.pattern.mode is SparsityMode.ALL_ONE
     mean = cli.load_config("violate-x-mean.json")
     assert mean.x_family.kind is XKind.IID_PARETO_CENTERED
     assert mean.x_family.shape == 1.0
@@ -160,3 +160,38 @@ def test_main_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schedule": {"form": "constant", "constant_a": 2.0}}))
     assert cli.main(["run", str(bad)]) == 2
+
+
+def _main_on(tmp_path, data, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = cli.main(["run", str(cfg), "--out", str(out), *flags])
+    return code, out
+
+
+def test_main_explicit_alpha_shorter_than_horizon(tmp_path, capsys):
+    data = {"horizon": 100, "sparsity": {"mode": "explicit_list", "alpha": [1, 0, 1]}}
+    code, out = _main_on(tmp_path, data)
+    assert code == 2
+    assert "sparsity.alpha" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+def test_main_explicit_mode_without_alpha(tmp_path, capsys):
+    code, _ = _main_on(tmp_path, {"horizon": 100, "sparsity": {"mode": "explicit_list"}})
+    assert code == 2
+    assert "sparsity" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_main_unknown_top_level_key(tmp_path, capsys):
+    code, _ = _main_on(tmp_path, {"horizn": 100})
+    assert code == 2
+    assert "horizn" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
+    code, out = _main_on(tmp_path, {"name": "big"}, "--horizon", "20000000")
+    assert code == 2
+    assert "horizon" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()

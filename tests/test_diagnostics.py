@@ -10,22 +10,23 @@ from slln_lab.diagnostics import (
     run_ensemble,
     suffix_sup,
     verdict,
-    x_part_experiment,
 )
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
-from slln_lab.mixture import MixedSequenceConfig, run_path
+from slln_lab.hypotheses import verify_hypotheses
+from slln_lab.mixture import ExperimentSpec, run_path
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern
 
 
-def pure_x_config(x_family, horizon, seed=0):
-    return MixedSequenceConfig(
+def pure_x_config(x_family, horizon, seed=0, **ensemble):
+    return ExperimentSpec(
         x_family=x_family,
         envelope=TailEnvelope.pareto(2.0),
         dependence=DependenceMode.INDEPENDENT,
         schedule=MomentSchedule(ScheduleForm.INV_SQRT_LOG),
         pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO),
         horizon=horizon,
-        master_seed=seed,
+        seed=seed,
+        **ensemble,
     )
 
 
@@ -106,47 +107,59 @@ def test_verdict_requires_tracked_epsilon():
 # --- ensembles ------------------------------------------------------------------------
 
 def test_smallest_ensemble_order_statistics():
-    config = pure_x_config(XFamily.uniform(1.0), 10)
-    report = run_ensemble(config, 2, [5, 10])
+    config = pure_x_config(XFamily.uniform(1.0), 10, n_paths=2, checkpoints=(5, 10))
+    report = run_ensemble(config)
     d = report.d_matrix
     assert d.shape == (2, 2)
     # nearest-rank quantiles of two values: median is the smaller, q90 the larger
     assert np.array_equal(report.median, np.min(d, axis=0))
     assert np.array_equal(report.q90, np.max(d, axis=0))
     with pytest.raises(ValueError):
-        run_ensemble(config, 1, [5])
+        run_ensemble(dataclasses.replace(config, n_paths=1))
 
 
 def test_ensemble_uniform_median_small():
     # LIL scale sqrt(2 sigma^2 ln ln n / n) ~ 0.003 at n = 5e4; 0.01 is slack
-    config = pure_x_config(XFamily.uniform(1.0), 10 ** 5)
-    report = run_ensemble(config, 100, [5 * 10 ** 4, 10 ** 5])
+    config = pure_x_config(XFamily.uniform(1.0), 10 ** 5, n_paths=100, checkpoints=(5 * 10 ** 4, 10 ** 5))
+    report = run_ensemble(config)
     assert report.median[0] < 0.01
 
 
 def test_ensemble_deterministic_across_workers():
-    config = pure_x_config(XFamily.parity(4), 2 * 10 ** 4, seed=3)
-    kwargs = dict(epsilons=(0.05, 0.02), epsilon_target=0.05, fraction_target=0.1)
-    seq = run_ensemble(config, 12, [10 ** 3, 10 ** 4, 2 * 10 ** 4], threads=1, **kwargs)
-    par = run_ensemble(config, 12, [10 ** 3, 10 ** 4, 2 * 10 ** 4], threads=3, **kwargs)
-    assert np.array_equal(seq.median, par.median)
-    assert np.array_equal(seq.q99, par.q99)
-    assert np.array_equal(seq.d_matrix, par.d_matrix)
-    assert seq.verdict is par.verdict
+    ensemble = dict(n_paths=12, checkpoints=(10 ** 3, 10 ** 4, 2 * 10 ** 4))
+    pure = pure_x_config(XFamily.parity(4), 2 * 10 ** 4, seed=3, epsilons=(0.05, 0.02),
+                         epsilon_target=0.05, fraction_target=0.1, **ensemble)
+
+    def theorem():
+        return dataclasses.replace(cli.load_config("theorem.json"), seed=3, horizon=2 * 10 ** 4, **ensemble)
+
+    # the pool is handed a spec that was already checked and whose sparsity
+    # pattern is already built
+    warm = theorem()
+    verify_hypotheses(warm)
+    warm.pattern.alpha(warm.horizon)
+    for cold, pooled in ((pure, pure), (theorem(), warm)):
+        seq = run_ensemble(cold, threads=1)
+        par = run_ensemble(pooled, threads=3)
+        assert np.array_equal(seq.median, par.median)
+        assert np.array_equal(seq.q99, par.q99)
+        assert np.array_equal(seq.d_matrix, par.d_matrix)
+        assert seq.verdict is par.verdict
 
 
 def test_ensemble_repeatable():
-    config = pure_x_config(XFamily.shifted_exp(1.0), 5000, seed=11)
-    a = run_ensemble(config, 5, [5000])
-    b = run_ensemble(config, 5, [5000])
+    config = pure_x_config(XFamily.shifted_exp(1.0), 5000, seed=11, n_paths=5, checkpoints=(5000,))
+    a = run_ensemble(config)
+    b = run_ensemble(config)
     assert np.array_equal(a.d_matrix, b.d_matrix)
 
 
 def test_scale_equivariance():
     # doubling the half width doubles every draw exactly (powers of two are
     # exact in floats), hence every average and every suffix sup
-    base = run_ensemble(pure_x_config(XFamily.uniform(1.0), 3000, seed=5), 6, [100, 3000])
-    wide = run_ensemble(pure_x_config(XFamily.uniform(2.0), 3000, seed=5), 6, [100, 3000])
+    ensemble = dict(seed=5, n_paths=6, checkpoints=(100, 3000))
+    base = run_ensemble(pure_x_config(XFamily.uniform(1.0), 3000, **ensemble))
+    wide = run_ensemble(pure_x_config(XFamily.uniform(2.0), 3000, **ensemble))
     assert np.array_equal(wide.d_matrix, 2.0 * base.d_matrix)
     # verdicts at rescaled epsilon are identical
     frac_base = (base.d_matrix[:, -1] > 0.01).mean()
@@ -155,16 +168,20 @@ def test_scale_equivariance():
 
 
 def test_x_part_experiment_parity_converges():
-    report = x_part_experiment(XFamily.parity(4), horizon=10 ** 5, n_paths=50,
-                               checkpoints=(10 ** 3, 10 ** 4, 10 ** 5))
+    report = run_ensemble(dataclasses.replace(
+        cli.load_config("pure-x.json"), x_family=XFamily.parity(4), horizon=10 ** 5, n_paths=50,
+        checkpoints=(10 ** 3, 10 ** 4, 10 ** 5),
+    ))
     assert report.verdict is Verdict.CONVERGENT
     assert report.fractions_above[0.02][-1] < 0.05
 
 
 def test_x_part_experiment_single_bit_blocks():
     # block_bits=1 degenerates to iid signs: the classical strong law case
-    report = x_part_experiment(XFamily.parity(1), horizon=5 * 10 ** 4, n_paths=30,
-                               checkpoints=(10 ** 3, 10 ** 4, 5 * 10 ** 4))
+    report = run_ensemble(dataclasses.replace(
+        cli.load_config("pure-x.json"), x_family=XFamily.parity(1), horizon=5 * 10 ** 4, n_paths=30,
+        checkpoints=(10 ** 3, 10 ** 4, 5 * 10 ** 4),
+    ))
     assert report.verdict is Verdict.CONVERGENT
 
 
@@ -179,9 +196,9 @@ def test_prefix_drop_is_deterministic():
 
 
 def test_report_serialization():
-    config = pure_x_config(XFamily.uniform(1.0), 100, seed=2)
-    report = run_ensemble(config, 3, [10, 100], epsilon_target=0.05, fraction_target=0.1,
-                          epsilons=(0.05,))
+    config = pure_x_config(XFamily.uniform(1.0), 100, seed=2, n_paths=3, checkpoints=(10, 100),
+                           epsilons=(0.05,), epsilon_target=0.05, fraction_target=0.1)
+    report = run_ensemble(config)
     payload = report.to_dict()
     assert payload["checkpoints"] == [10, 100]
     assert payload["verdict"] in {"CONVERGENT", "INCONCLUSIVE", "DIVERGENT"}

@@ -10,9 +10,7 @@ from slln_lab.generators import (
     XFamily,
     centered_mean_check,
     infinite_mean_onset,
-    sample_x_block,
     sample_y,
-    tail_x,
 )
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm
@@ -75,7 +73,7 @@ def test_parity_pairwise_across_blocks():
 
 def test_uniform_mean_bound():
     # 3 sigma / sqrt(n) with sigma = 1/sqrt(3)
-    draws = sample_x_block(XFamily.uniform(1.0), 10 ** 6, _stream(1))
+    draws = XFamily.uniform(1.0).sample_block(10 ** 6, _stream(1))
     assert abs(draws.mean()) < 3.0 * (1.0 / math.sqrt(3.0)) / 10 ** 3
     assert np.all(np.abs(draws) <= 1.0)
 
@@ -100,17 +98,17 @@ def test_infinite_mean_family_flagged():
 # --- closed-form tails ----------------------------------------------------------
 
 def test_tail_frozen_values():
-    assert tail_x(XFamily.uniform(1.0), 0.25) == 0.75
-    assert tail_x(XFamily.parity(4), 0.5) == 1.0
-    assert tail_x(XFamily.parity(4), 1.5) == 0.0
-    assert tail_x(XFamily.uniform(1.0), 0.0) == 1.0
+    assert XFamily.uniform(1.0).tail(0.25) == 0.75
+    assert XFamily.parity(4).tail(0.5) == 1.0
+    assert XFamily.parity(4).tail(1.5) == 0.0
+    assert XFamily.uniform(1.0).tail(0.0) == 1.0
 
 
 def test_tail_is_monotone_from_one():
     for fam in (XFamily.uniform(2.0), XFamily.shifted_exp(0.5), XFamily.pareto_centered(2.0),
                 XFamily.pareto_centered(1.0)):
         x = np.linspace(0.0, 20.0, 500)
-        t = tail_x(fam, x)
+        t = fam.tail(x)
         assert t[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(t) <= 1e-15)
         assert np.all((t >= 0) & (t <= 1))
@@ -118,9 +116,9 @@ def test_tail_is_monotone_from_one():
 
 def _empirical_tail_matches(fam, seed, grid):
     n = 10 ** 6
-    draws = np.abs(sample_x_block(fam, n, _stream(seed)))
+    draws = np.abs(fam.sample_block(n, _stream(seed)))
     for x in grid:
-        p = tail_x(fam, x)
+        p = fam.tail(x)
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(np.mean(draws > x) - p) <= 3.0 * se + 1e-9
 
@@ -139,7 +137,7 @@ def test_tail_consistency_pareto():
 
 
 def test_pareto_centered_has_mean_zero():
-    draws = sample_x_block(XFamily.pareto_centered(3.0), 10 ** 6, _stream(24))
+    draws = XFamily.pareto_centered(3.0).sample_block(10 ** 6, _stream(24))
     sigma = XFamily.pareto_centered(3.0).sigma()
     assert abs(draws.mean()) < 4.0 * sigma / 10 ** 3
 

@@ -144,7 +144,7 @@ def test_infrequency_trivial_for_empty_pattern():
 
 def test_verify_hypotheses_theorem_config():
     spec = cli.load_config("theorem.json")
-    report = verify_hypotheses(spec.mixed_config())
+    report = verify_hypotheses(spec)
     assert report.all_pass()
     assert report.entry("CESARO_TAIL").value == pytest.approx(1.0, abs=1e-9)
     assert report.entry("ENVELOPE").value == 2.0
@@ -153,7 +153,7 @@ def test_verify_hypotheses_theorem_config():
 
 def test_verify_hypotheses_flags_dense_inserts():
     spec = cli.load_config("violate-sparsity.json")
-    report = verify_hypotheses(spec.mixed_config())
+    report = verify_hypotheses(spec)
     assert not report.all_pass()
     assert report.entry("INFREQUENCY").status == "FAIL"
     assert report.entry("CENTERING").status == "PASS"
@@ -161,7 +161,7 @@ def test_verify_hypotheses_flags_dense_inserts():
 
 def test_verify_hypotheses_flags_uncentered_family():
     spec = cli.load_config("violate-x-mean.json")
-    report = verify_hypotheses(spec.mixed_config())
+    report = verify_hypotheses(spec)
     assert report.entry("CENTERING").status == "FAIL"
     assert report.entry("CESARO_TAIL").status == "FAIL"
     assert report.entry("CESARO_TAIL").value == math.inf

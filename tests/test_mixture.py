@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from slln_lab.errors import HorizonOverflow
+from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
 from slln_lab.mixture import (
-    MixedSequenceConfig,
+    MAX_HORIZON,
+    ExperimentSpec,
     PathState,
     derive_path_streams,
     next_z,
@@ -20,21 +19,22 @@ SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
 
 def make_config(pattern=None, x_family=None, dependence=DependenceMode.INDEPENDENT,
                 horizon=500, seed=9, **kw):
-    return MixedSequenceConfig(
+    kw.setdefault("checkpoints", (horizon,))
+    return ExperimentSpec(
         x_family=x_family or XFamily.uniform(1.0),
         envelope=TailEnvelope.pareto(2.0),
         dependence=dependence,
         schedule=SCHED,
         pattern=pattern or build_sparsity(SCHED, 1.0),
         horizon=horizon,
-        master_seed=seed,
+        seed=seed,
         **kw,
     )
 
 
 def stream_whole_path(config):
     state = PathState()
-    streams = derive_path_streams(config.master_seed, config.path_index)
+    streams = derive_path_streams(config.seed, config.path_index)
     values = []
     while state.n < config.horizon:
         z, state = next_z(state, config, streams)
@@ -123,9 +123,9 @@ def test_horizon_one():
 
 
 def test_horizon_overflow():
-    config = make_config(horizon=2000, memory_budget=1000)
-    with pytest.raises(HorizonOverflow):
-        run_path(config, [1000])
+    config = make_config(horizon=MAX_HORIZON + 1)
+    with pytest.raises(ConfigError, match="horizon"):
+        config.validate()
 
 
 def test_uniform_pure_x_average_small():
@@ -134,13 +134,6 @@ def test_uniform_pure_x_average_small():
                          horizon=10 ** 6, seed=0)
     summary = run_path(config, [10 ** 6])
     assert abs(summary.final_avg) < 0.00173
-
-
-def test_compensated_sum_close_to_plain():
-    config = make_config(horizon=500)
-    plain = run_path(config, [500])
-    comp = run_path(dataclasses.replace(config, compensated_sum=True), [500])
-    assert comp.final_avg == pytest.approx(plain.final_avg, rel=1e-12)
 
 
 def test_checkpoint_validation():
@@ -168,7 +161,7 @@ def test_config_roundtrip():
     for pattern in (build_sparsity(SCHED, 1.0), SparsityPattern(mode=SparsityMode.ALL_ONE),
                     SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0, 1))):
         config = make_config(pattern=pattern, horizon=3)
-        round_tripped = MixedSequenceConfig.from_dict(config.to_dict())
+        round_tripped = ExperimentSpec.from_dict(config.to_dict())
         assert round_tripped.to_dict() == config.to_dict()
         a = run_path(config, [3])
         b = run_path(round_tripped, [3])

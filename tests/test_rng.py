@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as stats
 
-from slln_lab.rng import Channel, StreamKey, derive_stream, next_uniform
+from slln_lab.rng import Channel, StreamKey, derive_stream
 
 
 def test_same_key_same_stream():
@@ -42,7 +42,7 @@ def test_next_matches_uniforms():
     s1 = derive_stream(key)
     singles = [s1.next() for _ in range(8)]
     assert np.array_equal(np.array(singles), derive_stream(key).uniforms(8))
-    assert next_uniform(derive_stream(key)) == singles[0]
+    assert derive_stream(key).next() == singles[0]
 
 
 def test_values_in_unit_interval():

@@ -10,7 +10,6 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    eval_a,
     sparsity_ratio_sup,
     validate_schedule,
     y_insertion_positions,
@@ -21,18 +20,18 @@ INV_SQRT_LOG = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
 
 def test_eval_a_frozen_values():
     # direct evaluation: ln 55 = 4.00733..., ln 1e6 = 13.8155...
-    assert eval_a(INV_SQRT_LOG, 55) == pytest.approx(1.0 / math.sqrt(math.log(55)), abs=1e-15)
-    assert eval_a(INV_SQRT_LOG, 55) == pytest.approx(0.4996, abs=5e-4)
-    assert eval_a(INV_SQRT_LOG, 10 ** 6) == pytest.approx(0.26905, abs=5e-5)
-    assert eval_a(MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5), 10 ** 9) == 0.5
+    assert INV_SQRT_LOG.value(55) == pytest.approx(1.0 / math.sqrt(math.log(55)), abs=1e-15)
+    assert INV_SQRT_LOG.value(55) == pytest.approx(0.4996, abs=5e-4)
+    assert INV_SQRT_LOG.value(10 ** 6) == pytest.approx(0.26905, abs=5e-5)
+    assert MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5).value(10 ** 9) == 0.5
 
 
 def test_clamping_below_floor():
     for n in (1, 2, 3):
-        assert eval_a(INV_SQRT_LOG, n) == eval_a(INV_SQRT_LOG, 3)
+        assert INV_SQRT_LOG.value(n) == INV_SQRT_LOG.value(3)
     loglog = MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG)
     for n in (1, 7, 15, 16):
-        assert eval_a(loglog, n) == pytest.approx(eval_a(loglog, 16) if n <= 16 else 0, abs=0)
+        assert loglog.value(n) == pytest.approx(loglog.value(16) if n <= 16 else 0, abs=0)
 
 
 def test_range_and_monotonicity():
