@@ -96,12 +96,15 @@ def plot_svg(report: ConvergenceReport) -> str:
     cps = [float(c) for c in report.checkpoints]
     logs = [math.log10(c) for c in cps]
     span = max(logs[-1] - logs[0], 1e-9)
-    ymax = max(float(v) for v in report.q99) * 1.05 or 1.0
+    finite = [float(v) for q in (report.median, report.q90, report.q99) for v in q if math.isfinite(v)]
+    ymax = max(finite, default=0.0) * 1.05 or 1.0
 
     def x_at(cp_log: float) -> float:
         return margin + (cp_log - logs[0]) / span * (width - 2 * margin)
 
     def y_at(v: float) -> float:
+        if not math.isfinite(v):
+            return float(margin)  # off the scale: pinned to the top edge
         return height - margin - (v / ymax) * (height - 2 * margin)
 
     series = [
@@ -142,6 +145,18 @@ def plot_svg(report: ConvergenceReport) -> str:
         parts.append(f'<text x="{width - margin - 72}" y="{y}" font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _strict_json(value):
+    """``value`` with each non-finite float as the string "inf", "-inf" or
+    "nan", so that it encodes as standard JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 SUBCOMMANDS = ("hypotheses", "calculus", "simulate", "all")
@@ -207,7 +222,8 @@ def run(
         "failures": failures,
         "exit_code": exit_code,
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     return exit_code
 
 

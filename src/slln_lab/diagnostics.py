@@ -22,8 +22,10 @@ DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.02, 0.01)
 def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
     """D at each checkpoint from a complete |S_m/m| buffer (m = 1..N).
 
-    One backward pass computes the running max from N down; checkpoint n
-    then reads the max over [n, N].
+    The checkpoints cut the buffer into segments; each segment's max is
+    taken once, and a reverse running max over those few segment maxima
+    gives checkpoint n the max over [n, N].  NaN propagates like a value
+    above every other.
     """
     buf = np.asarray(deviations, dtype=np.float64)
     if buf.ndim != 1 or buf.size == 0:
@@ -31,8 +33,10 @@ def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray
     cps = np.asarray(checkpoints, dtype=np.int64)
     if np.any(cps < 1) or np.any(cps > buf.size):
         raise ValueError("checkpoints must lie in [1, len(buffer)]")
-    tail_max = np.maximum.accumulate(buf[::-1])[::-1]
-    return tail_max[cps - 1]
+    starts, slot = np.unique(cps - 1, return_inverse=True)
+    segment_max = np.maximum.reduceat(buf, starts)
+    tail_max = np.maximum.accumulate(segment_max[::-1])[::-1]
+    return tail_max[slot.reshape(cps.shape)]
 
 
 @dataclass
@@ -111,11 +115,14 @@ def verdict(report: ConvergenceReport, epsilon_target: float, fraction_target: f
     paths have D above ``epsilon_target``, and the median D strictly
     decreases across the last three checkpoints (a median pinned at exactly
     zero counts as converged: there is nothing left to decrease).
-    DIVERGENT: the median strictly increases across the last three
-    checkpoints.  Anything else is INCONCLUSIVE.
+    DIVERGENT: the final median is not finite, or the median strictly
+    increases across the last three checkpoints.  Anything else is
+    INCONCLUSIVE.
     """
     if epsilon_target not in report.fractions_above:
         raise ValueError(f"epsilon_target {epsilon_target} not among the tracked epsilons")
+    if not np.isfinite(report.median[-1]):
+        return Verdict.DIVERGENT
     frac_final = float(report.fractions_above[epsilon_target][-1])
     window = np.asarray(report.median[-3:], dtype=np.float64)
     diffs = np.diff(window)
@@ -140,7 +147,8 @@ def aggregate_paths(
     ordered = sorted(summaries, key=lambda s: s.path_index)
     checkpoints = ordered[0].checkpoints
     d = np.vstack([s.deviation_sup for s in ordered])
-    fractions = {float(eps): (d > eps).mean(axis=0) for eps in epsilons}
+    # a non-finite D (NaN included) counts as above every epsilon
+    fractions = {float(eps): (~(d <= eps)).mean(axis=0) for eps in epsilons}
     return ConvergenceReport(
         checkpoints=checkpoints,
         n_paths=len(ordered),
@@ -167,6 +175,7 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
 
     if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    spec.pattern.insert_indices(spec.horizon)  # once per ensemble; pool workers get it with the spec
     indices = range(spec.n_paths)
     if threads <= 1:
         summaries = [run_path(spec.with_path(i), spec.checkpoints) for i in indices]

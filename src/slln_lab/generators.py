@@ -15,6 +15,7 @@ paths bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -243,16 +244,38 @@ class XFamily:
         return w
 
     def _sample_parity(self, count: int, stream: UniformStream) -> np.ndarray:
+        # sign i of a block is -1 when its i-th uniform is below 1/2; the
+        # block's sign bits, folded into an integer code, select its row
         bits = self.block_bits
-        length = self.block_length
-        n_blocks = -(-count // length)
-        u = stream.uniforms(n_blocks * bits)
-        signs = np.where(u < 0.5, -1.0, 1.0).reshape(n_blocks, bits)
-        values = np.empty((n_blocks, length), dtype=np.float64)
-        for mask in range(1, length + 1):
-            members = [i for i in range(bits) if mask & (1 << i)]
-            values[:, mask - 1] = np.prod(signs[:, members], axis=1)
+        n_blocks = -(-count // self.block_length)
+        negative = (stream.uniforms(n_blocks * bits) < 0.5).reshape(n_blocks, bits)
+        codes = np.zeros(n_blocks, dtype=np.int64)
+        for i in range(bits):
+            codes |= negative[:, i].astype(np.int64) << i
+        if 2 ** bits <= n_blocks:  # the table of every code is no larger than the output
+            values = np.take(_parity_table(bits), codes, axis=0)
+        else:
+            values = _parity_rows(codes, bits)
         return values.reshape(-1)[:count]
+
+
+def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Parity block values for each code: entry (b, mask - 1) is the product
+    of the signs in ``mask``, 1 - 2*(popcount(code_b & mask) & 1)."""
+    ones = codes[:, None] & np.arange(1, 2 ** bits, dtype=np.int64)
+    shift = 1
+    while shift < bits:  # fold the set bits down: bit 0 ends up holding their parity
+        ones ^= ones >> shift
+        shift *= 2
+    return 1.0 - 2.0 * (ones & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_table(bits: int) -> np.ndarray:
+    """:func:`_parity_rows` for all 2**bits codes, read-only."""
+    table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass

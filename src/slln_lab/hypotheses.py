@@ -46,19 +46,11 @@ class HypothesisReport:
     def to_dict(self) -> dict:
         return {
             "entries": [
-                {"id": e.id, "status": e.status, "value": _json_float(e.value), "detail": e.detail}
+                {"id": e.id, "status": e.status, "value": e.value, "detail": e.detail}
                 for e in self.entries
             ],
             "all_pass": self.all_pass(),
         }
-
-
-def _json_float(x: float):
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 def cesaro_tail_constant(family: XFamily, n0: int = 1, tol: float = QUAD_TOL) -> float:

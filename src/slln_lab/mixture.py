@@ -2,11 +2,16 @@
 
 Position n emits a heavy draw when alpha_n = 1 (consuming the insert-count
 stream) and a well-behaved draw when alpha_n = 0.  The exponent of an
-insert is the schedule value at its global position.  Two execution paths
-produce bit-identical values: :func:`next_z` steps one index at a time,
-:func:`run_path` runs the whole horizon vectorized.  Both consume uniforms
-in the same order from the same derived streams, and both accumulate the
-running sum strictly left to right in double precision.
+insert is the schedule value at its global position.
+
+:func:`run_path` is the engine: it samples the whole horizon at once,
+evaluates exponents at the insert indices only (cached on the pattern per
+horizon), splices the heavy draws into the well-behaved block and reduces
+one in-place buffer to the checkpoint statistics.  :func:`next_z` steps one
+index at a time and exists as the reference the tests hold it to.  Both
+consume uniforms in the same order from the same derived streams, and both
+accumulate the running sum strictly left to right in double precision, so
+their values and sums agree bit for bit.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -97,17 +102,20 @@ class ExperimentSpec:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         schedule = _parse("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
         x_family = _parse("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
-        y = data.get("y", {})
+        y = _parse("y", dict, data.get("y", {}))
         envelope = _parse("y", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
         dependence = _parse("y", DependenceMode, y.get("dependence", "independent"))
         pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
         horizon = _parse("horizon", int, data.get("horizon", 10 ** 6))
-        checkpoints = data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon))
-        epsilons = tuple(float(e) for e in data.get("epsilons", cls.epsilons))
-        verdict_cfg = data.get("verdict", {})
-        epsilon_target = float(verdict_cfg.get("epsilon_target", cls.epsilon_target))
+        checkpoints = _parse("checkpoints", _list_of(int),
+                             data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
+        epsilons = _parse("epsilons", _list_of(float), data.get("epsilons", cls.epsilons))
+        verdict_cfg = _parse("verdict", dict, data.get("verdict", {}))
+        epsilon_target = _parse("verdict.epsilon_target", float,
+                                verdict_cfg.get("epsilon_target", cls.epsilon_target))
         if epsilon_target not in epsilons:
             epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
+        threshold = data.get("infrequency_threshold", cls.infrequency_threshold)
         spec = cls(
             x_family=x_family,
             envelope=envelope,
@@ -115,14 +123,17 @@ class ExperimentSpec:
             schedule=schedule,
             pattern=pattern,
             horizon=horizon,
-            seed=int(data.get("seed", cls.seed)),
+            seed=_parse("seed", int, data.get("seed", cls.seed)),
             name=str(data.get("name", cls.name)),
-            n_paths=int(data.get("n_paths", cls.n_paths)),
-            checkpoints=tuple(int(c) for c in checkpoints),
+            n_paths=_parse("n_paths", int, data.get("n_paths", cls.n_paths)),
+            checkpoints=checkpoints,
             epsilons=epsilons,
             epsilon_target=epsilon_target,
-            fraction_target=float(verdict_cfg.get("fraction_target", cls.fraction_target)),
-            infrequency_threshold=data.get("infrequency_threshold", cls.infrequency_threshold),
+            fraction_target=_parse("verdict.fraction_target", float,
+                                   verdict_cfg.get("fraction_target", cls.fraction_target)),
+            infrequency_threshold=(
+                None if threshold is None else _parse("infrequency_threshold", float, threshold)
+            ),
         )
         spec.validate()
         return spec
@@ -160,6 +171,15 @@ def _parse(field: str, build, *args):
         return build(*args)
     except (KeyError, TypeError, ValueError, ScheduleRejected) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _list_of(convert):
+    """Parser of a JSON list into a tuple of ``convert``-ed items."""
+    def parse(values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(values).__name__}")
+        return tuple(convert(v) for v in values)
+    return parse
 
 
 def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ...]:
@@ -239,35 +259,48 @@ def next_z(state: PathState, config: ExperimentSpec, streams: PathStreams) -> tu
     return z, new_state
 
 
-def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, dict]:
-    """All horizon values of one path, plus bookkeeping facts."""
-    horizon = config.horizon
-    alpha = config.pattern.alpha(horizon).astype(bool)
-    n_insert = int(alpha.sum())
-    n_other = horizon - n_insert
-    streams = derive_path_streams(config.seed, config.path_index)
+_SPLICE_COPIES_MAX = 1024  # up to this many inserts, splice by segment copies
 
+
+def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
+    """All horizon values of one path, and its insert count.
+
+    Exponents are evaluated at the insert indices only; the heavy draws
+    are then spliced into the well-behaved block.
+    """
+    horizon = config.horizon
+    inserts = config.pattern.insert_indices(horizon)
+    n_insert = inserts.size
+    streams = derive_path_streams(config.seed, config.path_index)
+    if n_insert < horizon:
+        x = config.x_family.sample_block(horizon - n_insert, streams.x)
+        if not n_insert:
+            return x, 0
+    exponents = config.schedule.value(inserts + 1)
+    if config.dependence is DependenceMode.COMONOTONE:
+        v = config.envelope.sample_v(streams.shared.next())
+    else:
+        v = config.envelope.sample_v(streams.y.uniforms(n_insert))
+    y = np.power(v, 1.0 / exponents)
+    if n_insert == horizon:
+        return y, n_insert
+    if n_insert > _SPLICE_COPIES_MAX:
+        return np.insert(x, inserts - np.arange(n_insert), y), n_insert
     values = np.empty(horizon, dtype=np.float64)
-    if n_other:
-        values[~alpha] = config.x_family.sample_block(n_other, streams.x)
-    if n_insert:
-        indices = np.arange(1, horizon + 1, dtype=np.float64)
-        exponents = config.schedule.value(indices)[alpha]
-        if config.dependence is DependenceMode.COMONOTONE:
-            shared_u = streams.shared.next()
-            v = config.envelope.sample_v(shared_u)
-        else:
-            v = config.envelope.sample_v(streams.y.uniforms(n_insert))
-        values[alpha] = np.power(v, 1.0 / exponents)
-    info = {"insert_count": n_insert, "other_count": n_other}
-    return values, info
+    start = 0
+    for k, pos in enumerate(inserts.tolist()):  # k inserts precede position pos
+        values[start:pos] = x[start - k:pos - k]
+        values[pos] = y[k]
+        start = pos + 1
+    values[start:] = x[start - n_insert:]
+    return values, n_insert
 
 
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:
-    """Stream one path to its horizon and summarize it at the checkpoints.
+    """Simulate one path to its horizon and summarize it at the checkpoints.
 
-    Keeps exactly one real per index (the |S_m/m| buffer) so suffix-sup
-    statistics can be computed in a single backward pass.
+    The values are accumulated in place: one buffer holds Z_n, then S_n,
+    then S_n/n, then |S_n/n| for the suffix-sup reduction.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -276,16 +309,21 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:
     if cps[0] < 1 or cps[-1] > horizon:
         raise ValueError("checkpoints must lie in [1, horizon]")
 
-    values, info = _emit_values(config)
-    averages = np.cumsum(values) / np.arange(1, horizon + 1, dtype=np.float64)
-    deviations = np.abs(averages)
+    buf, insert_count = _emit_values(config)
+    # max(hi, -lo) is max |Z_n|; abs turns a -0.0 into 0.0, NaN propagates
+    max_abs_value = float(abs(np.maximum(buf.max(), -buf.min())))
+    np.cumsum(buf, out=buf)
+    buf /= np.arange(1, horizon + 1, dtype=np.float64)
+    running_avg = buf[cps - 1]
+    final_avg = float(buf[-1])
+    np.abs(buf, out=buf)
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,
         checkpoints=cps,
-        running_avg=averages[cps - 1].copy(),
-        deviation_sup=suffix_sup(deviations, cps),
-        insert_count=info["insert_count"],
-        max_abs_value=float(np.abs(values).max()),
-        final_avg=float(averages[-1]),
+        running_avg=running_avg,
+        deviation_sup=suffix_sup(buf, cps),
+        insert_count=insert_count,
+        max_abs_value=max_abs_value,
+        final_avg=final_avg,
     )

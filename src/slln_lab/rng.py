@@ -82,7 +82,10 @@ class UniformStream:
         if count == 0:
             return np.empty(0, dtype=np.float64)
         raw = self._bits.random_raw(count)
-        return (raw >> _SHIFT11) * _U53_SCALE
+        raw >>= _SHIFT11
+        out = raw.astype(np.float64)
+        out *= _U53_SCALE
+        return out
 
     def next(self) -> float:
         """Next single uniform."""

@@ -169,7 +169,8 @@ class SparsityPattern:
 
     AUTO mode fires an insert exactly when ceil(c * n**a_n) increments, so
     phi_n tracks ceil(c * n**a_n) and the sup of phi_n / n**a_n stays below
-    c + 1.  The alpha array is materialized lazily per horizon and cached.
+    c + 1.  The alpha array and its insert indices are materialized lazily
+    per horizon and cached.
     """
 
     mode: SparsityMode
@@ -197,6 +198,16 @@ class SparsityPattern:
         if cached is None or cached.size < horizon:
             cached = self._cache["alpha"] = self._build_alpha(horizon)
         return cached[:horizon]
+
+    def insert_indices(self, horizon: int) -> np.ndarray:
+        """0-based positions of the inserts among the first ``horizon``
+        indices, ``np.flatnonzero`` of alpha; read-only, cached next to it."""
+        cached = self._cache.get("inserts")
+        if cached is None or cached[0] != horizon:
+            indices = np.flatnonzero(self.alpha(horizon))
+            indices.flags.writeable = False
+            cached = self._cache["inserts"] = (horizon, indices)
+        return cached[1]
 
     def phi(self, horizon: int) -> np.ndarray:
         """Running insert count phi_1..phi_horizon.

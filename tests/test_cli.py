@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slln_lab import cli
@@ -195,3 +196,43 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     assert code == 2
     assert "horizon" in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"seed": "abc"}, "seed"),
+    ({"n_paths": "many"}, "n_paths"),
+    ({"checkpoints": ["a"]}, "checkpoints"),
+    ({"checkpoints": 5}, "checkpoints"),
+    ({"epsilons": "0.1"}, "epsilons"),
+    ({"verdict": {"epsilon_target": "x"}}, "verdict.epsilon_target"),
+    ({"infrequency_threshold": "hi"}, "infrequency_threshold"),
+], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
+       "epsilon_target", "infrequency_threshold"])
+def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
+    code, out = _main_on(tmp_path, {"horizon": 100, **data})
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith(f"{field}:")
+    assert not out.exists()
+
+
+def test_main_non_finite_run_is_divergent_and_strict(tmp_path):
+    # a_n = 0.001 raises Pareto(1.1) draws to the power 1000: they overflow to inf
+    data = {
+        "horizon": 2 * 10 ** 4, "n_paths": 10,
+        "schedule": {"form": "constant", "constant_a": 0.001},
+        "y": {"envelope": {"kind": "pareto", "gamma": 1.1}},
+        "sparsity": {"mode": "auto", "c": 3.0},
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _main_on(tmp_path, data, "--subcommand", "simulate", "--plot")
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["status"]["convergence"] == "DIVERGENT"
+    assert report["convergence"]["median_D"][-1] == "inf"
+    assert report["convergence"]["fractions_above"]["0.05"][-1] == 1.0
+    svg = (out / "plot.svg").read_text()
+    assert "nan" not in svg and "inf" not in svg

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slln_lab import cli
 from slln_lab.diagnostics import (
@@ -51,6 +53,15 @@ def test_suffix_sup_validation():
         suffix_sup(np.array([1.0]), [0])
     with pytest.raises(ValueError):
         suffix_sup(np.array([1.0]), [2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_suffix_sup_matches_brute_force(data):
+    buf = np.array(data.draw(st.lists(st.floats(), min_size=1, max_size=40)))
+    cps = data.draw(st.lists(st.integers(1, buf.size), max_size=10))  # any order, duplicates
+    expected = [np.max(buf[n - 1:]) for n in cps]  # np.max propagates NaN
+    np.testing.assert_array_equal(suffix_sup(buf, cps), np.array(expected, dtype=np.float64))
 
 
 def test_deviation_sup_nonincreasing_on_real_path():

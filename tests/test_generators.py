@@ -60,6 +60,27 @@ def test_parity_block_truncation():
     assert np.array_equal(partial, full[:7])
 
 
+def test_parity_matches_sign_products():
+    # each value rebuilt from its definition: the product, over the bits set
+    # in its mask, of the block's signs, where a uniform below 1/2 is -1
+    branches = set()
+    for bits in range(1, 7):
+        length = 2 ** bits - 1
+        for count in (1, length + 1, 2 ** bits * length + 3):
+            n_blocks = -(-count // length)
+            branches.add(2 ** bits <= n_blocks)  # the lookup table covers all codes
+            key = StreamKey(21, bits, Channel.X)
+            values = XFamily.parity(bits).sample_block(count, derive_stream(key))
+            u = derive_stream(key).uniforms(n_blocks * bits).tolist()
+            expected = []
+            for b in range(n_blocks):
+                signs = [-1.0 if x < 0.5 else 1.0 for x in u[b * bits:(b + 1) * bits]]
+                for mask in range(1, length + 1):
+                    expected.append(math.prod(s for i, s in enumerate(signs) if mask >> i & 1))
+            assert np.array_equal(values, expected[:count]), (bits, count)
+    assert branches == {True, False}
+
+
 def test_parity_pairwise_across_blocks():
     fam = XFamily.parity(2)
     values = fam.sample_block(3 * 10 ** 4, _stream(17))

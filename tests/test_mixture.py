@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from slln_lab import mixture
+from slln_lab.diagnostics import PathSummary
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
 from slln_lab.mixture import (
@@ -71,19 +75,64 @@ def test_explicit_pattern_unrolls():
     assert values[0] >= 1.0 and values[3] >= 1.0
 
 
-def test_streaming_matches_vectorized_bitwise():
-    for fam in (XFamily.uniform(1.0), XFamily.shifted_exp(1.0), XFamily.parity(4),
-                XFamily.pareto_centered(2.0)):
-        for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
-            config = make_config(x_family=fam, dependence=dep, horizon=300)
-            values, state = stream_whole_path(config)
-            summary = run_path(config, [300])
-            from slln_lab.mixture import _emit_values
+def summary_from_stream(config, checkpoints):
+    """The PathSummary of one path, from the next_z stream and by brute force."""
+    state = PathState()
+    streams = derive_path_streams(config.seed, config.path_index)
+    values, averages = [], []
+    while state.n < config.horizon:
+        z, state = next_z(state, config, streams)
+        values.append(z)
+        averages.append(state.total / state.n)
+    return values, PathSummary(
+        path_index=config.path_index,
+        horizon=config.horizon,
+        checkpoints=np.asarray(checkpoints),
+        running_avg=np.array([averages[c - 1] for c in checkpoints]),
+        deviation_sup=np.array([max(abs(a) for a in averages[c - 1:]) for c in checkpoints]),
+        insert_count=state.insert_count,
+        max_abs_value=max(abs(z) for z in values),
+        final_avg=state.total / config.horizon,
+    )
 
-            vec_values, info = _emit_values(config)
-            assert np.array_equal(values, vec_values)
-            assert state.insert_count == info["insert_count"]
-            assert summary.final_avg == state.total / 300.0
+
+def test_streaming_matches_vectorized_bitwise(monkeypatch):
+    explicit = tuple(int(b) for b in np.random.default_rng(4).random(300) < 0.3)
+    patterns = (build_sparsity(SCHED, 3.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
+                SparsityPattern(mode=SparsityMode.ALL_ONE),
+                SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=explicit))
+    checkpoints = [1, 10, 299, 300]
+    for splice_copies_max in (0, mixture._SPLICE_COPIES_MAX):  # np.insert, then segment copies
+        monkeypatch.setattr(mixture, "_SPLICE_COPIES_MAX", splice_copies_max)
+        for pattern in patterns:
+            for fam in (XFamily.uniform(1.0), XFamily.shifted_exp(1.0), XFamily.parity(4),
+                        XFamily.pareto_centered(2.0)):
+                for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
+                    config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
+                    values, expected = summary_from_stream(config, checkpoints)
+                    vec_values, _ = mixture._emit_values(config)
+                    assert np.array_equal(values, vec_values)
+                    got = dataclasses.asdict(run_path(config, checkpoints))
+                    for field, want in dataclasses.asdict(expected).items():
+                        assert np.array_equal(got[field], want), field
+
+
+def test_schedule_evaluated_at_inserts_only(monkeypatch):
+    points = []
+    value = MomentSchedule.value
+
+    def counted(self, n):
+        points.append(np.size(n))
+        return value(self, n)
+
+    monkeypatch.setattr(MomentSchedule, "value", counted)
+    for pattern in (build_sparsity(SCHED, 1.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
+                    SparsityPattern(mode=SparsityMode.ALL_ONE)):
+        config = make_config(pattern=pattern, horizon=10 ** 5)
+        config.pattern.insert_indices(config.horizon)  # built once per ensemble, not per path
+        points.clear()
+        summary = run_path(config, [10 ** 5])
+        assert sum(points) == summary.insert_count
 
 
 def test_resummation_zero_ulp():
