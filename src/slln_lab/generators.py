@@ -15,7 +15,6 @@ paths bit-identical.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -253,7 +252,8 @@ class XFamily:
         for i in range(bits):
             codes |= negative[:, i].astype(np.int64) << i
         if 2 ** bits <= n_blocks:  # the table of every code is no larger than the output
-            values = np.take(_parity_table(bits), codes, axis=0)
+            table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+            values = np.take(table, codes, axis=0)
         else:
             values = _parity_rows(codes, bits)
         return values.reshape(-1)[:count]
@@ -268,14 +268,6 @@ def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
         ones ^= ones >> shift
         shift *= 2
     return 1.0 - 2.0 * (ones & 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_table(bits: int) -> np.ndarray:
-    """:func:`_parity_rows` for all 2**bits codes, read-only."""
-    table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
-    table.flags.writeable = False
-    return table
 
 
 @dataclass

@@ -102,7 +102,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         schedule = _parse("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
         x_family = _parse("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
-        y = _parse("y", dict, data.get("y", {}))
+        y = _parse("y", _object, data.get("y", {}))
         envelope = _parse("y", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
         dependence = _parse("y", DependenceMode, y.get("dependence", "independent"))
         pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
@@ -110,7 +110,7 @@ class ExperimentSpec:
         checkpoints = _parse("checkpoints", _list_of(int),
                              data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
         epsilons = _parse("epsilons", _list_of(float), data.get("epsilons", cls.epsilons))
-        verdict_cfg = _parse("verdict", dict, data.get("verdict", {}))
+        verdict_cfg = _parse("verdict", _object, data.get("verdict", {}))
         epsilon_target = _parse("verdict.epsilon_target", float,
                                 verdict_cfg.get("epsilon_target", cls.epsilon_target))
         if epsilon_target not in epsilons:
@@ -171,6 +171,13 @@ def _parse(field: str, build, *args):
         return build(*args)
     except (KeyError, TypeError, ValueError, ScheduleRejected) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _object(value) -> dict:
+    """A JSON object, as is."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
 
 
 def _list_of(convert):
@@ -259,9 +266,6 @@ def next_z(state: PathState, config: ExperimentSpec, streams: PathStreams) -> tu
     return z, new_state
 
 
-_SPLICE_COPIES_MAX = 1024  # up to this many inserts, splice by segment copies
-
-
 def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     """All horizon values of one path, and its insert count.
 
@@ -272,10 +276,7 @@ def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     inserts = config.pattern.insert_indices(horizon)
     n_insert = inserts.size
     streams = derive_path_streams(config.seed, config.path_index)
-    if n_insert < horizon:
-        x = config.x_family.sample_block(horizon - n_insert, streams.x)
-        if not n_insert:
-            return x, 0
+    x = config.x_family.sample_block(horizon - n_insert, streams.x)
     exponents = config.schedule.value(inserts + 1)
     if config.dependence is DependenceMode.COMONOTONE:
         v = config.envelope.sample_v(streams.shared.next())
@@ -284,16 +285,7 @@ def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     y = np.power(v, 1.0 / exponents)
     if n_insert == horizon:
         return y, n_insert
-    if n_insert > _SPLICE_COPIES_MAX:
-        return np.insert(x, inserts - np.arange(n_insert), y), n_insert
-    values = np.empty(horizon, dtype=np.float64)
-    start = 0
-    for k, pos in enumerate(inserts.tolist()):  # k inserts precede position pos
-        values[start:pos] = x[start - k:pos - k]
-        values[pos] = y[k]
-        start = pos + 1
-    values[start:] = x[start - n_insert:]
-    return values, n_insert
+    return np.insert(x, inserts - np.arange(n_insert), y), n_insert
 
 
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:

@@ -206,8 +206,11 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"epsilons": "0.1"}, "epsilons"),
     ({"verdict": {"epsilon_target": "x"}}, "verdict.epsilon_target"),
     ({"infrequency_threshold": "hi"}, "infrequency_threshold"),
+    ({"verdict": []}, "verdict"),
+    ({"verdict": [["epsilon_target", 0.1]]}, "verdict"),
+    ({"y": "x"}, "y"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
-       "epsilon_target", "infrequency_threshold"])
+       "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2

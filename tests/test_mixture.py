@@ -96,25 +96,23 @@ def summary_from_stream(config, checkpoints):
     )
 
 
-def test_streaming_matches_vectorized_bitwise(monkeypatch):
+def test_streaming_matches_vectorized_bitwise():
     explicit = tuple(int(b) for b in np.random.default_rng(4).random(300) < 0.3)
     patterns = (build_sparsity(SCHED, 3.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
                 SparsityPattern(mode=SparsityMode.ALL_ONE),
                 SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=explicit))
     checkpoints = [1, 10, 299, 300]
-    for splice_copies_max in (0, mixture._SPLICE_COPIES_MAX):  # np.insert, then segment copies
-        monkeypatch.setattr(mixture, "_SPLICE_COPIES_MAX", splice_copies_max)
-        for pattern in patterns:
-            for fam in (XFamily.uniform(1.0), XFamily.shifted_exp(1.0), XFamily.parity(4),
-                        XFamily.pareto_centered(2.0)):
-                for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
-                    config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
-                    values, expected = summary_from_stream(config, checkpoints)
-                    vec_values, _ = mixture._emit_values(config)
-                    assert np.array_equal(values, vec_values)
-                    got = dataclasses.asdict(run_path(config, checkpoints))
-                    for field, want in dataclasses.asdict(expected).items():
-                        assert np.array_equal(got[field], want), field
+    for pattern in patterns:
+        for fam in (XFamily.uniform(1.0), XFamily.shifted_exp(1.0), XFamily.parity(4),
+                    XFamily.pareto_centered(2.0)):
+            for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
+                config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
+                values, expected = summary_from_stream(config, checkpoints)
+                vec_values, _ = mixture._emit_values(config)
+                assert np.array_equal(values, vec_values)
+                got = dataclasses.asdict(run_path(config, checkpoints))
+                for field, want in dataclasses.asdict(expected).items():
+                    assert np.array_equal(got[field], want), field
 
 
 def test_schedule_evaluated_at_inserts_only(monkeypatch):
