@@ -28,7 +28,7 @@ import numpy as np
 import scipy.special as sp
 
 from .errors import BoundViolation, SearchExhausted
-from .generators import EnvelopeKind, TailEnvelope
+from .generators import DependenceMode, EnvelopeKind, TailEnvelope, sample_y
 from .quadrature import integrate_piecewise
 from .rng import Channel, StreamKey, derive_stream
 from .schedules import MomentSchedule, y_insertion_positions
@@ -134,6 +134,14 @@ def _zeta_tail_bound(m: float, p: float) -> float:
     return (m - 1.0) ** (1.0 - p) / (p - 1.0)
 
 
+def _body_remainder(envelope: TailEnvelope, t: float, p: float) -> float:
+    """Bound on sum_{n>t} n**-p I(n): the s <= t part of each integral against
+    the zeta tail from t+1, plus the s > t part against the envelope tail."""
+    head = envelope_power_integral(envelope, t, p) * _zeta_tail_bound(t + 1.0, p)
+    far = p / (p - 1.0) * ((t + 1.0) / t) ** (p - 1.0) * envelope.tail_integral(t)
+    return head + far
+
+
 def series_bound_A(
     envelope: TailEnvelope, p: float, truncation: int = DEFAULT_TRUNCATION
 ) -> BoundCheck:
@@ -150,13 +158,7 @@ def series_bound_A(
         raise ValueError("truncation must be >= 3")
     n = np.arange(3, truncation + 1, dtype=np.float64)
     partial = float(np.sum(n ** (-p) * envelope_power_integral(envelope, n, p)))
-    head = envelope_power_integral(envelope, float(truncation), p) * _zeta_tail_bound(truncation + 1.0, p)
-    far = (
-        p / (p - 1.0)
-        * ((truncation + 1.0) / truncation) ** (p - 1.0)
-        * envelope.tail_integral(float(truncation))
-    )
-    remainder = head + far
+    remainder = _body_remainder(envelope, float(truncation), p)
     return BoundCheck(
         name="series_A",
         envelope_label=_envelope_label(envelope),
@@ -254,10 +256,8 @@ def block_tail_bound(envelope: TailEnvelope, n_start: int, p: float) -> float:
     if n_start < 1:
         raise ValueError("n_start must be >= 1")
     t = float(n_start)
-    head = envelope_power_integral(envelope, t, p) * _zeta_tail_bound(t + 1.0, p)
-    far = p / (p - 1.0) * ((t + 1.0) / t) ** (p - 1.0) * envelope.tail_integral(t)
     boundary = envelope.tail_integral(t)  # sum_{n>t} G(n) <= integral_t^inf G
-    return head + far + boundary
+    return _body_remainder(envelope, t, p) + boundary
 
 
 @dataclass
@@ -408,8 +408,7 @@ def weighted_y_series_ensemble(
     converged = 0
     for i in range(n_paths):
         stream = derive_stream(StreamKey(master_seed, i, Channel.Y))
-        v = envelope.sample_v(stream.uniforms(k_max))
-        y = np.power(v, 1.0 / exponents)
+        y = sample_y(envelope, DependenceMode.INDEPENDENT, exponents, stream=stream)
         res = weighted_y_series(y, exponents, increment_tol)
         increments[i] = res.last_decade_increment
         converged += int(res.converged)

@@ -55,7 +55,7 @@ class PathSummary:
     def __post_init__(self) -> None:
         # suffix maxima cannot increase with n
         d = self.deviation_sup
-        if d.size > 1 and np.any(np.diff(d) > 0):
+        if np.any(d[1:] > d[:-1]):
             raise AssertionError("suffix-sup deviations must be nonincreasing")
 
 

@@ -9,8 +9,9 @@ law, which makes every downstream bound sharp and testable), then raised to
 the power 1/a for a vanishing exponent a.
 
 All sampling consumes uniforms from :class:`~slln_lab.rng.UniformStream`
-objects; a fixed draw-order contract keeps vectorized and one-at-a-time
-paths bit-identical.
+objects in a fixed order, so drawing whole blocks in several calls gives
+the same values as one call for all of them.  :func:`sample_y` is the one
+place a heavy draw is raised to its power.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ class XFamily:
     shape: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind is XKind.IID_UNIFORM and self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.kind is XKind.IID_SHIFTED_EXP and self.rate <= 0:
-            raise ValueError("rate must be positive")
+        # written so that NaN fails each check
+        if self.kind is XKind.IID_UNIFORM and not 0.0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
+        if self.kind is XKind.IID_SHIFTED_EXP and not 0.0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         if self.kind is XKind.PARITY_RADEMACHER and self.block_bits < 1:
             raise ValueError("block_bits must be >= 1")
-        if self.kind is XKind.IID_PARETO_CENTERED and self.shape <= 0:
-            raise ValueError("shape must be positive")
+        if self.kind is XKind.IID_PARETO_CENTERED and not 0.0 < self.shape < math.inf:
+            raise ValueError("shape must be positive and finite")
 
     @classmethod
     def uniform(cls, half_width: float = 1.0) -> "XFamily":
@@ -320,8 +322,8 @@ class TailEnvelope:
     gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind is EnvelopeKind.PARETO and self.gamma <= 1.0:
-            raise ValueError("pareto envelope requires gamma > 1 for a finite integral")
+        if self.kind is EnvelopeKind.PARETO and not 1.0 < self.gamma < math.inf:
+            raise ValueError("pareto envelope requires a finite gamma > 1 for a finite integral")
 
     @classmethod
     def exponential(cls) -> "TailEnvelope":
@@ -429,8 +431,8 @@ def sample_y(
         return out
     if stream is None:
         raise ValueError("INDEPENDENT mode requires a stream")
-    u = stream.uniforms(count if exps.ndim else 1)
-    v = envelope.sample_v(u)
+    # the uniforms go straight in, so they are freed before the power is taken
+    v = envelope.sample_v(stream.uniforms(count if exps.ndim else 1))
     out = np.power(v, 1.0 / exps.reshape(-1))
     return out if exps.ndim else float(out[0])
 

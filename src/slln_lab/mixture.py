@@ -1,17 +1,17 @@
 """Assembly of the observed sequence from its two ingredient streams.
 
-Position n emits a heavy draw when alpha_n = 1 (consuming the insert-count
-stream) and a well-behaved draw when alpha_n = 0.  The exponent of an
-insert is the schedule value at its global position.
+Position n emits a heavy draw when alpha_n = 1 and a well-behaved draw when
+alpha_n = 0.  Each path owns three derived streams: the X stream is consumed
+in order at the alpha_n = 0 positions, the Y stream in order at the
+alpha_n = 1 positions, and COMONOTONE paths take one SHARED uniform for all
+their heavy draws.  The exponent of an insert is the schedule value at its
+global position.
 
-:func:`run_path` is the engine: it samples the whole horizon at once,
+:func:`run_path` is the one engine: it samples the whole horizon at once,
 evaluates exponents at the insert indices only (cached on the pattern per
 horizon), splices the heavy draws into the well-behaved block and reduces
-one in-place buffer to the checkpoint statistics.  :func:`next_z` steps one
-index at a time and exists as the reference the tests hold it to.  Both
-consume uniforms in the same order from the same derived streams, and both
-accumulate the running sum strictly left to right in double precision, so
-their values and sums agree bit for bit.
+one in-place buffer to the checkpoint statistics.  Its running sum is one
+``np.cumsum``, which adds strictly left to right in double precision.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -21,6 +21,7 @@ decodes to, and every entry point (``run_path``, ``run_ensemble``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, ScheduleRejected
-from .generators import DependenceMode, TailEnvelope, XFamily
+from .generators import DependenceMode, TailEnvelope, XFamily, sample_y
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
@@ -142,6 +143,9 @@ class ExperimentSpec:
         """Raise :class:`ConfigError`, naming the field, if one is out of range."""
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
+        # 2**block_bits - 1 > MAX_HORIZON, decided without building 2**block_bits
+        if self.x_family.block_bits >= (MAX_HORIZON + 1).bit_length():
+            raise ConfigError(f"x: parity blocks of 2**block_bits - 1 values may not exceed {MAX_HORIZON}")
         if self.n_paths < 2:
             raise ConfigError("n_paths must be >= 2")
         if not 0 <= self.seed < 2 ** 64:
@@ -159,6 +163,8 @@ class ExperimentSpec:
             raise ConfigError("epsilons must be positive")
         if not 0 < self.fraction_target <= 1:
             raise ConfigError("fraction_target must lie in (0, 1]")
+        if self.infrequency_threshold is not None and not 0 < self.infrequency_threshold < math.inf:
+            raise ConfigError("infrequency_threshold: must be positive and finite")
         try:
             validate_schedule(self.schedule, min(max(self.horizon, 3), 10 ** 5))
         except ScheduleRejected as exc:
@@ -197,75 +203,6 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
     return tuple(kept)
 
 
-@dataclass
-class PathStreams:
-    """The three derived streams owned by one path."""
-
-    x: UniformStream
-    y: UniformStream
-    shared: UniformStream
-
-
-def derive_path_streams(master_seed: int, path_index: int) -> PathStreams:
-    return PathStreams(
-        x=derive_stream(StreamKey(master_seed, path_index, Channel.X)),
-        y=derive_stream(StreamKey(master_seed, path_index, Channel.Y)),
-        shared=derive_stream(StreamKey(master_seed, path_index, Channel.SHARED)),
-    )
-
-
-@dataclass
-class PathState:
-    """Cursor of the streaming path engine."""
-
-    n: int = 0
-    insert_count: int = 0      # heavy draws consumed so far
-    other_count: int = 0       # well-behaved draws consumed so far
-    total: float = 0.0         # running sum, strict left-to-right accumulation
-    shared_u: float | None = None
-    x_buffer: tuple = ()       # unconsumed tail of the current parity block
-
-    def counts_consistent(self) -> bool:
-        return self.insert_count + self.other_count == self.n
-
-
-def next_z(state: PathState, config: ExperimentSpec, streams: PathStreams) -> tuple[float, PathState]:
-    """Emit the value at index n+1 and the advanced state."""
-    if state.n >= config.horizon:
-        raise ValueError("path already ran to its horizon")
-    n = state.n + 1
-    alpha_n = int(config.pattern.alpha(config.horizon)[n - 1])
-    if alpha_n == 1:
-        shared_u = state.shared_u
-        if config.dependence is DependenceMode.COMONOTONE and shared_u is None:
-            shared_u = streams.shared.next()
-        exponent = config.schedule.value(n)
-        from .generators import sample_y
-
-        z = sample_y(config.envelope, config.dependence, exponent, stream=streams.y, shared_u=shared_u)
-        new_state = replace(
-            state,
-            n=n,
-            insert_count=state.insert_count + 1,
-            total=state.total + z,
-            shared_u=shared_u,
-        )
-        return z, new_state
-    buffer = state.x_buffer
-    if not buffer:
-        block = config.x_family.sample_block(config.x_family.block_length, streams.x)
-        buffer = tuple(float(v) for v in block)
-    z, rest = buffer[0], buffer[1:]
-    new_state = replace(
-        state,
-        n=n,
-        other_count=state.other_count + 1,
-        total=state.total + z,
-        x_buffer=rest,
-    )
-    return z, new_state
-
-
 def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     """All horizon values of one path, and its insert count.
 
@@ -275,14 +212,14 @@ def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     horizon = config.horizon
     inserts = config.pattern.insert_indices(horizon)
     n_insert = inserts.size
-    streams = derive_path_streams(config.seed, config.path_index)
-    x = config.x_family.sample_block(horizon - n_insert, streams.x)
-    exponents = config.schedule.value(inserts + 1)
-    if config.dependence is DependenceMode.COMONOTONE:
-        v = config.envelope.sample_v(streams.shared.next())
-    else:
-        v = config.envelope.sample_v(streams.y.uniforms(n_insert))
-    y = np.power(v, 1.0 / exponents)
+
+    def stream(channel: Channel) -> UniformStream:
+        return derive_stream(StreamKey(config.seed, config.path_index, channel))
+
+    x = config.x_family.sample_block(horizon - n_insert, stream(Channel.X))
+    shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
+    y = sample_y(config.envelope, config.dependence, config.schedule.value(inserts + 1),
+                 stream=stream(Channel.Y), shared_u=shared_u)
     if n_insert == horizon:
         return y, n_insert
     return np.insert(x, inserts - np.arange(n_insert), y), n_insert

@@ -14,6 +14,7 @@ exponent of the position it lands on.  Small indices clamp to the value at
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -56,8 +57,8 @@ class MomentSchedule:
                 raise ScheduleRejected(f"a out of (0,1]: {self.constant_a}")
         elif self.constant_a is not None:
             raise ScheduleRejected("constant_a only applies to the CONSTANT form")
-        if self.floor_index is not None and self.floor_index < 1:
-            raise ScheduleRejected("floor_index must be >= 1")
+        if self.floor_index is not None and not (isinstance(self.floor_index, int) and self.floor_index >= 1):
+            raise ScheduleRejected(f"floor_index must be an integer >= 1: {self.floor_index}")
 
     @property
     def floor(self) -> int:
@@ -118,7 +119,7 @@ def validate_schedule(schedule: MomentSchedule, horizon: int, growth_target: flo
         raise ValueError("horizon must be >= 3")
     n = np.arange(1, horizon + 1, dtype=np.float64)
     a = schedule.value(n)
-    if np.any(a <= 0.0) or np.any(a > 1.0):
+    if not np.all((a > 0.0) & (a <= 1.0)):
         raise ScheduleRejected("a_n outside (0, 1] on [1, horizon]")
     if np.any(np.diff(a) > 0.0):
         raise ScheduleRejected("a_n is not nonincreasing on [1, horizon]")
@@ -180,8 +181,8 @@ class SparsityPattern:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("target constant c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("target constant c must be positive and finite")
         if self.mode is SparsityMode.AUTO and self.schedule is None:
             raise ValueError("AUTO mode requires a schedule")
         if self.mode is SparsityMode.EXPLICIT:
@@ -271,9 +272,7 @@ def sparsity_ratio_sup(pattern: SparsityPattern, schedule: MomentSchedule, horiz
     """max over n <= horizon of phi_n / n**a_n."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = np.arange(1, horizon + 1, dtype=np.float64)
-    ratios = pattern.phi(horizon) / np.power(n, schedule.value(n))
-    return float(ratios.max())
+    return float(ratio_running_max(pattern, schedule, horizon)[-1])
 
 
 def ratio_running_max(pattern: SparsityPattern, schedule: MomentSchedule, horizon: int) -> np.ndarray:

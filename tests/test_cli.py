@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +210,17 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"verdict": []}, "verdict"),
     ({"verdict": [["epsilon_target", 0.1]]}, "verdict"),
     ({"y": "x"}, "y"),
+    ({"y": {"envelope": {"kind": "pareto", "gamma": math.nan}}}, "y"),
+    ({"x": {"family": "iid_uniform", "params": {"half_width": math.nan}}}, "x"),
+    ({"sparsity": {"c": math.nan}}, "sparsity"),
+    ({"schedule": {"floor_index": math.nan}}, "schedule"),
+    ({"schedule": {"floor_index": 3.5}}, "schedule"),
+    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 40}}}, "x"),
+    ({"infrequency_threshold": math.nan}, "infrequency_threshold"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
-       "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string"])
+       "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
+       "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
+       "block_bits_huge", "infrequency_threshold_nan"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2
@@ -226,7 +236,7 @@ def test_main_non_finite_run_is_divergent_and_strict(tmp_path):
         "y": {"envelope": {"kind": "pareto", "gamma": 1.1}},
         "sparsity": {"mode": "auto", "c": 3.0},
     }
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         code, out = _main_on(tmp_path, data, "--subcommand", "simulate", "--plot")
     assert code == 1
 

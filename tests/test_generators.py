@@ -58,6 +58,8 @@ def test_parity_block_truncation():
     partial = fam.sample_block(7, derive_stream(key))
     full = fam.sample_block(9, derive_stream(key))
     assert np.array_equal(partial, full[:7])
+    stream = derive_stream(key)  # one block per call continues the same draws
+    assert np.array_equal(np.concatenate([fam.sample_block(3, stream) for _ in range(3)]), full)
 
 
 def test_parity_matches_sign_products():

@@ -7,14 +7,7 @@ from slln_lab import mixture
 from slln_lab.diagnostics import PathSummary
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
-from slln_lab.mixture import (
-    MAX_HORIZON,
-    ExperimentSpec,
-    PathState,
-    derive_path_streams,
-    next_z,
-    run_path,
-)
+from slln_lab.mixture import MAX_HORIZON, ExperimentSpec, run_path
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern, build_sparsity
 
@@ -36,67 +29,78 @@ def make_config(pattern=None, x_family=None, dependence=DependenceMode.INDEPENDE
     )
 
 
-def stream_whole_path(config):
-    state = PathState()
-    streams = derive_path_streams(config.seed, config.path_index)
-    values = []
-    while state.n < config.horizon:
-        z, state = next_z(state, config, streams)
-        values.append(z)
-    return np.array(values), state
+def _stream(config, channel):
+    return derive_stream(StreamKey(config.seed, config.path_index, channel))
+
+
+def reference_values(config):
+    """The path by its definition, independent of the engine's splice.
+
+    The X stream is consumed in order at the alpha = 0 positions; the
+    alpha = 1 positions get sample_v(u) ** (1 / a_n), with u taken in order
+    from the Y stream, or one SHARED uniform for every insert of a
+    comonotone path.
+    """
+    alpha = config.pattern.alpha(config.horizon).astype(bool)
+    n = np.arange(1, config.horizon + 1)
+    values = np.empty(config.horizon)
+    values[~alpha] = config.x_family.sample_block(int(np.sum(~alpha)), _stream(config, Channel.X))
+    if config.dependence is DependenceMode.COMONOTONE:
+        u = _stream(config, Channel.SHARED).next()
+    else:
+        u = _stream(config, Channel.Y).uniforms(int(np.sum(alpha)))
+    values[alpha] = config.envelope.sample_v(u) ** (1.0 / config.schedule.value(n[alpha]))
+    return values
+
+
+def reference_summary(config, checkpoints):
+    """The PathSummary of one path, by brute force from its reference values."""
+    values = reference_values(config).tolist()
+    total, averages = 0.0, []
+    for n, z in enumerate(values, start=1):
+        total += z  # strict left to right
+        averages.append(total / n)
+    return PathSummary(
+        path_index=config.path_index,
+        horizon=config.horizon,
+        checkpoints=np.asarray(checkpoints),
+        running_avg=np.array([averages[c - 1] for c in checkpoints]),
+        deviation_sup=np.array([max(abs(a) for a in averages[c - 1:]) for c in checkpoints]),
+        insert_count=int(np.sum(config.pattern.alpha(config.horizon))),
+        max_abs_value=max(abs(z) for z in values),
+        final_avg=total / config.horizon,
+    )
 
 
 def test_all_zero_pattern_is_pure_x():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=1000)
-    values, _ = stream_whole_path(config)
+    values, insert_count = mixture._emit_values(config)
     direct = XFamily.uniform(1.0).sample_block(
         1000, derive_stream(StreamKey(9, 0, Channel.X))
     )
+    assert insert_count == 0
     assert np.array_equal(values, direct)
 
 
 def test_all_one_pattern_is_pure_y():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=200)
-    values, state = stream_whole_path(config)
-    assert state.insert_count == 200
-    assert state.other_count == 0
+    values, insert_count = mixture._emit_values(config)
+    assert insert_count == values.size == 200
     assert np.all(values >= 1.0)  # heavy draws sit above the envelope support start
 
 
 def test_explicit_pattern_unrolls():
     pattern = SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0, 0, 1))
     config = make_config(pattern=pattern, horizon=4)
-    values, state = stream_whole_path(config)
-    assert state.insert_count == 2
-    assert state.other_count == 2
+    values, insert_count = mixture._emit_values(config)
+    assert insert_count == 2
     x_direct = XFamily.uniform(1.0).sample_block(2, derive_stream(StreamKey(9, 0, Channel.X)))
     assert values[1] == x_direct[0]  # first non-insert consumes the first draw
     assert values[2] == x_direct[1]
     assert values[0] >= 1.0 and values[3] >= 1.0
 
 
-def summary_from_stream(config, checkpoints):
-    """The PathSummary of one path, from the next_z stream and by brute force."""
-    state = PathState()
-    streams = derive_path_streams(config.seed, config.path_index)
-    values, averages = [], []
-    while state.n < config.horizon:
-        z, state = next_z(state, config, streams)
-        values.append(z)
-        averages.append(state.total / state.n)
-    return values, PathSummary(
-        path_index=config.path_index,
-        horizon=config.horizon,
-        checkpoints=np.asarray(checkpoints),
-        running_avg=np.array([averages[c - 1] for c in checkpoints]),
-        deviation_sup=np.array([max(abs(a) for a in averages[c - 1:]) for c in checkpoints]),
-        insert_count=state.insert_count,
-        max_abs_value=max(abs(z) for z in values),
-        final_avg=state.total / config.horizon,
-    )
-
-
-def test_streaming_matches_vectorized_bitwise():
+def test_run_path_matches_reference():
     explicit = tuple(int(b) for b in np.random.default_rng(4).random(300) < 0.3)
     patterns = (build_sparsity(SCHED, 3.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
                 SparsityPattern(mode=SparsityMode.ALL_ONE),
@@ -107,9 +111,9 @@ def test_streaming_matches_vectorized_bitwise():
                     XFamily.pareto_centered(2.0)):
             for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
                 config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
-                values, expected = summary_from_stream(config, checkpoints)
                 vec_values, _ = mixture._emit_values(config)
-                assert np.array_equal(values, vec_values)
+                assert np.array_equal(vec_values, reference_values(config))
+                expected = reference_summary(config, checkpoints)
                 got = dataclasses.asdict(run_path(config, checkpoints))
                 for field, want in dataclasses.asdict(expected).items():
                     assert np.array_equal(got[field], want), field
@@ -135,21 +139,22 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
 
 def test_resummation_zero_ulp():
     config = make_config(x_family=XFamily.shifted_exp(1.0), horizon=400)
-    values, state = stream_whole_path(config)
+    values, _ = mixture._emit_values(config)
     total = 0.0
     for v in values.tolist():
         total += v
-    assert total == state.total
     assert total == float(np.cumsum(values)[-1])
+    assert total / 400 == run_path(config, [400]).final_avg
 
 
 def test_bookkeeping_counts():
     config = make_config(horizon=250)
-    _, state = stream_whole_path(config)
-    assert state.counts_consistent()
+    values, insert_count = mixture._emit_values(config)
     phi = config.pattern.phi(250)
-    assert state.insert_count == phi[-1]
-    assert state.other_count == 250 - phi[-1]
+    assert insert_count == phi[-1] == run_path(config, [250]).insert_count
+    # heavy draws are >= 1 and the uniform X draws lie in [-1, 1)
+    assert np.count_nonzero(values >= 1.0) == insert_count
+    assert values.size - insert_count == config.pattern.psi(250)[-1]
 
 
 def test_repeat_run_bit_identical():
@@ -196,9 +201,8 @@ def test_checkpoint_validation():
 def test_comonotone_draws_share_one_uniform():
     pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
     config = make_config(pattern=pattern, dependence=DependenceMode.COMONOTONE, horizon=50)
-    values, state = stream_whole_path(config)
-    shared = state.shared_u
-    assert shared is not None
+    values, _ = mixture._emit_values(config)
+    shared = derive_stream(StreamKey(9, 0, Channel.SHARED)).next()
     exps = SCHED.value(np.arange(1, 51, dtype=float))
     v = TailEnvelope.pareto(2.0).sample_v(shared)
     assert np.array_equal(values, np.power(v, 1.0 / exps))
