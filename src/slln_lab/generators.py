@@ -27,6 +27,20 @@ from .rng import UniformStream
 from .schedules import MomentSchedule
 
 
+def as_int(value) -> int:
+    """A JSON integer: an int, or a float with an integral value.
+
+    Fractions, non-finite floats and bools raise instead of truncating.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+        raise ValueError(f"expected an integer, got {value!r}")
+    raise TypeError(f"expected an integer, got {type(value).__name__}")
+
+
 class XKind(Enum):
     IID_UNIFORM = "iid_uniform"
     IID_SHIFTED_EXP = "iid_shifted_exp"
@@ -99,7 +113,7 @@ class XFamily:
         if kind is XKind.IID_SHIFTED_EXP:
             return cls.shifted_exp(float(params.get("rate", 1.0)))
         if kind is XKind.PARITY_RADEMACHER:
-            return cls.parity(int(params.get("block_bits", 2)))
+            return cls.parity(as_int(params.get("block_bits", 2)))
         return cls.pareto_centered(float(params.get("shape", 2.0)))
 
     # ---- analytic structure -------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, ScheduleRejected
-from .generators import DependenceMode, TailEnvelope, XFamily, sample_y
+from .generators import DependenceMode, TailEnvelope, XFamily, as_int, sample_y
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
@@ -107,8 +107,8 @@ class ExperimentSpec:
         envelope = _parse("y", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
         dependence = _parse("y", DependenceMode, y.get("dependence", "independent"))
         pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
-        horizon = _parse("horizon", int, data.get("horizon", 10 ** 6))
-        checkpoints = _parse("checkpoints", _list_of(int),
+        horizon = _parse("horizon", as_int, data.get("horizon", 10 ** 6))
+        checkpoints = _parse("checkpoints", _list_of(as_int),
                              data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
         epsilons = _parse("epsilons", _list_of(float), data.get("epsilons", cls.epsilons))
         verdict_cfg = _parse("verdict", _object, data.get("verdict", {}))
@@ -124,9 +124,9 @@ class ExperimentSpec:
             schedule=schedule,
             pattern=pattern,
             horizon=horizon,
-            seed=_parse("seed", int, data.get("seed", cls.seed)),
+            seed=_parse("seed", as_int, data.get("seed", cls.seed)),
             name=str(data.get("name", cls.name)),
-            n_paths=_parse("n_paths", int, data.get("n_paths", cls.n_paths)),
+            n_paths=_parse("n_paths", as_int, data.get("n_paths", cls.n_paths)),
             checkpoints=checkpoints,
             epsilons=epsilons,
             epsilon_target=epsilon_target,

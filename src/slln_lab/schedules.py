@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ScheduleRejected, SearchExhausted
 
 _POSITION_SEARCH_CAP = 10 ** 280
+_SEARCH_BLOCK = 1024
 
 
 class ScheduleForm(Enum):
@@ -156,11 +157,13 @@ class SparsityMode(Enum):
     EXPLICIT = "explicit_list"
 
 
-def _auto_targets(schedule: MomentSchedule, c: float, horizon: int) -> np.ndarray:
-    # np.power, not exp(a*ln n): pow(x, 1.0) is exact, so integer targets
-    # (the a=1 boundary case) land on integers; _phi_closed must evaluate
-    # the identical float expression
-    n = np.arange(1, horizon + 1, dtype=np.float64)
+def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
+    """ceil(c * n**a_n) on a float64 array ``n``: the AUTO pattern's target.
+
+    np.power, not exp(a*ln n): pow(x, 1.0) is exact, so integer targets (the
+    a=1 boundary case) land on integers.  The pattern and the insert-position
+    search both evaluate this one expression.
+    """
     return np.ceil(c * np.power(n, schedule.value(n)))
 
 
@@ -234,7 +237,7 @@ class SparsityPattern:
             if len(self.explicit) < horizon:
                 raise ValueError("explicit alpha list shorter than horizon")
             return np.asarray(self.explicit[:horizon], dtype=np.uint8)
-        targets = _auto_targets(self.schedule, self.c, horizon)
+        targets = _targets(self.schedule, self.c, np.arange(1, horizon + 1, dtype=np.float64))
         alpha = np.empty(horizon, dtype=np.uint8)
         # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
         alpha[0] = 1 if self.c >= 1.0 else 0
@@ -282,44 +285,92 @@ def ratio_running_max(pattern: SparsityPattern, schedule: MomentSchedule, horizo
     return np.maximum.accumulate(ratios)
 
 
-def _phi_closed(schedule: MomentSchedule, c: float, n: int) -> int:
-    """phi_n of the AUTO pattern, evaluated without materializing arrays.
-
-    Exact only while the ceiling target advances in single steps, which the
-    built-in forms guarantee for c <= 1 (their continuous targets move by
-    less than 1 per index). Callers enforce the c <= 1 precondition.
-    """
-    a = schedule.value(n)
-    target = int(np.ceil(c * np.power(float(n), a)))
-    return target - 1 + (1 if c >= 1.0 else 0)
-
-
 def y_insertion_positions(schedule: MomentSchedule, c: float, count: int) -> list[int]:
     """Global indices of the first ``count`` inserts of the AUTO pattern.
 
-    Positions are found by bisection on the closed form of phi, so they can
-    lie far beyond any materializable horizon (the k-th insert of the
-    inverse-sqrt-log schedule sits near exp((ln k)**2)).  Requires c <= 1;
-    larger targets can advance the ceiling by more than one per index, and
-    then phi has no closed form.
+    The positions can lie far beyond any materializable horizon (the k-th
+    insert of the inverse-sqrt-log schedule sits near exp((ln k)**2)), so
+    they come from a search on the closed form of phi instead of alpha.
+    Requires c <= 1: there the ceiling target advances by at most one per
+    index, and phi_n = ceil(c * n**a_n) - 1, plus 1 when c = 1.  Larger
+    targets can skip a count, and then phi has no closed form.
+
+    phi is evaluated at float(n), so past 2**53 distinct n share one float.
+    The k-th position is defined by a sequential search: from lo_k =
+    pos_{k-1} (lo_1 = 1), grow hi by a factor of 4 from max(lo_k, 2) until
+    phi(hi) >= k, then bisect the integers of [lo_k, hi].  Where rounding
+    makes phi non-monotone, the result is the transition this bisection
+    lands on: for inv_sqrt_log at c = 1, phi steps from 319 to 320 at both
+    n = 272164683111954 and n = 272164683111956, and pos_320 is the first.
+
+    The searches run in lockstep, one vectorized phi evaluation per step
+    for every k of a block still searching.  The search for k depends on the one for
+    k-1 only through lo_k, so the positions are iterated to a fixed point:
+    round 1 searches every k from lo = 1, each later round searches again
+    the k whose predecessor changed in the round before, from lo_k =
+    pos_{k-1} as it then stands.  When nothing changes, pos_k =
+    search(k, pos_{k-1}) holds for every k, which is the sequential
+    recurrence.  After round r the first r positions are final, so at most
+    count + 1 rounds run.
+
+    Raises :class:`SearchExhausted` for the first k whose search, started
+    from its final lo_k, grows hi past the cap.
     """
     if not 0.0 < c <= 1.0:
         raise ValueError("insert positions require 0 < c <= 1")
-    positions: list[int] = []
-    lo = 1
-    for k in range(1, count + 1):
-        hi = max(lo, 2)
-        while _phi_closed(schedule, c, hi) < k:
-            hi *= 4
-            if hi > _POSITION_SEARCH_CAP:
-                raise SearchExhausted(f"insert position {k} beyond cap {_POSITION_SEARCH_CAP:.2e}")
-        lo_k = lo
-        while lo_k < hi:
-            mid = (lo_k + hi) // 2
-            if _phi_closed(schedule, c, mid) >= k:
-                hi = mid
-            else:
-                lo_k = mid + 1
-        positions.append(lo_k)
-        lo = lo_k  # positions are nondecreasing in k; restart from the last hit
-    return positions
+    # phi_n >= k  <=>  target_n >= k + 1 - [c = 1]
+    need = np.arange(1, count + 1, dtype=np.float64) + (0.0 if c >= 1.0 else 1.0)
+    # Python ints in object arrays: positions pass int64 long before the cap;
+    # 0 marks a search that passed the cap
+    positions = _search(schedule, c, need, np.ones(count, dtype=object))
+    redo = np.arange(1, count)  # 0-based: the k - 1 to search again
+    while True:
+        # positions below the first one searched again are final
+        exhausted = np.flatnonzero(positions[:redo[0] if redo.size else count] == 0)
+        if exhausted.size:
+            raise SearchExhausted(f"insert position {exhausted[0] + 1} beyond cap {_POSITION_SEARCH_CAP:.2e}")
+        if not redo.size:
+            return positions.tolist()
+        lo = positions[redo - 1]
+        found = np.zeros(redo.size, dtype=object)
+        live = lo > 0
+        found[live] = _search(schedule, c, need[redo[live]], lo[live])
+        changed = redo[found != positions[redo]]
+        positions[redo] = found
+        redo = changed[changed < count - 1] + 1
+
+
+def _search(schedule: MomentSchedule, c: float, need: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """For each i, the first n found from ``lo[i]`` with target_n >= ``need[i]``,
+    by the sequential search of :func:`y_insertion_positions` (0 past the cap).
+
+    Runs ``_SEARCH_BLOCK`` searches at a time: each holds three or four
+    Python ints, so a block of 1024 keeps them near 0.2 MiB, and measured
+    the search is no slower than with 1e4 searches in one block.
+    """
+    if lo.size > _SEARCH_BLOCK:
+        blocks = range(0, lo.size, _SEARCH_BLOCK)
+        return np.concatenate([_search(schedule, c, need[s:s + _SEARCH_BLOCK], lo[s:s + _SEARCH_BLOCK])
+                               for s in blocks])
+
+    def reached(n: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return _targets(schedule, c, n.astype(np.float64)) >= need[i]
+
+    lo = lo.copy()
+    hi = np.maximum(lo, 2)
+    i = np.flatnonzero(~reached(hi, np.arange(lo.size)))
+    while i.size:
+        hi[i] *= 4
+        past = hi[i] > _POSITION_SEARCH_CAP
+        lo[i[past]] = 0
+        hi[i[past]] = 0
+        i = i[~past]
+        i = i[~reached(hi[i], i)]
+    i = np.flatnonzero(lo < hi)
+    while i.size:
+        mid = (lo[i] + hi[i]) // 2
+        ge = reached(mid, i)
+        hi[i[ge]] = mid[ge]
+        lo[i[~ge]] = mid[~ge] + 1
+        i = i[lo[i] < hi[i]]
+    return lo

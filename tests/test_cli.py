@@ -60,6 +60,18 @@ def test_missing_seed_defaults_to_zero(tmp_path):
     assert spec.to_dict()["seed"] == 0  # echoed back for provenance
 
 
+def test_integral_floats_are_integers(tmp_path):
+    cfg = tmp_path / "floats.json"
+    cfg.write_text(json.dumps({
+        "horizon": 100.0, "seed": 3.0, "n_paths": 4.0, "checkpoints": [10.0, 100],
+        "x": {"family": "parity_rademacher", "params": {"block_bits": 3.0}},
+    }))
+    spec = cli.load_config(cfg)
+    assert (spec.horizon, spec.seed, spec.n_paths, spec.checkpoints) == (100, 3, 4, (10, 100))
+    assert spec.x_family.block_bits == 3
+    assert all(type(v) is int for v in (spec.horizon, spec.seed, spec.n_paths, *spec.checkpoints))
+
+
 def test_spec_roundtrip():
     for fixture in ("theorem.json", "pure-x.json", "violate-sparsity.json", "violate-x-mean.json"):
         spec = cli.load_config(fixture)
@@ -217,10 +229,17 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"schedule": {"floor_index": 3.5}}, "schedule"),
     ({"x": {"family": "parity_rademacher", "params": {"block_bits": 40}}}, "x"),
     ({"infrequency_threshold": math.nan}, "infrequency_threshold"),
+    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 2.7}}}, "x"),
+    ({"seed": 1.9}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"horizon": 1000.5}, "horizon"),
+    ({"n_paths": 3.9}, "n_paths"),
+    ({"checkpoints": [10, 50.5]}, "checkpoints"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
-       "block_bits_huge", "infrequency_threshold_nan"])
+       "block_bits_huge", "infrequency_threshold_nan", "block_bits_fraction", "seed_fraction",
+       "seed_bool", "horizon_fraction", "n_paths_fraction", "checkpoint_fraction"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2

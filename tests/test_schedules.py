@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from slln_lab.errors import ScheduleRejected
+from slln_lab.errors import ScheduleRejected, SearchExhausted
 from slln_lab.schedules import (
+    _POSITION_SEARCH_CAP,
     MomentSchedule,
     ScheduleForm,
     SparsityMode,
@@ -12,10 +13,40 @@ from slln_lab.schedules import (
     build_sparsity,
     sparsity_ratio_sup,
     validate_schedule,
+    _targets,
     y_insertion_positions,
 )
 
 INV_SQRT_LOG = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+
+
+def reference_phi(schedule, c, n):
+    """phi_n of the AUTO pattern for c <= 1, one scalar n at a time."""
+    target = int(np.ceil(c * np.power(float(n), schedule.value(n))))
+    return target - 1 + (1 if c >= 1.0 else 0)
+
+
+def reference_positions(schedule, c, count):
+    """The insert positions by their definition, one k after another.
+
+    From lo_k = pos_{k-1} (lo_1 = 1), hi grows by 4 from max(lo_k, 2) until
+    phi(hi) >= k, then the integers of [lo_k, hi] are bisected.
+    """
+    positions, lo = [], 1
+    for k in range(1, count + 1):
+        hi = max(lo, 2)
+        while reference_phi(schedule, c, hi) < k:
+            hi *= 4
+            if hi > _POSITION_SEARCH_CAP:
+                raise SearchExhausted(f"insert position {k} beyond cap {_POSITION_SEARCH_CAP:.2e}")
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reference_phi(schedule, c, mid) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        positions.append(lo)
+    return positions
 
 
 def test_eval_a_frozen_values():
@@ -154,6 +185,97 @@ def test_insertion_positions_strictly_increasing_far_out():
     assert all(b > a for a, b in zip(positions, positions[1:]))
     # the k-th insert sits near exp((ln k)^2)
     assert positions[199] > 10 ** 10
+
+
+@pytest.mark.parametrize("schedule, c, count", [
+    (INV_SQRT_LOG, 1.0, 1500),  # passes 2**53 near k = 429
+    (INV_SQRT_LOG, 0.5, 1500),
+    (INV_SQRT_LOG, 0.3, 1500),
+    (MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), 1.0, 200),
+    (MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0), 1.0, 300),
+    (MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0), 0.5, 300),
+    (MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5), 1.0, 300),
+    (MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5), 0.5, 300),
+], ids=["inv_sqrt_log-1", "inv_sqrt_log-0.5", "inv_sqrt_log-0.3", "loglog_over_log-1",
+        "constant_1-1", "constant_1-0.5", "constant_0.5-1", "constant_0.5-0.5"])
+def test_insertion_positions_match_reference(schedule, c, count):
+    positions = y_insertion_positions(schedule, c, count)
+    assert positions == reference_positions(schedule, c, count)
+    assert all(type(p) is int for p in positions)
+
+
+def test_insertion_position_where_phi_is_not_monotone():
+    # phi steps from 319 to 320 at both of these n; the sequential bisection
+    # lands on the first
+    first, second = 272164683111954, 272164683111956
+    for n in (first, second):
+        assert reference_phi(INV_SQRT_LOG, 1.0, n - 1) == 319
+        assert reference_phi(INV_SQRT_LOG, 1.0, n) == 320
+    assert y_insertion_positions(INV_SQRT_LOG, 1.0, 320)[-1] == first
+
+
+def test_insertion_positions_cap():
+    inv_log = MomentSchedule(ScheduleForm.INV_LOG)  # phi stays at 3
+    assert y_insertion_positions(inv_log, 1.0, 3) == reference_positions(inv_log, 1.0, 3)
+    with pytest.raises(SearchExhausted, match="^insert position 4 beyond cap 1.00e\\+280$"):
+        y_insertion_positions(inv_log, 1.0, 4)
+    with pytest.raises(SearchExhausted, match="^insert position 4 beyond cap"):
+        reference_positions(inv_log, 1.0, 4)
+    assert y_insertion_positions(INV_SQRT_LOG, 1.0, 0) == []
+
+
+def test_insertion_positions_cap_only_from_the_final_start():
+    # pos_2 ~ 4.8e279: grown by 4 from 2 it is missed (2 * 4**464 ~ 4.5e279,
+    # then past the cap), but from pos_1 ~ 2.4e279 it is found; pos_3 is not
+    dense = MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0)
+    c = 4.2e-280
+    assert y_insertion_positions(dense, c, 2) == reference_positions(dense, c, 2)
+    with pytest.raises(SearchExhausted, match="^insert position 3 beyond cap"):
+        y_insertion_positions(dense, c, 3)
+    with pytest.raises(SearchExhausted, match="^insert position 3 beyond cap"):
+        reference_positions(dense, c, 3)
+
+
+def _assert_targets_elementwise(schedule, c, n):
+    array = _targets(schedule, c, n)
+    single = np.array([_targets(schedule, c, np.asarray(x)) for x in n])
+    assert array.tobytes() == single.tobytes()
+    scalar = np.array([np.ceil(c * np.power(float(x), schedule.value(float(x)))) for x in n])
+    assert array.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("schedule", [
+    INV_SQRT_LOG,
+    MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG),
+    MomentSchedule(ScheduleForm.INV_LOG),
+    MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0),
+    MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.25),
+], ids=["inv_sqrt_log", "loglog_over_log", "inv_log", "constant_1", "constant_0.25"])
+def test_targets_array_matches_elementwise(schedule):
+    # the lockstep search evaluates arrays where a k-by-k search would
+    # evaluate one n at a time: the two must give the same bits
+    rng = np.random.default_rng(5)
+    n = np.concatenate([
+        np.floor(np.exp(rng.uniform(0.0, np.log(1e280), 1500))),
+        2.0 ** 53 + np.arange(-50, 50),
+        np.arange(1.0, 101.0),
+    ])
+    for c in (1.0, 0.3):
+        _assert_targets_elementwise(schedule, c, n)
+
+
+def test_targets_square_root_elementwise():
+    # numpy computes a 0-d power with exponent 0.5 as a square root, which
+    # can differ from the array power by one unit in the last place; below
+    # 2**50 the ceiling of an integer's root absorbs that for c in {1, 0.5}
+    schedule = MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5)
+    rng = np.random.default_rng(5)
+    n = np.concatenate([
+        np.floor(np.exp(rng.uniform(0.0, np.log(2.0 ** 50), 1500))),
+        np.add.outer(np.arange(2.0, 1001.0) ** 2, [-1.0, 0.0, 1.0]).ravel(),
+    ])
+    for c in (1.0, 0.5):
+        _assert_targets_elementwise(schedule, c, n)
 
 
 def test_insertion_positions_require_small_c():
