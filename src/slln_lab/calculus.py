@@ -21,6 +21,7 @@ inequalities are theorems for the built-in envelopes, that means a bug.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,10 +63,10 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float):
     return float(out) if scalar else out
 
 
-def truncated_power_moment(envelope: TailEnvelope, n: float, p: float, tol: float = 1e-9) -> float:
+def truncated_power_moment(envelope: TailEnvelope, n: float, p: float) -> float:
     """E min(v, n)**p by quadrature: body integral plus boundary term n**p G(n).
 
-    Quadrature runs piecewise between the envelope kinks; tolerance is
+    Quadrature runs piecewise between the envelope kinks; tolerance is 1e-9
     relative to the result.  n = 0 returns 0 (empty integral).
     """
     if p <= 1.0:
@@ -79,7 +80,7 @@ def truncated_power_moment(envelope: TailEnvelope, n: float, p: float, tol: floa
     coarse = integrate_piecewise(lambda s: p * s ** (p - 1.0) * envelope.survival(s), points, tol=1e-6)
     scale = max(abs(coarse), 1.0)
     body = integrate_piecewise(
-        lambda s: p * s ** (p - 1.0) * envelope.survival(s), points, tol=tol * scale
+        lambda s: p * s ** (p - 1.0) * envelope.survival(s), points, tol=1e-9 * scale
     )
     return body + float(n) ** p * envelope.survival(float(n))
 
@@ -108,19 +109,6 @@ class BoundCheck:
                 f"value {self.value!r} exceeds bound {self.bound!r}"
             )
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "envelope": self.envelope_label,
-            "p": self.p,
-            "value": self.value,
-            "bound": self.bound,
-            "slack": self.slack,
-            "partial": self.partial,
-            "remainder": self.remainder,
-            "truncation": self.truncation,
-        }
 
 
 def _envelope_label(envelope: TailEnvelope) -> str:
@@ -275,16 +263,7 @@ class BlockSchedule:
 
     def step_exponent(self, n: int) -> float:
         """Exponent in force at index n (first block's exponent before it)."""
-        if n <= self.boundaries[0]:
-            return self.exponents[0]
-        lo, hi = 0, len(self.boundaries) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.boundaries[mid] < n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.exponents[lo]
+        return self.exponents[max(bisect_left(self.boundaries, n) - 1, 0)]
 
 
 def build_block_schedule(
@@ -323,14 +302,8 @@ def build_block_schedule(
                     raise SearchExhausted(
                         f"block boundary {k} not found below cap {search_cap}"
                     )
-            lo_k, hi_k = max(lo, hi // 2), hi
-            while lo_k < hi_k:
-                mid = (lo_k + hi_k) // 2
-                if block_tail_bound(envelope, mid, p_k) < target:
-                    hi_k = mid
-                else:
-                    lo_k = mid + 1
-            found = lo_k
+            lo = max(lo, hi // 2)
+            found = lo + bisect_left(range(lo, hi), True, key=lambda m: block_tail_bound(envelope, m, p_k) < target)
         boundaries.append(found)
         exponents.append(p_k)
         tails.append(block_tail_bound(envelope, found, p_k))
@@ -346,16 +319,12 @@ class WeightedSeriesResult:
     converged: bool
 
 
-def weighted_y_series(
-    y_abs: np.ndarray,
-    exponents: np.ndarray,
-    increment_tol: float = 1e-3,
-) -> WeightedSeriesResult:
+def weighted_y_series(y_abs: np.ndarray, exponents: np.ndarray) -> WeightedSeriesResult:
     """Partial sums of sum_k |y_k| / k**(1/a_k), with a convergence diagnostic.
 
     The diagnostic compares the mass added over the last decade of indices
-    to the total: a relative increment under ``increment_tol`` counts as
-    numerically converged.
+    to the total: a relative increment under 1e-3 counts as numerically
+    converged.
     """
     y = np.asarray(y_abs, dtype=np.float64)
     a = np.asarray(exponents, dtype=np.float64)
@@ -375,7 +344,7 @@ def weighted_y_series(
         partial_sums=sums,
         total=total,
         last_decade_increment=increment,
-        converged=increment < increment_tol,
+        converged=increment < 1e-3,
     )
 
 
@@ -394,7 +363,6 @@ def weighted_y_series_ensemble(
     k_max: int,
     n_paths: int,
     master_seed: int = 0,
-    increment_tol: float = 1e-3,
 ) -> WeightedSeriesEnsemble:
     """Convergence rate of the weighted heavy series across simulated paths.
 
@@ -409,7 +377,7 @@ def weighted_y_series_ensemble(
     for i in range(n_paths):
         stream = derive_stream(StreamKey(master_seed, i, Channel.Y))
         y = sample_y(envelope, DependenceMode.INDEPENDENT, exponents, stream=stream)
-        res = weighted_y_series(y, exponents, increment_tol)
+        res = weighted_y_series(y, exponents)
         increments[i] = res.last_decade_increment
         converged += int(res.converged)
     return WeightedSeriesEnsemble(
@@ -425,7 +393,7 @@ class KroneckerReport:
     """Numeric reading of the series-to-average conversion.
 
     ``status`` is PASS when the weighted series looks Cauchy over the last
-    decade and the rescaled partial sums have dropped below tolerance;
+    decade and the rescaled partial sums have dropped, both below 1e-2;
     PREMISE_FAILED when the series itself is not Cauchy (no conclusion is
     asserted then); FAIL otherwise.
     """
@@ -438,12 +406,7 @@ class KroneckerReport:
     n_terms: int
 
 
-def kronecker_check(
-    x: np.ndarray,
-    weights: np.ndarray,
-    premise_tol: float = 1e-2,
-    conclusion_tol: float = 1e-2,
-) -> KroneckerReport:
+def kronecker_check(x: np.ndarray, weights: np.ndarray) -> KroneckerReport:
     """Check: if sum x_n / b_n converges and b_n grows, (1/b_N) sum x_n shrinks."""
     xs = np.asarray(x, dtype=np.float64)
     b = np.asarray(weights, dtype=np.float64)
@@ -455,13 +418,13 @@ def kronecker_check(
     n = xs.size
     decade_start = max(n // 10, 1)
     tail_size = float(np.max(np.abs(series[decade_start - 1:] - series[-1])))
-    premise = tail_size < premise_tol
+    premise = tail_size < 1e-2
     scaled = np.abs(np.cumsum(xs)) / b
     final = float(scaled[-1])
     ago = float(scaled[decade_start - 1])
     if not premise:
         status = "PREMISE_FAILED"
-    elif final < conclusion_tol:
+    elif final < 1e-2:
         status = "PASS"
     else:
         status = "FAIL"

@@ -5,7 +5,8 @@ loads it, applies flag overrides, executes the requested sections
 (hypothesis checks, series-bound calculus, ensemble simulation) and writes
 ``report.json`` (embedding the fully resolved spec for provenance),
 ``deviations.csv``, ``calculus.csv`` and optionally ``plot.svg``.  Exit
-status 0 means every requested section passed.
+status 0 means every requested section passed, 1 that one failed, 2 a
+config, argument or file-system error and 3 an internal error.
 
 Numbers in CSV files carry 17 significant digits so a re-run from the
 embedded spec reproduces them byte for byte.
@@ -256,9 +257,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             spec = replace(spec, horizon=args.horizon, checkpoints=_clip_checkpoints(spec.checkpoints, args.horizon))
         spec.validate()
         return run(spec, subcommand=args.subcommand, out_dir=args.out, threads=args.threads, plot=args.plot)
-    except (ConfigError, SllnLabError) as exc:
+    except Exception as exc:  # one JSON line on stderr instead of a traceback
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (SllnLabError, OSError)) else 3
 
 
 if __name__ == "__main__":

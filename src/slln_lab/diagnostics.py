@@ -139,7 +139,6 @@ def aggregate_paths(
     summaries: Sequence[PathSummary],
     epsilons: Sequence[float],
     master_seed: int,
-    keep_d_matrix: bool = True,
 ) -> ConvergenceReport:
     """Deterministic reduction of per-path summaries, in path-index order."""
     if len(summaries) < 2:
@@ -159,7 +158,7 @@ def aggregate_paths(
         q90=_ensemble_quantile(d, 0.9),
         q99=_ensemble_quantile(d, 0.99),
         fractions_above=fractions,
-        d_matrix=d if keep_d_matrix else None,
+        d_matrix=d,
     )
 
 

@@ -17,6 +17,7 @@ place a heavy draw is raised to its power.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,13 @@ def as_int(value) -> int:
             return int(value)
         raise ValueError(f"expected an integer, got {value!r}")
     raise TypeError(f"expected an integer, got {type(value).__name__}")
+
+
+def as_float(value) -> float:
+    """A JSON number (an int or a float) as a float; bools and strings raise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
 class XKind(Enum):
@@ -109,12 +117,12 @@ class XFamily:
         kind = XKind(data["family"])
         params = data.get("params", {})
         if kind is XKind.IID_UNIFORM:
-            return cls.uniform(float(params.get("half_width", 1.0)))
+            return cls.uniform(as_float(params.get("half_width", 1.0)))
         if kind is XKind.IID_SHIFTED_EXP:
-            return cls.shifted_exp(float(params.get("rate", 1.0)))
+            return cls.shifted_exp(as_float(params.get("rate", 1.0)))
         if kind is XKind.PARITY_RADEMACHER:
             return cls.parity(as_int(params.get("block_bits", 2)))
-        return cls.pareto_centered(float(params.get("shape", 2.0)))
+        return cls.pareto_centered(as_float(params.get("shape", 2.0)))
 
     # ---- analytic structure -------------------------------------------------
 
@@ -138,23 +146,6 @@ class XFamily:
         if self.kind is XKind.IID_PARETO_CENTERED:
             return self.shape > 1.0
         return True
-
-    def mean(self) -> float:
-        """Analytic mean; NaN for the infinite-mean counterexample."""
-        return 0.0 if self.has_finite_mean() else math.nan
-
-    def mean_abs(self) -> float:
-        """E|X| in closed form (inf for the counterexample shape)."""
-        if self.kind is XKind.IID_UNIFORM:
-            return self.half_width / 2.0
-        if self.kind is XKind.IID_SHIFTED_EXP:
-            return 2.0 / (self.rate * math.e)
-        if self.kind is XKind.PARITY_RADEMACHER:
-            return 1.0
-        if self.shape <= 1.0:
-            return math.inf
-        m = self.pareto_shift
-        return 2.0 * m ** (1.0 - self.shape) / (self.shape - 1.0)
 
     def sigma(self) -> float | None:
         """Standard deviation, or None when the variance is infinite."""
@@ -380,10 +371,6 @@ class TailEnvelope:
             return [0.0]
         return [0.0, 1.0]
 
-    def mean_v(self) -> float:
-        """Mean of the extremal base variable (= the envelope integral)."""
-        return self.integral()
-
     def median_v(self) -> float:
         if self.kind is EnvelopeKind.EXP:
             return math.log(2.0)
@@ -409,7 +396,7 @@ class TailEnvelope:
     def from_dict(cls, data: dict) -> "TailEnvelope":
         kind = EnvelopeKind(data["kind"])
         if kind is EnvelopeKind.PARETO:
-            return cls(kind, gamma=float(data["gamma"]))
+            return cls(kind, gamma=as_float(data["gamma"]))
         return cls(kind)
 
 
@@ -451,8 +438,8 @@ def sample_y(
     return out if exps.ndim else float(out[0])
 
 
-def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule, horizon: int = 10 ** 9) -> int | None:
-    """First index whose transformed draw has an infinite mean, if any.
+def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule) -> int | None:
+    """First index up to 10**9 whose transformed draw has an infinite mean, if any.
 
     For a Pareto envelope the mean of v ** (1/a) is finite iff gamma * a > 1,
     so the onset is the first n with a_n <= 1/gamma.  Exponential envelopes
@@ -463,14 +450,6 @@ def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule, horizo
     threshold = 1.0 / envelope.gamma
     if schedule.value(1) <= threshold:
         return 1
-    if schedule.value(horizon) > threshold:
+    if schedule.value(10 ** 9) > threshold:
         return None
-    lo, hi = 1, horizon
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if schedule.value(mid) <= threshold:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
+    return 1 + bisect_left(range(1, 10 ** 9), True, key=lambda n: schedule.value(n) <= threshold)

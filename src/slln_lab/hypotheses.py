@@ -53,7 +53,7 @@ class HypothesisReport:
         }
 
 
-def cesaro_tail_constant(family: XFamily, n0: int = 1, tol: float = QUAD_TOL) -> float:
+def cesaro_tail_constant(family: XFamily) -> float:
     """Integral of the sup of Cesaro-averaged tails; equals E|X| for built-ins.
 
     Computed by adaptive quadrature of the closed-form tail, split at its
@@ -61,8 +61,6 @@ def cesaro_tail_constant(family: XFamily, n0: int = 1, tol: float = QUAD_TOL) ->
     Raises :class:`DivergentIntegral` when the remainder is infinite (the
     designed infinite-mean family).
     """
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
     if not family.has_finite_mean():
         raise DivergentIntegral(
             f"tail integral beyond any budget: Pareto shape {family.shape} has no mean"
@@ -74,7 +72,7 @@ def cesaro_tail_constant(family: XFamily, n0: int = 1, tol: float = QUAD_TOL) ->
         # is small, then add that remainder exactly
         cutoff = points[-1] + _remainder_cutoff(family)
         points = points + [cutoff]
-    body = integrate_piecewise(lambda x: family.tail(x), points, tol=tol)
+    body = integrate_piecewise(lambda x: family.tail(x), points, tol=QUAD_TOL)
     return body + family.tail_integral_remainder(cutoff)
 
 
@@ -86,14 +84,14 @@ def _remainder_cutoff(family: XFamily) -> float:
     return 50.0
 
 
-def envelope_constant(envelope: TailEnvelope, tol: float = QUAD_TOL) -> float:
+def envelope_constant(envelope: TailEnvelope) -> float:
     """Analytic envelope integral, cross-checked against quadrature."""
     analytic = envelope.integral()
     cutoff = 40.0 if envelope.kind is EnvelopeKind.EXP else 50.0
     points = sorted(set(envelope.survival_breakpoints() + [cutoff]))
-    numeric = integrate_piecewise(lambda t: envelope.survival(t), points, tol=tol)
+    numeric = integrate_piecewise(lambda t: envelope.survival(t), points, tol=QUAD_TOL)
     numeric += envelope.tail_integral(cutoff)
-    if abs(numeric - analytic) > max(tol, 1e-9):
+    if abs(numeric - analytic) > QUAD_TOL:
         raise SllnLabError(
             f"envelope integral cross-check failed: quadrature {numeric!r} vs analytic {analytic!r}"
         )
@@ -116,7 +114,7 @@ def v_moment_check(envelope: TailEnvelope, schedule: MomentSchedule | None = Non
     its mean is the envelope integral.  When a schedule is supplied, also
     reports the first index whose transformed draw loses its mean.
     """
-    mean_v = envelope.mean_v()
+    mean_v = envelope.integral()
     onset = infinite_mean_onset(envelope, schedule) if schedule is not None else None
     detail = f"mean of the base variable = envelope integral = {mean_v:.12g}"
     if onset is not None:
@@ -166,24 +164,16 @@ def infrequency_check(
     )
 
 
-def verify_hypotheses(
-    config,
-    n0: int = 1,
-    growth_target: float = 3.0,
-    infrequency_threshold: float | None = None,
-    check_horizon: int | None = None,
-) -> HypothesisReport:
+def verify_hypotheses(config, infrequency_threshold: float | None = None) -> HypothesisReport:
     """Run every hypothesis check against one experiment spec.
 
-    ``infrequency_threshold`` defaults to the spec's own.  ``check_horizon``
-    caps the horizon used for the index-wise checks so a large simulation
-    config can be vetted quickly; defaults to the config horizon capped at
-    10**6.
+    ``infrequency_threshold`` defaults to the spec's own.  The index-wise
+    checks run to the config horizon capped at 10**6, so a large simulation
+    config can be vetted quickly.
     """
     if infrequency_threshold is None:
         infrequency_threshold = config.infrequency_threshold
-    horizon = check_horizon or min(config.horizon, 10 ** 6)
-    horizon = max(horizon, 3)
+    horizon = max(min(config.horizon, 10 ** 6), 3)
     entries: list[HypothesisEntry] = []
 
     family = config.x_family
@@ -200,11 +190,11 @@ def verify_hypotheses(
         )
 
     try:
-        c_n0 = cesaro_tail_constant(family, n0=n0)
+        c_n0 = cesaro_tail_constant(family)
         entries.append(
             HypothesisEntry(
                 "CESARO_TAIL", "PASS", c_n0,
-                f"tail integral from start index {n0} equals E|X| = {c_n0:.12g}",
+                f"tail integral from start index 1 equals E|X| = {c_n0:.12g}",
             )
         )
     except DivergentIntegral as exc:
@@ -227,7 +217,7 @@ def verify_hypotheses(
         )
     )
 
-    sched = validate_schedule(config.schedule, horizon, growth_target)
+    sched = validate_schedule(config.schedule, horizon)
     growth_value = (
         float(sched.first_index_reaching) if sched.first_index_reaching is not None else math.inf
     )

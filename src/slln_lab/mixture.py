@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, ScheduleRejected
-from .generators import DependenceMode, TailEnvelope, XFamily, as_int, sample_y
+from .generators import DependenceMode, TailEnvelope, XFamily, as_float, as_int, sample_y
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
@@ -110,13 +110,16 @@ class ExperimentSpec:
         horizon = _parse("horizon", as_int, data.get("horizon", 10 ** 6))
         checkpoints = _parse("checkpoints", _list_of(as_int),
                              data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
-        epsilons = _parse("epsilons", _list_of(float), data.get("epsilons", cls.epsilons))
+        epsilons = _parse("epsilons", _list_of(as_float), data.get("epsilons", cls.epsilons))
         verdict_cfg = _parse("verdict", _object, data.get("verdict", {}))
-        epsilon_target = _parse("verdict.epsilon_target", float,
+        epsilon_target = _parse("verdict.epsilon_target", as_float,
                                 verdict_cfg.get("epsilon_target", cls.epsilon_target))
         if epsilon_target not in epsilons:
             epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
         threshold = data.get("infrequency_threshold", cls.infrequency_threshold)
+        name = data.get("name", cls.name)
+        if not isinstance(name, str):
+            raise ConfigError(f"name: expected a string, got {type(name).__name__}")
         spec = cls(
             x_family=x_family,
             envelope=envelope,
@@ -125,15 +128,15 @@ class ExperimentSpec:
             pattern=pattern,
             horizon=horizon,
             seed=_parse("seed", as_int, data.get("seed", cls.seed)),
-            name=str(data.get("name", cls.name)),
+            name=name,
             n_paths=_parse("n_paths", as_int, data.get("n_paths", cls.n_paths)),
             checkpoints=checkpoints,
             epsilons=epsilons,
             epsilon_target=epsilon_target,
-            fraction_target=_parse("verdict.fraction_target", float,
+            fraction_target=_parse("verdict.fraction_target", as_float,
                                    verdict_cfg.get("fraction_target", cls.fraction_target)),
             infrequency_threshold=(
-                None if threshold is None else _parse("infrequency_threshold", float, threshold)
+                None if threshold is None else _parse("infrequency_threshold", as_float, threshold)
             ),
         )
         spec.validate()
@@ -175,7 +178,7 @@ def _parse(field: str, build, *args):
     """``build(*args)``, with any failure reported as a ConfigError on ``field``."""
     try:
         return build(*args)
-    except (KeyError, TypeError, ValueError, ScheduleRejected) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
 

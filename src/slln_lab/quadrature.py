@@ -17,27 +17,17 @@ def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: flo
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    max_depth: int = 60,
-    min_depth: int = 4,
-) -> float:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-9) -> float:
+    """Integrate ``f`` over [a, b], a < b, to absolute tolerance ``tol``.
 
     Classic recursive scheme with Richardson acceptance |S_half - S| <= 15 tol,
-    run on an explicit stack.  The error estimate is only trusted after
-    ``min_depth`` splits (pre-asymptotic intervals can fool it on steeply
-    decaying integrands).  ``max_depth`` caps refinement; hitting it degrades
-    accuracy rather than raising, since all callers pair the result with an
-    independent cross-check.
+    run on an explicit stack.  The error estimate is only trusted after 4
+    splits (pre-asymptotic intervals can fool it on steeply decaying
+    integrands).  Refinement stops at depth 60; hitting that cap degrades
+    accuracy rather than raising, and it goes unnoticed unless the caller
+    cross-checks the result, as only ``envelope_constant`` does
+    (``cesaro_tail_constant`` and ``truncated_power_moment`` do not).
     """
-    if a == b:
-        return 0.0
-    if b < a:
-        return -adaptive_simpson(f, b, a, tol, max_depth, min_depth)
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
     total = 0.0
@@ -47,7 +37,7 @@ def adaptive_simpson(
         lm, flm, left = _simpson(f, a0, fa0, m0, fm0)
         rm, frm, right = _simpson(f, m0, fm0, b0, fb0)
         delta = left + right - whole0
-        if depth >= max_depth or (depth >= min_depth and abs(delta) <= 15.0 * tol0):
+        if depth >= 60 or (depth >= 4 and abs(delta) <= 15.0 * tol0):
             total += left + right + delta / 15.0
         else:
             half_tol = 0.5 * tol0

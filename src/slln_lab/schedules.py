@@ -58,8 +58,11 @@ class MomentSchedule:
                 raise ScheduleRejected(f"a out of (0,1]: {self.constant_a}")
         elif self.constant_a is not None:
             raise ScheduleRejected("constant_a only applies to the CONSTANT form")
-        if self.floor_index is not None and not (isinstance(self.floor_index, int) and self.floor_index >= 1):
-            raise ScheduleRejected(f"floor_index must be an integer >= 1: {self.floor_index}")
+        least = 1 if self.form is ScheduleForm.CONSTANT else 3  # the log forms need ln n > 1
+        if self.floor_index is not None and not (isinstance(self.floor_index, int) and self.floor_index >= least):
+            raise ScheduleRejected(
+                f"floor_index must be an integer >= {least} for {self.form.value}: {self.floor_index}"
+            )
 
     @property
     def floor(self) -> int:
@@ -90,16 +93,18 @@ class MomentSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MomentSchedule":
+        from .generators import as_float, as_int  # local import: generators depends on this module
+
+        constant_a, floor_index = data.get("constant_a"), data.get("floor_index")
         return cls(
             form=ScheduleForm(data.get("form", "inv_sqrt_log")),
-            constant_a=data.get("constant_a"),
-            floor_index=data.get("floor_index"),
+            constant_a=None if constant_a is None else as_float(constant_a),
+            floor_index=None if floor_index is None else as_int(floor_index),
         )
 
 
 @dataclass
 class ScheduleValidation:
-    ok: bool
     growth_ok: bool
     first_index_reaching: int | None
     growth_target: float
@@ -140,7 +145,6 @@ def validate_schedule(schedule: MomentSchedule, horizon: int, growth_target: flo
             f" (value {at_horizon:.6g} at horizon)"
         )
     return ScheduleValidation(
-        ok=True,
         growth_ok=growth_ok,
         first_index_reaching=first,
         growth_target=growth_target,
@@ -254,12 +258,14 @@ class SparsityPattern:
     @classmethod
     def from_dict(cls, data: dict, schedule: MomentSchedule) -> "SparsityPattern":
         """``schedule`` drives the AUTO mode and is ignored by the others."""
+        from .generators import as_float, as_int  # local import: generators depends on this module
+
         mode = SparsityMode(data.get("mode", "auto"))
         return cls(
             mode=mode,
-            c=float(data.get("c", 1.0)),
+            c=as_float(data.get("c", 1.0)),
             schedule=schedule if mode is SparsityMode.AUTO else None,
-            explicit=tuple(data["alpha"]) if "alpha" in data else None,
+            explicit=tuple(as_int(v) for v in data["alpha"]) if "alpha" in data else None,
         )
 
 

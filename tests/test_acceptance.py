@@ -56,7 +56,7 @@ def test_criterion_1_bound_suite():
 
 def test_criterion_2_hypothesis_constants():
     t0 = time.perf_counter()
-    c_uniform = cesaro_tail_constant(XFamily.uniform(1.0), n0=1)
+    c_uniform = cesaro_tail_constant(XFamily.uniform(1.0))
     assert c_uniform == pytest.approx(0.5, abs=1e-9)
     c_exp = envelope_constant(TailEnvelope.exponential())
     assert c_exp == pytest.approx(1.0, abs=1e-9)

@@ -244,6 +244,19 @@ def test_step_exponent_is_blockwise():
     assert blocks.step_exponent(b[-1] + 100) == blocks.exponents[-1]
 
 
+@pytest.mark.parametrize("schedule, k_max", [(CONST_HALF, 5), (MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), 6)])
+def test_step_exponent_matches_a_linear_scan(schedule, k_max):
+    blocks = build_block_schedule(EXP, schedule, k_max)
+    pairs = list(zip(blocks.boundaries, blocks.exponents))
+    for n in range(1, blocks.boundaries[-1] + 3):
+        # the exponent of the last boundary below n, else the first exponent
+        expected = blocks.exponents[0]
+        for boundary, exponent in pairs:
+            if boundary < n:
+                expected = exponent
+        assert blocks.step_exponent(n) == expected
+
+
 def test_step_exponent_below_pointwise_exponent():
     sched = MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG)
     blocks = build_block_schedule(EXP, sched, 6)

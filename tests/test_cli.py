@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,16 +236,73 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"horizon": 1000.5}, "horizon"),
     ({"n_paths": 3.9}, "n_paths"),
     ({"checkpoints": [10, 50.5]}, "checkpoints"),
+    ({"schedule": {"floor_index": True}}, "schedule"),
+    ({"schedule": {"floor_index": 1}}, "schedule"),
+    ({"schedule": {"form": "constant", "constant_a": True}}, "schedule"),
+    ({"sparsity": {"c": "0.5"}}, "sparsity"),
+    ({"sparsity": {"c": 10 ** 400}}, "sparsity"),
+    ({"sparsity": {"mode": "explicit_list", "alpha": [True] * 100}}, "sparsity"),
+    ({"verdict": {"epsilon_target": "0.05"}}, "verdict.epsilon_target"),
+    ({"verdict": {"fraction_target": True}}, "verdict.fraction_target"),
+    ({"x": {"family": "iid_uniform", "params": {"half_width": "2"}}}, "x"),
+    ({"x": {"family": "iid_shifted_exp", "params": {"rate": True}}}, "x"),
+    ({"y": {"envelope": {"kind": "pareto", "gamma": "3"}}}, "y"),
+    ({"epsilons": ["0.2", True]}, "epsilons"),
+    ({"infrequency_threshold": True}, "infrequency_threshold"),
+    ({"name": 5}, "name"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
        "block_bits_huge", "infrequency_threshold_nan", "block_bits_fraction", "seed_fraction",
-       "seed_bool", "horizon_fraction", "n_paths_fraction", "checkpoint_fraction"])
+       "seed_bool", "horizon_fraction", "n_paths_fraction", "checkpoint_fraction",
+       "floor_index_bool", "floor_index_below_log_domain", "constant_a_bool", "sparsity_c_string",
+       "sparsity_c_overflow", "alpha_bools", "epsilon_target_string", "fraction_target_bool",
+       "half_width_string", "rate_bool", "gamma_string", "epsilons_string_and_bool",
+       "infrequency_threshold_bool", "name_number"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2
     assert json.loads(capsys.readouterr().err)["message"].startswith(f"{field}:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["inv_sqrt_log", "loglog_over_log", "inv_log"])
+@pytest.mark.parametrize("floor_index", [1, 2])
+def test_main_log_form_floor_below_3_names_floor_index(tmp_path, capsys, form, floor_index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _main_on(tmp_path, {"horizon": 100, "schedule": {"form": form, "floor_index": floor_index}})
+    assert code == 2
+    assert "floor_index" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+def test_integral_float_floor_index_is_an_integer():
+    spec = cli.ExperimentSpec.from_dict({"horizon": 100, "schedule": {"floor_index": 3.0}})
+    assert spec.schedule.floor_index == 3
+    assert type(spec.to_dict()["schedule"]["floor_index"]) is int
+
+
+def test_main_out_under_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["run", "theorem.json", "--subcommand", "hypotheses", "--out", str(blocker / "sub")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NotADirectoryError"
+    assert captured.out == ""
+
+
+def test_main_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code, _ = _main_on(tmp_path, {"horizon": 100})
+    assert code == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "RuntimeError", "message": "injected"}
+    assert captured.out == ""
 
 
 def test_main_non_finite_run_is_divergent_and_strict(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -237,6 +238,15 @@ def test_envelope_median():
     v = env.sample_v(stream.uniforms(10 ** 6))
     assert abs(np.median(v) - math.sqrt(2.0)) < 0.01
     assert env.median_v() == pytest.approx(2.0 ** 0.5)
+
+
+@pytest.mark.parametrize("gamma, onset", [(1.1, 4), (1.5, 10), (3.0, 8104)])
+def test_infinite_mean_onset_matches_a_scan(gamma, onset):
+    schedule = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+    # scalar calls, as the search makes them: 0-d and array results can differ in the last bit
+    scan = next(n for n in itertools.count(1) if schedule.value(n) <= 1.0 / gamma)
+    assert scan == onset
+    assert infinite_mean_onset(TailEnvelope.pareto(gamma), schedule) == scan
 
 
 def test_infinite_mean_onset_index():

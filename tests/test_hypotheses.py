@@ -53,7 +53,7 @@ def test_piecewise_handles_kinks():
 # --- tail integral constants -------------------------------------------------------
 
 def test_cesaro_constant_uniform():
-    assert cesaro_tail_constant(XFamily.uniform(1.0), n0=1) == pytest.approx(0.5, abs=1e-9)
+    assert cesaro_tail_constant(XFamily.uniform(1.0)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_cesaro_constant_parity():
@@ -75,11 +75,6 @@ def test_cesaro_constant_equals_quadrature_of_tail():
     for fam in (XFamily.uniform(2.0), XFamily.shifted_exp(0.5), XFamily.pareto_centered(3.0)):
         ref = integrate.quad(lambda x: fam.tail(x), 0.0, np.inf, epsabs=1e-12, limit=200)[0]
         assert cesaro_tail_constant(fam) == pytest.approx(ref, abs=1e-8)
-
-
-def test_cesaro_constant_independent_of_start_index():
-    fam = XFamily.uniform(1.0)
-    assert cesaro_tail_constant(fam, n0=1) == cesaro_tail_constant(fam, n0=17)
 
 
 def test_cesaro_divergent_for_infinite_mean():
