@@ -78,10 +78,10 @@ class ConvergenceReport:
     q90: np.ndarray
     q99: np.ndarray
     fractions_above: dict[float, np.ndarray]
+    d_matrix: np.ndarray = field(repr=False)  # D per path (rows, by path index) and checkpoint
     verdict: Verdict | None = None
     epsilon_target: float | None = None
     fraction_target: float | None = None
-    d_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -177,7 +177,8 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     spec.pattern.insert_indices(spec.horizon)  # once per ensemble; pool workers get it with the spec
     indices = range(spec.n_paths)
     if threads <= 1:
-        summaries = [run_path(spec.with_path(i), spec.checkpoints) for i in indices]
+        buf = _path_buffer(spec)
+        summaries = [run_path(spec.with_path(i), spec.checkpoints, buf) for i in indices]
     else:
         import concurrent.futures as cf
 
@@ -192,15 +193,25 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     return report
 
 
-_worker_spec = None  # set only in pool workers, once each, so tasks are bare path indices
+def _path_buffer(spec) -> np.ndarray | None:
+    """The scratch buffer every path of ``spec`` in one process reuses, or
+    None when every index is an insert and no path writes to one."""
+    if spec.pattern.insert_indices(spec.horizon).size == spec.horizon:
+        return None
+    return np.empty(spec.horizon, dtype=np.float64)
+
+
+# set only in pool workers, once each, so tasks are bare path indices
+_worker_spec = None
+_worker_buf = None
 
 
 def _set_worker_spec(spec) -> None:
-    global _worker_spec
-    _worker_spec = spec
+    global _worker_spec, _worker_buf
+    _worker_spec, _worker_buf = spec, _path_buffer(spec)
 
 
 def _path_task(path_index: int) -> PathSummary:
     from .mixture import run_path
 
-    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints)
+    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints, _worker_buf)

@@ -9,6 +9,16 @@ class ConfigError(SllnLabError):
     """A config file failed to parse or a field failed validation."""
 
 
+class FieldError(ValueError):
+    """A config value that is malformed or out of range, named by its key
+    within the section that read it."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(f"{key}: {message}")
+        self.key = key
+        self.message = message
+
+
 class ScheduleRejected(SllnLabError):
     """A moment schedule violates positivity, the (0,1] range, or monotonicity."""
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent
+from .errors import FieldError, InvalidExponent, ScheduleRejected
 from .rng import UniformStream
 from .schedules import MomentSchedule
 
@@ -49,11 +49,28 @@ def as_float(value) -> float:
     raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
+def keyed(key: str, build, value):
+    """``build(value)``, with a failure re-raised as a :class:`FieldError`
+    on ``key``: a config value is read and checked under its own key."""
+    try:
+        return build(value)
+    except (TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
+        raise FieldError(key, str(exc)) from exc
+
+
 class XKind(Enum):
     IID_UNIFORM = "iid_uniform"
     IID_SHIFTED_EXP = "iid_shifted_exp"
     PARITY_RADEMACHER = "parity_rademacher"
     IID_PARETO_CENTERED = "iid_pareto_centered"
+
+
+_PARAM = {  # the one parameter of each kind, named as in XFamily and in its JSON
+    XKind.IID_UNIFORM: "half_width",
+    XKind.IID_SHIFTED_EXP: "rate",
+    XKind.PARITY_RADEMACHER: "block_bits",
+    XKind.IID_PARETO_CENTERED: "shape",
+}
 
 
 @dataclass(frozen=True)
@@ -101,28 +118,17 @@ class XFamily:
         return cls(XKind.IID_PARETO_CENTERED, shape=shape)
 
     def to_dict(self) -> dict:
-        params: dict = {}
-        if self.kind is XKind.IID_UNIFORM:
-            params["half_width"] = self.half_width
-        elif self.kind is XKind.IID_SHIFTED_EXP:
-            params["rate"] = self.rate
-        elif self.kind is XKind.PARITY_RADEMACHER:
-            params["block_bits"] = self.block_bits
-        else:
-            params["shape"] = self.shape
-        return {"family": self.kind.value, "params": params}
+        name = _PARAM[self.kind]
+        return {"family": self.kind.value, "params": {name: getattr(self, name)}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "XFamily":
-        kind = XKind(data["family"])
-        params = data.get("params", {})
-        if kind is XKind.IID_UNIFORM:
-            return cls.uniform(as_float(params.get("half_width", 1.0)))
-        if kind is XKind.IID_SHIFTED_EXP:
-            return cls.shifted_exp(as_float(params.get("rate", 1.0)))
-        if kind is XKind.PARITY_RADEMACHER:
-            return cls.parity(as_int(params.get("block_bits", 2)))
-        return cls.pareto_centered(as_float(params.get("shape", 2.0)))
+        kind = keyed("family", XKind, data["family"])
+        name, params = _PARAM[kind], data.get("params", {})
+        if name not in params:
+            return cls(kind)
+        convert = as_int if kind is XKind.PARITY_RADEMACHER else as_float
+        return keyed(f"params.{name}", lambda v: cls(kind, **{name: convert(v)}), params[name])
 
     # ---- analytic structure -------------------------------------------------
 
@@ -225,45 +231,61 @@ class XFamily:
 
     # ---- sampling -----------------------------------------------------------
 
-    def sample_block(self, count: int, stream: UniformStream) -> np.ndarray:
-        """Next ``count`` draws.
+    def sample_block(self, count: int, stream: UniformStream, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``count`` draws, written into ``out`` and returned.
 
-        The parity family consumes ``block_bits`` uniforms per block of
-        2**block_bits - 1 emitted values; a trailing partial block is
-        truncated (pairwise independence survives truncation).  Other kinds
-        consume exactly one uniform per value.
+        ``out`` is a contiguous float64 array of ``count`` values; None
+        allocates one.  The parity family consumes ``block_bits`` uniforms
+        per block of 2**block_bits - 1 emitted values; a trailing partial
+        block is truncated (pairwise independence survives truncation).
+        Other kinds consume exactly one uniform per value.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
+        if out is None:
+            out = np.empty(count, dtype=np.float64)
+        elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a contiguous float64 array of count values")
         if count == 0:
-            return np.empty(0, dtype=np.float64)
+            return out
         if self.kind is XKind.PARITY_RADEMACHER:
-            return self._sample_parity(count, stream)
+            return self._sample_parity(count, stream, out)
         u = stream.uniforms(count)
-        if self.kind is XKind.IID_UNIFORM:
-            return self.half_width * (2.0 * u - 1.0)
+        if self.kind is XKind.IID_UNIFORM:  # half_width * (2u - 1)
+            u *= 2.0
+            u -= 1.0
+            return np.multiply(self.half_width, u, out=out)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)  # -log1p(-u), a standard exponential draw
         if self.kind is XKind.IID_SHIFTED_EXP:
-            return -np.log1p(-u) / self.rate - 1.0 / self.rate
-        w = np.exp(-np.log1p(-u) / self.shape)
+            u /= self.rate
+            return np.subtract(u, 1.0 / self.rate, out=out)
+        u /= self.shape
         if self.shape > 1.0:
-            return w - self.pareto_shift
-        return w
+            np.exp(u, out=u)
+            return np.subtract(u, self.pareto_shift, out=out)
+        return np.exp(u, out=out)
 
-    def _sample_parity(self, count: int, stream: UniformStream) -> np.ndarray:
+    def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray) -> np.ndarray:
         # sign i of a block is -1 when its i-th uniform is below 1/2; the
         # block's sign bits, folded into an integer code, select its row
-        bits = self.block_bits
-        n_blocks = -(-count // self.block_length)
-        negative = (stream.uniforms(n_blocks * bits) < 0.5).reshape(n_blocks, bits)
+        bits, length = self.block_bits, self.block_length
+        n_blocks = -(-count // length)
+        negative = stream.below_half(n_blocks * bits).reshape(n_blocks, bits)
         codes = np.zeros(n_blocks, dtype=np.int64)
         for i in range(bits):
             codes |= negative[:, i].astype(np.int64) << i
-        if 2 ** bits <= n_blocks:  # the table of every code is no larger than the output
-            table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
-            values = np.take(table, codes, axis=0)
-        else:
-            values = _parity_rows(codes, bits)
-        return values.reshape(-1)[:count]
+        if 2 ** bits > n_blocks:  # fewer blocks than codes: build their rows directly
+            out[:] = _parity_rows(codes, bits).reshape(-1)[:count]
+            return out
+        table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+        full = count // length
+        # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
+        np.take(table, codes[:full], axis=0, out=out[:full * length].reshape(full, length), mode="clip")
+        if full < n_blocks:
+            out[full * length:] = table[codes[full], :count - full * length]
+        return out
 
 
 def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -394,9 +416,9 @@ class TailEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TailEnvelope":
-        kind = EnvelopeKind(data["kind"])
+        kind = keyed("kind", EnvelopeKind, data["kind"])
         if kind is EnvelopeKind.PARETO:
-            return cls(kind, gamma=as_float(data["gamma"]))
+            return keyed("gamma", lambda gamma: cls(kind, gamma=as_float(gamma)), data["gamma"])
         return cls(kind)
 
 

@@ -28,12 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
-from .errors import ConfigError, ScheduleRejected
+from .errors import ConfigError, FieldError, ScheduleRejected
 from .generators import DependenceMode, TailEnvelope, XFamily, as_float, as_int, sample_y
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
 MAX_HORIZON = 10 ** 7  # run_path holds a few float64 buffers of this length
+_CHUNK = 2 ** 16  # values per step of the splice and of the division by n
 
 _TOP_LEVEL_KEYS = frozenset({
     "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",
@@ -104,8 +105,8 @@ class ExperimentSpec:
         schedule = _parse("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
         x_family = _parse("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
         y = _parse("y", _object, data.get("y", {}))
-        envelope = _parse("y", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
-        dependence = _parse("y", DependenceMode, y.get("dependence", "independent"))
+        envelope = _parse("y.envelope", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
+        dependence = _parse("y.dependence", DependenceMode, y.get("dependence", "independent"))
         pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
         horizon = _parse("horizon", as_int, data.get("horizon", 10 ** 6))
         checkpoints = _parse("checkpoints", _list_of(as_int),
@@ -148,7 +149,9 @@ class ExperimentSpec:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
         # 2**block_bits - 1 > MAX_HORIZON, decided without building 2**block_bits
         if self.x_family.block_bits >= (MAX_HORIZON + 1).bit_length():
-            raise ConfigError(f"x: parity blocks of 2**block_bits - 1 values may not exceed {MAX_HORIZON}")
+            raise ConfigError(
+                f"x.params.block_bits: parity blocks of 2**block_bits - 1 values may not exceed {MAX_HORIZON}"
+            )
         if self.n_paths < 2:
             raise ConfigError("n_paths must be >= 2")
         if not 0 <= self.seed < 2 ** 64:
@@ -175,9 +178,12 @@ class ExperimentSpec:
 
 
 def _parse(field: str, build, *args):
-    """``build(*args)``, with any failure reported as a ConfigError on ``field``."""
+    """``build(*args)``, with any failure reported as a ConfigError on
+    ``field``, or on the key below it that a :class:`FieldError` names."""
     try:
         return build(*args)
+    except FieldError as exc:
+        raise ConfigError(f"{field}.{exc.key}: {exc.message}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
@@ -206,11 +212,15 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
     return tuple(kept)
 
 
-def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
+def _emit_values(config: ExperimentSpec, buf: np.ndarray | None) -> tuple[np.ndarray, int]:
     """All horizon values of one path, and its insert count.
 
-    Exponents are evaluated at the insert indices only; the heavy draws
-    are then spliced into the well-behaved block.
+    The values are written into ``buf``, a float64 array of horizon values
+    (None allocates one), which is returned; an all-inserts pattern
+    returns its heavy draws as drawn instead.  Exponents are evaluated at
+    the insert indices only.  The X block is drawn into the front of
+    ``buf``, spread right to the positions that are not inserts, and the
+    heavy draws are dropped into the gaps.
     """
     horizon = config.horizon
     inserts = config.pattern.insert_indices(horizon)
@@ -219,20 +229,56 @@ def _emit_values(config: ExperimentSpec) -> tuple[np.ndarray, int]:
     def stream(channel: Channel) -> UniformStream:
         return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
-    x = config.x_family.sample_block(horizon - n_insert, stream(Channel.X))
     shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
     y = sample_y(config.envelope, config.dependence, config.schedule.value(inserts + 1),
                  stream=stream(Channel.Y), shared_u=shared_u)
     if n_insert == horizon:
         return y, n_insert
-    return np.insert(x, inserts - np.arange(n_insert), y), n_insert
+    if buf is None:
+        buf = np.empty(horizon, dtype=np.float64)
+    config.x_family.sample_block(horizon - n_insert, stream(Channel.X), out=buf[:horizon - n_insert])
+    _spread(buf, inserts)
+    buf[inserts] = y
+    return buf, n_insert
 
 
-def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:
+def _spread(buf: np.ndarray, inserts: np.ndarray) -> None:
+    """Move the values at the front of ``buf`` right, in order, onto the
+    positions that are not in ``inserts``.
+
+    The value at a position p that is not an insert comes from p - k, k
+    the inserts before p.  Chunks go from the last, so the source of a
+    chunk, which lies at or before it, is still unmoved.  Within a chunk,
+    the values past its last insert and those before its first each shift
+    by one k, as one slice copy; only those between its first and last
+    insert need a mask.  The work is O(horizon) however many inserts
+    there are, with no Python step per insert.
+    """
+    horizon = buf.size
+    starts = list(range(0, horizon, _CHUNK))
+    before = np.searchsorted(inserts, starts + [horizon]).tolist()
+    for j in reversed(range(len(starts))):
+        s0, s1, k0, k1 = starts[j], min(starts[j] + _CHUNK, horizon), before[j], before[j + 1]
+        if k1 == 0:  # no insert before s1: this chunk and those before it are in place
+            break
+        if k1 > k0:
+            first, last = int(inserts[k0]), int(inserts[k1 - 1])
+            # slice copies handle overlapping memory; a masked assignment does not
+            buf[last + 1:s1] = buf[last + 1 - k1:s1 - k1]
+            x_slot = np.ones(last - first, dtype=bool)  # positions first + 1 .. last
+            x_slot[inserts[k0 + 1:k1] - (first + 1)] = False
+            buf[first + 1:last + 1][x_slot] = buf[first - k0:last + 1 - k1].copy()
+            s1 = first
+        buf[s0:s1] = buf[s0 - k0:s1 - k0]
+
+
+def run_path(config: ExperimentSpec, checkpoints: Sequence[int], buf: np.ndarray | None = None) -> PathSummary:
     """Simulate one path to its horizon and summarize it at the checkpoints.
 
-    The values are accumulated in place: one buffer holds Z_n, then S_n,
-    then S_n/n, then |S_n/n| for the suffix-sup reduction.
+    ``buf`` is scratch space of ``horizon`` float64 values that the path
+    overwrites, so the paths of an ensemble can share one; None allocates
+    one.  The values are accumulated in place: the buffer holds Z_n, then
+    S_n, then S_n/n, then |S_n/n| for the suffix-sup reduction.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -240,12 +286,17 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int]) -> PathSummary:
         raise ValueError("at least one checkpoint is required")
     if cps[0] < 1 or cps[-1] > horizon:
         raise ValueError("checkpoints must lie in [1, horizon]")
+    if buf is not None and buf.shape != (horizon,):
+        raise ValueError("buf must hold horizon values")
 
-    buf, insert_count = _emit_values(config)
+    buf, insert_count = _emit_values(config, buf)
     # max(hi, -lo) is max |Z_n|; abs turns a -0.0 into 0.0, NaN propagates
     max_abs_value = float(abs(np.maximum(buf.max(), -buf.min())))
     np.cumsum(buf, out=buf)
-    buf /= np.arange(1, horizon + 1, dtype=np.float64)
+    n = np.arange(1, min(_CHUNK, horizon) + 1, dtype=np.float64)  # n in a chunk, less its offset
+    for s0 in range(0, horizon, _CHUNK):
+        chunk = buf[s0:s0 + _CHUNK]
+        chunk /= n[:chunk.size] + s0  # exact: n < 2**53
     running_avg = buf[cps - 1]
     final_avg = float(buf[-1])
     np.abs(buf, out=buf)

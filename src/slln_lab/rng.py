@@ -8,7 +8,8 @@ results regardless of execution order or worker count.
 
 Raw 64-bit outputs are folded to 53-bit-mantissa doubles in [0, 1) with the
 fixed rule ``(word >> 11) * 2**-53``, which reproduces exactly across
-platforms.
+platforms.  That double is below 1/2 exactly when the word is below 2**63,
+so a sign needs no conversion at all (:meth:`UniformStream.below_half`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U53_SCALE = 2.0 ** -53
 _SHIFT11 = np.uint64(11)
+_HALF_WORD = np.uint64(2 ** 63)  # the least word whose double is 1/2
 
 
 def _splitmix64(value: int) -> int:
@@ -79,17 +81,27 @@ class UniformStream:
         """Next ``count`` uniforms as a float64 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        raw = self._bits.random_raw(count)
-        raw >>= _SHIFT11
-        out = raw.astype(np.float64)
-        out *= _U53_SCALE
-        return out
+        return _unit_doubles(self._bits.random_raw(count))
+
+    def below_half(self, count: int) -> np.ndarray:
+        """``uniforms(count) < 0.5``, read off the raw words; it consumes
+        the same ``count`` words, so draw order is kept."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        return self._bits.random_raw(count) < _HALF_WORD
 
     def next(self) -> float:
         """Next single uniform."""
         return float(self.uniforms(1)[0])
+
+
+def _unit_doubles(raw: np.ndarray) -> np.ndarray:
+    """The fixed conversion of raw 64-bit words to doubles in [0, 1);
+    ``raw`` is shifted in place."""
+    raw >>= _SHIFT11
+    out = raw.astype(np.float64)
+    out *= _U53_SCALE
+    return out
 
 
 def derive_stream(key: StreamKey) -> UniformStream:

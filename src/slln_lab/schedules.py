@@ -15,12 +15,12 @@ exponent of the position it lands on.  Small indices clamp to the value at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ScheduleRejected, SearchExhausted
+from .errors import FieldError, ScheduleRejected, SearchExhausted
 
 _POSITION_SEARCH_CAP = 10 ** 280
 _SEARCH_BLOCK = 1024
@@ -59,10 +59,9 @@ class MomentSchedule:
         elif self.constant_a is not None:
             raise ScheduleRejected("constant_a only applies to the CONSTANT form")
         least = 1 if self.form is ScheduleForm.CONSTANT else 3  # the log forms need ln n > 1
-        if self.floor_index is not None and not (isinstance(self.floor_index, int) and self.floor_index >= least):
-            raise ScheduleRejected(
-                f"floor_index must be an integer >= {least} for {self.form.value}: {self.floor_index}"
-            )
+        floor = self.floor_index
+        if floor is not None and (isinstance(floor, bool) or not isinstance(floor, int) or floor < least):
+            raise ScheduleRejected(f"floor_index must be an integer >= {least} for {self.form.value}: {floor}")
 
     @property
     def floor(self) -> int:
@@ -93,14 +92,16 @@ class MomentSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MomentSchedule":
-        from .generators import as_float, as_int  # local import: generators depends on this module
+        from .generators import as_float, as_int, keyed  # local import: generators depends on this module
 
-        constant_a, floor_index = data.get("constant_a"), data.get("floor_index")
-        return cls(
-            form=ScheduleForm(data.get("form", "inv_sqrt_log")),
-            constant_a=None if constant_a is None else as_float(constant_a),
-            floor_index=None if floor_index is None else as_int(floor_index),
-        )
+        form = keyed("form", ScheduleForm, data.get("form", "inv_sqrt_log"))
+        # built one key at a time, so a failed check names its key
+        constant_a = data.get("constant_a")
+        schedule = keyed("constant_a", lambda a: cls(form, None if a is None else as_float(a)), constant_a)
+        floor_index = data.get("floor_index")
+        if floor_index is None:
+            return schedule
+        return keyed("floor_index", lambda f: replace(schedule, floor_index=as_int(f)), floor_index)
 
 
 @dataclass
@@ -188,15 +189,16 @@ class SparsityPattern:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # the checks of one field name it by its JSON key
         if not 0.0 < self.c < math.inf:
-            raise ValueError("target constant c must be positive and finite")
+            raise FieldError("c", "target constant c must be positive and finite")
         if self.mode is SparsityMode.AUTO and self.schedule is None:
             raise ValueError("AUTO mode requires a schedule")
         if self.mode is SparsityMode.EXPLICIT:
             if self.explicit is None:
-                raise ValueError("EXPLICIT mode requires the alpha list")
+                raise FieldError("alpha", "EXPLICIT mode requires the alpha list")
             if any(v not in (0, 1) for v in self.explicit):
-                raise ValueError("explicit alpha entries must be 0 or 1")
+                raise FieldError("alpha", "explicit alpha entries must be 0 or 1")
 
     def alpha(self, horizon: int) -> np.ndarray:
         """alpha_1..alpha_horizon as a uint8 array."""
@@ -258,14 +260,17 @@ class SparsityPattern:
     @classmethod
     def from_dict(cls, data: dict, schedule: MomentSchedule) -> "SparsityPattern":
         """``schedule`` drives the AUTO mode and is ignored by the others."""
-        from .generators import as_float, as_int  # local import: generators depends on this module
+        from .generators import as_float, as_int, keyed  # local import: generators depends on this module
 
-        mode = SparsityMode(data.get("mode", "auto"))
+        mode = keyed("mode", SparsityMode, data.get("mode", "auto"))
+        explicit = None
+        if "alpha" in data:
+            explicit = keyed("alpha", lambda alpha: tuple(as_int(v) for v in alpha), data["alpha"])
         return cls(
             mode=mode,
-            c=as_float(data.get("c", 1.0)),
+            c=keyed("c", as_float, data.get("c", 1.0)),
             schedule=schedule if mode is SparsityMode.AUTO else None,
-            explicit=tuple(as_int(v) for v in data["alpha"]) if "alpha" in data else None,
+            explicit=explicit,
         )
 
 

@@ -223,30 +223,30 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"verdict": []}, "verdict"),
     ({"verdict": [["epsilon_target", 0.1]]}, "verdict"),
     ({"y": "x"}, "y"),
-    ({"y": {"envelope": {"kind": "pareto", "gamma": math.nan}}}, "y"),
-    ({"x": {"family": "iid_uniform", "params": {"half_width": math.nan}}}, "x"),
-    ({"sparsity": {"c": math.nan}}, "sparsity"),
-    ({"schedule": {"floor_index": math.nan}}, "schedule"),
-    ({"schedule": {"floor_index": 3.5}}, "schedule"),
-    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 40}}}, "x"),
+    ({"y": {"envelope": {"kind": "pareto", "gamma": math.nan}}}, "y.envelope.gamma"),
+    ({"x": {"family": "iid_uniform", "params": {"half_width": math.nan}}}, "x.params.half_width"),
+    ({"sparsity": {"c": math.nan}}, "sparsity.c"),
+    ({"schedule": {"floor_index": math.nan}}, "schedule.floor_index"),
+    ({"schedule": {"floor_index": 3.5}}, "schedule.floor_index"),
+    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 40}}}, "x.params.block_bits"),
     ({"infrequency_threshold": math.nan}, "infrequency_threshold"),
-    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 2.7}}}, "x"),
+    ({"x": {"family": "parity_rademacher", "params": {"block_bits": 2.7}}}, "x.params.block_bits"),
     ({"seed": 1.9}, "seed"),
     ({"seed": True}, "seed"),
     ({"horizon": 1000.5}, "horizon"),
     ({"n_paths": 3.9}, "n_paths"),
     ({"checkpoints": [10, 50.5]}, "checkpoints"),
-    ({"schedule": {"floor_index": True}}, "schedule"),
-    ({"schedule": {"floor_index": 1}}, "schedule"),
-    ({"schedule": {"form": "constant", "constant_a": True}}, "schedule"),
-    ({"sparsity": {"c": "0.5"}}, "sparsity"),
-    ({"sparsity": {"c": 10 ** 400}}, "sparsity"),
-    ({"sparsity": {"mode": "explicit_list", "alpha": [True] * 100}}, "sparsity"),
+    ({"schedule": {"floor_index": True}}, "schedule.floor_index"),
+    ({"schedule": {"floor_index": 1}}, "schedule.floor_index"),
+    ({"schedule": {"form": "constant", "constant_a": True}}, "schedule.constant_a"),
+    ({"sparsity": {"c": "0.5"}}, "sparsity.c"),
+    ({"sparsity": {"c": 10 ** 400}}, "sparsity.c"),
+    ({"sparsity": {"mode": "explicit_list", "alpha": [True] * 100}}, "sparsity.alpha"),
     ({"verdict": {"epsilon_target": "0.05"}}, "verdict.epsilon_target"),
     ({"verdict": {"fraction_target": True}}, "verdict.fraction_target"),
-    ({"x": {"family": "iid_uniform", "params": {"half_width": "2"}}}, "x"),
-    ({"x": {"family": "iid_shifted_exp", "params": {"rate": True}}}, "x"),
-    ({"y": {"envelope": {"kind": "pareto", "gamma": "3"}}}, "y"),
+    ({"x": {"family": "iid_uniform", "params": {"half_width": "2"}}}, "x.params.half_width"),
+    ({"x": {"family": "iid_shifted_exp", "params": {"rate": True}}}, "x.params.rate"),
+    ({"y": {"envelope": {"kind": "pareto", "gamma": "3"}}}, "y.envelope.gamma"),
     ({"epsilons": ["0.2", True]}, "epsilons"),
     ({"infrequency_threshold": True}, "infrequency_threshold"),
     ({"name": 5}, "name"),

@@ -87,6 +87,7 @@ def _report(median, frac_final, eps=0.05):
         q90=median,
         q99=median,
         fractions_above={eps: frac},
+        d_matrix=np.tile(median, (10, 1)),
     )
 
 

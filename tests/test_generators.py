@@ -95,6 +95,21 @@ def test_parity_pairwise_across_blocks():
 
 # --- centered families ---------------------------------------------------------
 
+@pytest.mark.parametrize("fam, formula", [
+    (XFamily.uniform(1.5), lambda u: 1.5 * (2.0 * u - 1.0)),
+    (XFamily.shifted_exp(2.0), lambda u: -np.log1p(-u) / 2.0 - 1.0 / 2.0),
+    (XFamily.pareto_centered(2.5), lambda u: np.exp(-np.log1p(-u) / 2.5) - 2.5 / 1.5),
+    (XFamily.pareto_centered(0.8), lambda u: np.exp(-np.log1p(-u) / 0.8)),
+], ids=["uniform", "shifted_exp", "pareto", "pareto_infinite_mean"])
+def test_sample_block_fills_out_by_its_formula(fam, formula):
+    key = StreamKey(19, 0, Channel.X)
+    out = np.empty(1000)
+    assert fam.sample_block(1000, derive_stream(key), out=out) is out
+    assert np.array_equal(out, formula(derive_stream(key).uniforms(1000)))
+    with pytest.raises(ValueError, match="out"):
+        fam.sample_block(10, derive_stream(key), out=np.empty(11))
+
+
 def test_uniform_mean_bound():
     # 3 sigma / sqrt(n) with sigma = 1/sqrt(3)
     draws = XFamily.uniform(1.0).sample_block(10 ** 6, _stream(1))

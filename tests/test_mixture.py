@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slln_lab import mixture
 from slln_lab.diagnostics import PathSummary
@@ -12,16 +14,20 @@ from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern, build_sparsity
 
 SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+DENSE = MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.9)  # a quarter of 1e6 indices are inserts
+FAMILIES = (XFamily.uniform(1.5), XFamily.shifted_exp(2.0), XFamily.parity(1), XFamily.parity(4),
+            XFamily.pareto_centered(2.5), XFamily.pareto_centered(0.8))
+LONG = 3 * mixture._CHUNK + 5  # the splice and the division by n cut it into 4 chunks
 
 
 def make_config(pattern=None, x_family=None, dependence=DependenceMode.INDEPENDENT,
-                horizon=500, seed=9, **kw):
+                horizon=500, seed=9, schedule=SCHED, **kw):
     kw.setdefault("checkpoints", (horizon,))
     return ExperimentSpec(
         x_family=x_family or XFamily.uniform(1.0),
         envelope=TailEnvelope.pareto(2.0),
         dependence=dependence,
-        schedule=SCHED,
+        schedule=schedule,
         pattern=pattern or build_sparsity(SCHED, 1.0),
         horizon=horizon,
         seed=seed,
@@ -74,7 +80,7 @@ def reference_summary(config, checkpoints):
 
 def test_all_zero_pattern_is_pure_x():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=1000)
-    values, insert_count = mixture._emit_values(config)
+    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
     direct = XFamily.uniform(1.0).sample_block(
         1000, derive_stream(StreamKey(9, 0, Channel.X))
     )
@@ -84,7 +90,7 @@ def test_all_zero_pattern_is_pure_x():
 
 def test_all_one_pattern_is_pure_y():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=200)
-    values, insert_count = mixture._emit_values(config)
+    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
     assert insert_count == values.size == 200
     assert np.all(values >= 1.0)  # heavy draws sit above the envelope support start
 
@@ -92,7 +98,7 @@ def test_all_one_pattern_is_pure_y():
 def test_explicit_pattern_unrolls():
     pattern = SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0, 0, 1))
     config = make_config(pattern=pattern, horizon=4)
-    values, insert_count = mixture._emit_values(config)
+    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
     assert insert_count == 2
     x_direct = XFamily.uniform(1.0).sample_block(2, derive_stream(StreamKey(9, 0, Channel.X)))
     assert values[1] == x_direct[0]  # first non-insert consumes the first draw
@@ -111,12 +117,67 @@ def test_run_path_matches_reference():
                     XFamily.pareto_centered(2.0)):
             for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
                 config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
-                vec_values, _ = mixture._emit_values(config)
+                vec_values, _ = mixture._emit_values(config, np.empty(config.horizon))
                 assert np.array_equal(vec_values, reference_values(config))
                 expected = reference_summary(config, checkpoints)
                 got = dataclasses.asdict(run_path(config, checkpoints))
                 for field, want in dataclasses.asdict(expected).items():
                     assert np.array_equal(got[field], want), field
+
+
+def _chunk_edges(horizon):
+    """The first and last position of every chunk, and their neighbours."""
+    edges = (e + d for e in range(0, horizon + 1, mixture._CHUNK) for d in (-2, -1, 0, 1))
+    return sorted({e for e in edges if 0 <= e < horizon})
+
+
+def _explicit(horizon, ones):
+    alpha = np.zeros(horizon, dtype=np.int64)
+    alpha[list(ones)] = 1
+    return SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=tuple(alpha.tolist()))
+
+
+@st.composite
+def path_cases(draw, horizons=st.integers(1, 300)):
+    """A valid one-path spec of any pattern mode, family and dependence, and its checkpoints."""
+    horizon = draw(horizons)
+    mode = draw(st.sampled_from(SparsityMode))
+    schedule = draw(st.sampled_from((SCHED, DENSE)))
+    if mode is SparsityMode.AUTO:
+        pattern = build_sparsity(schedule, draw(st.sampled_from((0.5, 1.0, 3.0))))
+    elif mode is SparsityMode.EXPLICIT:
+        positions = st.sampled_from(_chunk_edges(horizon)) | st.integers(0, horizon - 1)
+        pattern = _explicit(horizon, draw(st.sets(positions, max_size=60)))
+    else:
+        pattern = SparsityPattern(mode=mode)
+    config = make_config(pattern=pattern, x_family=draw(st.sampled_from(FAMILIES)),
+                         dependence=draw(st.sampled_from(DependenceMode)), horizon=horizon,
+                         seed=draw(st.integers(0, 2 ** 64 - 1)), schedule=schedule)
+    checkpoints = sorted(draw(st.sets(st.integers(1, horizon), min_size=1, max_size=4)))
+    return config.with_path(draw(st.integers(0, 5))), checkpoints
+
+
+def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=DependenceMode.COMONOTONE):
+    config = make_config(pattern=pattern, x_family=x_family, dependence=dependence, horizon=LONG,
+                         schedule=schedule)
+    return config.with_path(2), [1, mixture._CHUNK, 2 * mixture._CHUNK + 1, LONG]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(path_cases())
+@example(_long_case(build_sparsity(DENSE, 1.0), DENSE, XFamily.uniform(1.5), DependenceMode.INDEPENDENT))
+@example(_long_case(_explicit(LONG, _chunk_edges(LONG))))
+@example(_long_case(build_sparsity(SCHED, 1.0)))
+@example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ZERO), x_family=XFamily.shifted_exp(2.0)))
+def test_run_path_matches_reference_on_random_specs(case):
+    config, checkpoints = case
+    expected = dataclasses.asdict(reference_summary(config, checkpoints))
+    buf = np.empty(config.horizon)
+    run_path(config.with_path(config.path_index + 1), checkpoints, buf)  # leaves another path in buf
+    for summary in (run_path(config, checkpoints), run_path(config, checkpoints, buf)):
+        got = dataclasses.asdict(summary)
+        for field, want in expected.items():
+            assert np.array_equal(got[field], want), field
 
 
 def test_schedule_evaluated_at_inserts_only(monkeypatch):
@@ -139,7 +200,7 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
 
 def test_resummation_zero_ulp():
     config = make_config(x_family=XFamily.shifted_exp(1.0), horizon=400)
-    values, _ = mixture._emit_values(config)
+    values, _ = mixture._emit_values(config, np.empty(config.horizon))
     total = 0.0
     for v in values.tolist():
         total += v
@@ -149,7 +210,7 @@ def test_resummation_zero_ulp():
 
 def test_bookkeeping_counts():
     config = make_config(horizon=250)
-    values, insert_count = mixture._emit_values(config)
+    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
     phi = config.pattern.phi(250)
     assert insert_count == phi[-1] == run_path(config, [250]).insert_count
     # heavy draws are >= 1 and the uniform X draws lie in [-1, 1)
@@ -201,7 +262,7 @@ def test_checkpoint_validation():
 def test_comonotone_draws_share_one_uniform():
     pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
     config = make_config(pattern=pattern, dependence=DependenceMode.COMONOTONE, horizon=50)
-    values, _ = mixture._emit_values(config)
+    values, _ = mixture._emit_values(config, np.empty(config.horizon))
     shared = derive_stream(StreamKey(9, 0, Channel.SHARED)).next()
     exps = SCHED.value(np.arange(1, 51, dtype=float))
     v = TailEnvelope.pareto(2.0).sample_v(shared)

@@ -95,3 +95,36 @@ def test_53_bit_fold():
     u = derive_stream(StreamKey(8, 0, Channel.X)).uniforms(1000)
     scaled = u * 2.0 ** 53
     assert np.array_equal(scaled, np.floor(scaled))
+
+
+def test_below_half_matches_uniforms():
+    key = StreamKey(4, 1, Channel.X)
+    assert np.array_equal(derive_stream(key).below_half(10 ** 6), derive_stream(key).uniforms(10 ** 6) < 0.5)
+
+
+class _Words:
+    """A bit generator that hands out fixed words, in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        taken, self.words = self.words[:count], self.words[count:]
+        return taken.copy()
+
+
+def test_below_half_rule_on_edge_words():
+    # 2**63 is the least word that converts to 1/2; the 2048 words below it convert to 0.5 - 2**-53
+    words = [2 ** 63 - 1, 2 ** 63, 2 ** 63 - 2048, 2 ** 63 - 2049, 0, 2 ** 64 - 1]
+    by_words, by_doubles = derive_stream(StreamKey(0, 0, Channel.X)), derive_stream(StreamKey(0, 0, Channel.X))
+    by_words._bits, by_doubles._bits = _Words(words), _Words(words)
+    below = by_words.below_half(len(words))
+    assert np.array_equal(below, by_doubles.uniforms(len(words)) < 0.5)
+    assert below.tolist() == [True, False, True, True, True, False]
+
+
+def test_below_half_keeps_draw_order():
+    key = StreamKey(6, 0, Channel.X)
+    s = derive_stream(key)
+    s.below_half(37)
+    assert np.array_equal(s.uniforms(63), derive_stream(key).uniforms(100)[37:])

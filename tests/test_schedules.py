@@ -84,6 +84,13 @@ def test_constant_form_validation():
         MomentSchedule(ScheduleForm.INV_SQRT_LOG, constant_a=0.5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_floor_index_rejects_bools(flag):
+    # True would pass as the integer 1 for the CONSTANT form
+    with pytest.raises(ScheduleRejected, match="floor_index"):
+        MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5, floor_index=flag)
+
+
 def test_growth_first_index():
     # sqrt(ln n) >= 3 first at n = ceil(e^9) = 8104
     report = validate_schedule(INV_SQRT_LOG, 10 ** 6, growth_target=3.0)
