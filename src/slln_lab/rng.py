@@ -81,7 +81,13 @@ class UniformStream:
         """Next ``count`` uniforms as a float64 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return _unit_doubles(self._bits.random_raw(count))
+        if count == 0:
+            return np.empty(0, dtype=np.float64)
+        raw = self._bits.random_raw(count)
+        raw >>= _SHIFT11
+        out = raw.astype(np.float64)
+        out *= _U53_SCALE
+        return out
 
     def below_half(self, count: int) -> np.ndarray:
         """``uniforms(count) < 0.5``, read off the raw words; it consumes
@@ -93,15 +99,6 @@ class UniformStream:
     def next(self) -> float:
         """Next single uniform."""
         return float(self.uniforms(1)[0])
-
-
-def _unit_doubles(raw: np.ndarray) -> np.ndarray:
-    """The fixed conversion of raw 64-bit words to doubles in [0, 1);
-    ``raw`` is shifted in place."""
-    raw >>= _SHIFT11
-    out = raw.astype(np.float64)
-    out *= _U53_SCALE
-    return out
 
 
 def derive_stream(key: StreamKey) -> UniformStream:

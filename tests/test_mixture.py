@@ -138,9 +138,9 @@ def _explicit(horizon, ones):
 
 
 @st.composite
-def path_cases(draw, horizons=st.integers(1, 300)):
+def path_cases(draw):
     """A valid one-path spec of any pattern mode, family and dependence, and its checkpoints."""
-    horizon = draw(horizons)
+    horizon = draw(st.integers(1, 300))
     mode = draw(st.sampled_from(SparsityMode))
     schedule = draw(st.sampled_from((SCHED, DENSE)))
     if mode is SparsityMode.AUTO:
