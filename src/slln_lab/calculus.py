@@ -29,7 +29,7 @@ import numpy as np
 import scipy.special as sp
 
 from .errors import BoundViolation, SearchExhausted
-from .generators import DependenceMode, EnvelopeKind, TailEnvelope, sample_y
+from .generators import DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, reciprocal_exponents
 from .quadrature import integrate_piecewise
 from .rng import Channel, StreamKey, derive_stream
 from .schedules import MomentSchedule, y_insertion_positions
@@ -332,8 +332,16 @@ def weighted_y_series(y_abs: np.ndarray, exponents: np.ndarray) -> WeightedSerie
         raise ValueError("y values and exponents must be matching nonempty 1-d arrays")
     if np.any(y < 0):
         raise ValueError("y values must be absolute values")
-    k = np.arange(1, y.size + 1, dtype=np.float64)
-    sums = np.cumsum(y / np.power(k, 1.0 / a))
+    return _weighted_series(y, _series_weights(1.0 / a))
+
+
+def _series_weights(inv_exponents: np.ndarray) -> np.ndarray:
+    """k ** (1/a_k) for k = 1, 2, ...: the weights of the heavy series."""
+    return np.power(np.arange(1, inv_exponents.size + 1, dtype=np.float64), inv_exponents)
+
+
+def _weighted_series(y: np.ndarray, weights: np.ndarray) -> WeightedSeriesResult:
+    sums = np.cumsum(y / weights)
     total = float(sums[-1])
     decade_start = max(y.size // 10, 1)
     if total > 0.0:
@@ -369,15 +377,18 @@ def weighted_y_series_ensemble(
     Exponents come from the insert positions of the AUTO sparsity pattern
     (found in closed form, far beyond any materializable horizon); each path
     draws its base variables independently from its own derived stream.
+    The exponents, and the weights they give, are the same on every path.
     """
     positions = np.asarray(y_insertion_positions(schedule, c, k_max), dtype=np.float64)
-    exponents = schedule.value(positions)
+    inv_exponents = reciprocal_exponents(schedule.value(positions))
+    weights = _series_weights(inv_exponents)
+    y = np.empty(inv_exponents.size, dtype=np.float64)
     increments = np.empty(n_paths, dtype=np.float64)
     converged = 0
     for i in range(n_paths):
         stream = derive_stream(StreamKey(master_seed, i, Channel.Y))
-        y = sample_y(envelope, DependenceMode.INDEPENDENT, exponents, stream=stream)
-        res = weighted_y_series(y, exponents)
+        res = _weighted_series(draw_heavy(envelope, DependenceMode.INDEPENDENT, inv_exponents, y, stream=stream),
+                               weights)
         increments[i] = res.last_decade_increment
         converged += int(res.converged)
     return WeightedSeriesEnsemble(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -31,6 +32,16 @@ from .hypotheses import verify_hypotheses
 from .mixture import ExperimentSpec, _clip_checkpoints
 
 _FMT = "{:.17g}"
+_MAX_DEFAULT_THREADS = 4  # a large machine need not hold dozens of workers
+
+
+def default_threads() -> int:
+    """The CPUs this process may use, at most :data:`_MAX_DEFAULT_THREADS`."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(usable, _MAX_DEFAULT_THREADS)
 
 
 def resolve_config_path(path: str) -> Path:
@@ -239,7 +250,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     runp.add_argument("--seed", type=int, default=None, help="master seed override (u64)")
     runp.add_argument("--paths", type=int, default=None, help="ensemble size override")
     runp.add_argument("--horizon", type=int, default=None, help="horizon override")
-    runp.add_argument("--threads", type=int, default=1, help="worker cap (results unaffected)")
+    runp.add_argument("--threads", type=int, default=default_threads(),
+                      help="worker count (default: the usable CPUs, at most 4; results unaffected)")
     runp.add_argument("--out", default="slln_out", help="output directory")
     runp.add_argument(
         "--subcommand", default="all", choices=SUBCOMMANDS, help="which sections to run"

@@ -51,6 +51,7 @@ class PathSummary:
     insert_count: int              # number of heavy draws consumed
     max_abs_value: float           # max |Z_n| over the path
     final_avg: float               # S_N / N
+    nonfinite_values: int          # Z_n that are inf or NaN
 
     def __post_init__(self) -> None:
         # suffix maxima cannot increase with n
@@ -79,6 +80,8 @@ class ConvergenceReport:
     q99: np.ndarray
     fractions_above: dict[float, np.ndarray]
     d_matrix: np.ndarray = field(repr=False)  # D per path (rows, by path index) and checkpoint
+    nonfinite_values: int = 0  # inf or NaN values Z_n, summed over the paths
+    nonfinite_paths: int = 0   # paths with at least one
     verdict: Verdict | None = None
     epsilon_target: float | None = None
     fraction_target: float | None = None
@@ -95,6 +98,8 @@ class ConvergenceReport:
             "fractions_above": {
                 repr(eps): [float(v) for v in arr] for eps, arr in self.fractions_above.items()
             },
+            "nonfinite_values": self.nonfinite_values,
+            "nonfinite_paths": self.nonfinite_paths,
         }
         if self.verdict is not None:
             out["verdict"] = self.verdict.value
@@ -159,6 +164,8 @@ def aggregate_paths(
         q99=_ensemble_quantile(d, 0.99),
         fractions_above=fractions,
         d_matrix=d,
+        nonfinite_values=sum(s.nonfinite_values for s in ordered),
+        nonfinite_paths=sum(s.nonfinite_values > 0 for s in ordered),
     )
 
 
@@ -167,18 +174,20 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     aggregate them at its checkpoints and epsilons, and give the verdict.
 
     Paths use per-path derived streams, so the report is a pure function of
-    the spec no matter how many workers execute it.  Any path error
-    propagates; partial reports are never produced.
+    the spec no matter how many workers execute it.  Each process that runs
+    paths builds one :class:`~slln_lab.mixture.PathWorkspace` for all of
+    them; a pool's parent builds none.  Any path error propagates; partial
+    reports are never produced.
     """
-    from .mixture import run_path  # local import: mixture depends on this module
+    from .mixture import path_workspace, run_path  # local import: mixture depends on this module
 
     if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     spec.pattern.insert_indices(spec.horizon)  # once per ensemble; pool workers get it with the spec
     indices = range(spec.n_paths)
     if threads <= 1:
-        buf = _path_buffer(spec)
-        summaries = [run_path(spec.with_path(i), spec.checkpoints, buf) for i in indices]
+        workspace = path_workspace(spec)
+        summaries = [run_path(spec.with_path(i), spec.checkpoints, workspace) for i in indices]
     else:
         import concurrent.futures as cf
 
@@ -193,25 +202,20 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     return report
 
 
-def _path_buffer(spec) -> np.ndarray | None:
-    """The scratch buffer every path of ``spec`` in one process reuses, or
-    None when every index is an insert and no path writes to one."""
-    if spec.pattern.insert_indices(spec.horizon).size == spec.horizon:
-        return None
-    return np.empty(spec.horizon, dtype=np.float64)
-
-
 # set only in pool workers, once each, so tasks are bare path indices
 _worker_spec = None
-_worker_buf = None
+_worker_workspace = None
 
 
 def _set_worker_spec(spec) -> None:
-    global _worker_spec, _worker_buf
-    _worker_spec, _worker_buf = spec, _path_buffer(spec)
+    global _worker_spec, _worker_workspace
+    _worker_spec, _worker_workspace = spec, None
 
 
 def _path_task(path_index: int) -> PathSummary:
-    from .mixture import run_path
+    from .mixture import path_workspace, run_path
 
-    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints, _worker_buf)
+    global _worker_workspace
+    if _worker_workspace is None:  # built by the first task, so that its errors reach the caller as raised
+        _worker_workspace = path_workspace(_worker_spec)
+    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints, _worker_workspace)

@@ -10,7 +10,7 @@ the power 1/a for a vanishing exponent a.
 
 All sampling consumes uniforms from :class:`~slln_lab.rng.UniformStream`
 objects in a fixed order, so drawing whole blocks in several calls gives
-the same values as one call for all of them.  :func:`sample_y` is the one
+the same values as one call for all of them.  :func:`draw_heavy` is the one
 place a heavy draw is raised to its power.
 """
 
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import FieldError, InvalidExponent, ScheduleRejected
 from .rng import UniformStream
 from .schedules import MomentSchedule
+
+_CHUNK = 2 ** 16  # values per step of a pass that is cut into chunks
 
 
 def as_int(value) -> int:
@@ -398,15 +400,21 @@ class TailEnvelope:
             return math.log(2.0)
         return 2.0 ** (1.0 / self.gamma)
 
-    def sample_v(self, u):
-        """Inverse-CDF draw with survival exactly equal to the envelope."""
+    def sample_v(self, u, out: np.ndarray | None = None):
+        """Inverse-CDF draw with survival exactly equal to the envelope.
+
+        ``out`` (which may be ``u`` itself) receives the draws; None
+        allocates it.
+        """
         scalar = np.isscalar(u)
         u = np.asarray(u, dtype=np.float64)
-        if self.kind is EnvelopeKind.EXP:
-            out = -np.log1p(-u)
-        else:
-            out = np.exp(-np.log1p(-u) / self.gamma)
-        return float(out) if scalar else out
+        v = np.negative(u, out=np.empty_like(u) if out is None else out)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)  # -log1p(-u), a standard exponential draw
+        if self.kind is EnvelopeKind.PARETO:
+            v /= self.gamma
+            np.exp(v, out=v)
+        return float(v) if scalar else v
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind.value}
@@ -427,6 +435,48 @@ class DependenceMode(Enum):
     COMONOTONE = "comonotone"    # one shared uniform drives every insert of a path
 
 
+def reciprocal_exponents(exponent) -> np.ndarray:
+    """1/a for each exponent a (scalar or array), after checking that every
+    a lies in (0, 1]."""
+    exps = np.asarray(exponent, dtype=np.float64)
+    if np.any(exps <= 0.0) or np.any(exps > 1.0):
+        raise InvalidExponent("exponents must lie in (0, 1]")
+    return 1.0 / exps
+
+
+def draw_heavy(
+    envelope: TailEnvelope,
+    mode: DependenceMode,
+    inv_exponents: np.ndarray,
+    out: np.ndarray,
+    stream: UniformStream | None = None,
+    shared_u: float | None = None,
+) -> np.ndarray:
+    """Heavy draws y = v ** (1/a), written into ``out`` and returned.
+
+    ``inv_exponents`` holds 1/a for each draw, as :func:`reciprocal_exponents`
+    returns it, and ``out`` is a float64 array of as many values.
+    COMONOTONE mode requires ``shared_u`` and takes v from it for every
+    draw, so all draws of a path are a monotone transform of one uniform.
+    INDEPENDENT mode consumes one uniform per draw from ``stream``; a chunk
+    at a time, the uniforms are drawn into ``out`` and turned into v and
+    then y in place.
+    """
+    if out.shape != inv_exponents.shape:
+        raise ValueError("out must hold one value per exponent")
+    if mode is DependenceMode.COMONOTONE:
+        if shared_u is None:
+            raise ValueError("COMONOTONE mode requires shared_u")
+        return np.power(envelope.sample_v(float(shared_u)), inv_exponents, out=out)
+    if stream is None:
+        raise ValueError("INDEPENDENT mode requires a stream")
+    for s0 in range(0, out.size, _CHUNK):
+        chunk = out[s0:s0 + _CHUNK]
+        envelope.sample_v(stream.uniforms(chunk.size, chunk), out=chunk)
+        np.power(chunk, inv_exponents[s0:s0 + _CHUNK], out=chunk)
+    return out
+
+
 def sample_y(
     envelope: TailEnvelope,
     mode: DependenceMode,
@@ -434,30 +484,14 @@ def sample_y(
     stream: UniformStream | None = None,
     shared_u: float | None = None,
 ):
-    """Heavy draw(s) y = v ** (1/exponent).
+    """Heavy draw(s) y = v ** (1/exponent), as :func:`draw_heavy` makes them.
 
     ``exponent`` may be a scalar or an array; the array length fixes the
-    number of draws.  COMONOTONE mode requires ``shared_u`` and reuses it
-    for every value, so all draws of a path are a monotone transform of one
-    uniform.  INDEPENDENT mode consumes one uniform per value from
-    ``stream``.
+    number of draws, and a scalar gives one float.
     """
-    exps = np.asarray(exponent, dtype=np.float64)
-    if np.any(exps <= 0.0) or np.any(exps > 1.0):
-        raise InvalidExponent("exponents must lie in (0, 1]")
-    count = exps.size
-    if mode is DependenceMode.COMONOTONE:
-        if shared_u is None:
-            raise ValueError("COMONOTONE mode requires shared_u")
-        v = envelope.sample_v(float(shared_u))
-        out = np.power(v, 1.0 / exps) if exps.ndim else float(np.power(v, 1.0 / exps))
-        return out
-    if stream is None:
-        raise ValueError("INDEPENDENT mode requires a stream")
-    # the uniforms go straight in, so they are freed before the power is taken
-    v = envelope.sample_v(stream.uniforms(count if exps.ndim else 1))
-    out = np.power(v, 1.0 / exps.reshape(-1))
-    return out if exps.ndim else float(out[0])
+    inv = reciprocal_exponents(exponent)
+    out = draw_heavy(envelope, mode, inv.reshape(-1), np.empty(inv.size), stream=stream, shared_u=shared_u)
+    return out.reshape(inv.shape) if inv.ndim else float(out[0])
 
 
 def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule) -> int | None:

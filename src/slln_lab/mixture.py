@@ -8,10 +8,12 @@ their heavy draws.  The exponent of an insert is the schedule value at its
 global position.
 
 :func:`run_path` is the one engine: it samples the whole horizon at once,
-evaluates exponents at the insert indices only (cached on the pattern per
-horizon), splices the heavy draws into the well-behaved block and reduces
-one in-place buffer to the checkpoint statistics.  Its running sum is one
-``np.cumsum``, which adds strictly left to right in double precision.
+splices the heavy draws into the well-behaved block and reduces one
+in-place buffer to the checkpoint statistics.  Its running sum is one
+``np.cumsum``, which adds strictly left to right in double precision.  What
+is the same on every path of a spec in one process, the buffer and 1/a_n
+at the insert indices (the pattern caches those indices per horizon), is
+a :class:`PathWorkspace`, built once.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -29,12 +31,13 @@ import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, FieldError, ScheduleRejected
-from .generators import DependenceMode, TailEnvelope, XFamily, as_float, as_int, sample_y
+from .generators import (
+    _CHUNK, DependenceMode, TailEnvelope, XFamily, as_float, as_int, draw_heavy, reciprocal_exponents,
+)
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
 MAX_HORIZON = 10 ** 7  # run_path holds a few float64 buffers of this length
-_CHUNK = 2 ** 16  # values per step of the splice and of the division by n
 
 _TOP_LEVEL_KEYS = frozenset({
     "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",
@@ -212,17 +215,33 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
     return tuple(kept)
 
 
-def _emit_values(config: ExperimentSpec, buf: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """All horizon values of one path, and its insert count.
+@dataclass(frozen=True)
+class PathWorkspace:
+    """What every path of one spec reuses in one process: ``buf``, scratch
+    space of horizon float64 values that a path overwrites, and
+    ``inv_exponents``, 1/a_n at the insert indices."""
 
-    The values are written into ``buf``, a float64 array of horizon values
-    (None allocates one), which is returned; an all-inserts pattern
-    returns its heavy draws as drawn instead.  Exponents are evaluated at
-    the insert indices only.  The X block is drawn into the front of
-    ``buf``, spread right to the positions that are not inserts, and the
+    buf: np.ndarray
+    inv_exponents: np.ndarray
+
+
+def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
+    """The workspace of ``spec``; raises :class:`InvalidExponent` if an
+    insert's exponent lies outside (0, 1]."""
+    inserts = spec.pattern.insert_indices(spec.horizon)
+    return PathWorkspace(np.empty(spec.horizon, dtype=np.float64),
+                         reciprocal_exponents(spec.schedule.value(inserts + 1)))
+
+
+def _emit_values(config: ExperimentSpec, workspace: PathWorkspace) -> tuple[np.ndarray, int]:
+    """All horizon values of one path, in ``workspace.buf``, and its insert count.
+
+    When every index is an insert, the heavy draws are drawn straight into
+    the buffer.  Otherwise the X block is drawn into the front of the
+    buffer, spread right to the positions that are not inserts, and the
     heavy draws are dropped into the gaps.
     """
-    horizon = config.horizon
+    horizon, buf = config.horizon, workspace.buf
     inserts = config.pattern.insert_indices(horizon)
     n_insert = inserts.size
 
@@ -230,15 +249,13 @@ def _emit_values(config: ExperimentSpec, buf: np.ndarray | None) -> tuple[np.nda
         return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
     shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
-    y = sample_y(config.envelope, config.dependence, config.schedule.value(inserts + 1),
-                 stream=stream(Channel.Y), shared_u=shared_u)
-    if n_insert == horizon:
-        return y, n_insert
-    if buf is None:
-        buf = np.empty(horizon, dtype=np.float64)
-    config.x_family.sample_block(horizon - n_insert, stream(Channel.X), out=buf[:horizon - n_insert])
-    _spread(buf, inserts)
-    buf[inserts] = y
+    y = buf if n_insert == horizon else np.empty(n_insert, dtype=np.float64)
+    draw_heavy(config.envelope, config.dependence, workspace.inv_exponents, y,
+               stream=stream(Channel.Y), shared_u=shared_u)
+    if n_insert < horizon:
+        config.x_family.sample_block(horizon - n_insert, stream(Channel.X), out=buf[:horizon - n_insert])
+        _spread(buf, inserts)
+        buf[inserts] = y
     return buf, n_insert
 
 
@@ -272,13 +289,14 @@ def _spread(buf: np.ndarray, inserts: np.ndarray) -> None:
         buf[s0:s1] = buf[s0 - k0:s1 - k0]
 
 
-def run_path(config: ExperimentSpec, checkpoints: Sequence[int], buf: np.ndarray | None = None) -> PathSummary:
+def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
+             workspace: PathWorkspace | None = None) -> PathSummary:
     """Simulate one path to its horizon and summarize it at the checkpoints.
 
-    ``buf`` is scratch space of ``horizon`` float64 values that the path
-    overwrites, so the paths of an ensemble can share one; None allocates
-    one.  The values are accumulated in place: the buffer holds Z_n, then
-    S_n, then S_n/n, then |S_n/n| for the suffix-sup reduction.
+    ``workspace`` is the :func:`path_workspace` of any path of the same
+    spec, so the paths of an ensemble can share one; None builds one.  The
+    values are accumulated in place: its buffer holds Z_n, then S_n, then
+    S_n/n, then |S_n/n| for the suffix-sup reduction.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -286,12 +304,17 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int], buf: np.ndarray
         raise ValueError("at least one checkpoint is required")
     if cps[0] < 1 or cps[-1] > horizon:
         raise ValueError("checkpoints must lie in [1, horizon]")
-    if buf is not None and buf.shape != (horizon,):
-        raise ValueError("buf must hold horizon values")
+    if workspace is None:
+        workspace = path_workspace(config)
+    elif (workspace.buf.shape != (horizon,)
+          or workspace.inv_exponents.shape != config.pattern.insert_indices(horizon).shape):
+        raise ValueError("workspace was built for another spec")
 
-    buf, insert_count = _emit_values(config, buf)
+    buf, insert_count = _emit_values(config, workspace)
     # max(hi, -lo) is max |Z_n|; abs turns a -0.0 into 0.0, NaN propagates
     max_abs_value = float(abs(np.maximum(buf.max(), -buf.min())))
+    # counted only on a path that has one: a finite path pays no extra pass
+    nonfinite = 0 if math.isfinite(max_abs_value) else horizon - int(np.count_nonzero(np.isfinite(buf)))
     np.cumsum(buf, out=buf)
     n = np.arange(1, min(_CHUNK, horizon) + 1, dtype=np.float64)  # n in a chunk, less its offset
     for s0 in range(0, horizon, _CHUNK):
@@ -309,4 +332,5 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int], buf: np.ndarray
         insert_count=insert_count,
         max_abs_value=max_abs_value,
         final_avg=final_avg,
+        nonfinite_values=nonfinite,
     )

@@ -77,17 +77,22 @@ class UniformStream:
         lo, hi = key.philox_words()
         self._bits = Philox(key=(lo | (hi << 64)))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniforms as a float64 array."""
+    def uniforms(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Next ``count`` uniforms, written into ``out`` and returned.
+
+        ``out`` is a float64 array of ``count`` values; None allocates one.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
+        if out is None:
+            out = np.empty(count, dtype=np.float64)
+        elif out.shape != (count,) or out.dtype != np.float64:
+            raise ValueError("out must be a float64 array of count values")
         if count == 0:
-            return np.empty(0, dtype=np.float64)
+            return out
         raw = self._bits.random_raw(count)
         raw >>= _SHIFT11
-        out = raw.astype(np.float64)
-        out *= _U53_SCALE
-        return out
+        return np.multiply(raw, _U53_SCALE, out=out)  # exact: raw < 2**53
 
     def below_half(self, count: int) -> np.ndarray:
         """``uniforms(count) < 0.5``, read off the raw words; it consumes

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slln_lab import cli
+from slln_lab import cli, mixture
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, EnvelopeKind, XKind
 from slln_lab.schedules import ScheduleForm, SparsityMode
@@ -161,9 +161,20 @@ def test_main_entrypoint(tmp_path):
     assert code == report["exit_code"]
     assert report["spec"]["seed"] == 1
     assert report["spec"]["n_paths"] == 6
+    assert report["threads"] == cli.default_threads()
     # horizon override clips checkpoints and keeps the horizon as the last one
     assert report["spec"]["checkpoints"][-1] == 10000
     assert (out / "deviations.csv").exists()
+
+
+def test_default_threads_are_the_usable_cpus_up_to_4(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+    assert cli.default_threads() == 4
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert cli.default_threads() == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli.default_threads() == 3
 
 
 def test_main_entrypoint_calculus_exit_zero(tmp_path):
@@ -324,5 +335,12 @@ def test_main_non_finite_run_is_divergent_and_strict(tmp_path):
     assert report["status"]["convergence"] == "DIVERGENT"
     assert report["convergence"]["median_D"][-1] == "inf"
     assert report["convergence"]["fractions_above"]["0.05"][-1] == 1.0
+    spec = cli.load_config(tmp_path / "cfg.json")
+    with np.errstate(over="ignore"):
+        counts = [np.count_nonzero(~np.isfinite(mixture._emit_values(path, mixture.path_workspace(path))[0]))
+                  for path in map(spec.with_path, range(spec.n_paths))]
+    assert report["convergence"]["nonfinite_values"] == sum(counts)
+    # an inf median at the end means at least 6 of the 10 paths are inf there
+    assert 6 <= report["convergence"]["nonfinite_paths"] == sum(c > 0 for c in counts)
     svg = (out / "plot.svg").read_text()
     assert "nan" not in svg and "inf" not in svg

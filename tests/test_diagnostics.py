@@ -142,15 +142,24 @@ def test_ensemble_deterministic_across_workers():
     pure = pure_x_config(XFamily.parity(4), 2 * 10 ** 4, seed=3, epsilons=(0.05, 0.02),
                          epsilon_target=0.05, fraction_target=0.1, **ensemble)
 
-    def theorem():
-        return dataclasses.replace(cli.load_config("theorem.json"), seed=3, horizon=2 * 10 ** 4, **ensemble)
+    def fixture(name, **changes):
+        return dataclasses.replace(cli.load_config(name), seed=3, horizon=2 * 10 ** 4, **ensemble, **changes)
 
+    def theorem():
+        return fixture("theorem.json")
+
+    # every index an insert, and sparse independent inserts: both draw
+    # their heavy values through each process's workspace
+    dense = fixture("violate-sparsity.json")
+    mixed = fixture("theorem.json", dependence=DependenceMode.INDEPENDENT)
+    assert dense.pattern.insert_indices(dense.horizon).size == dense.horizon
+    assert mixed.pattern.mode is SparsityMode.AUTO
     # the pool is handed a spec that was already checked and whose sparsity
     # pattern is already built
     warm = theorem()
     verify_hypotheses(warm)
     warm.pattern.alpha(warm.horizon)
-    for cold, pooled in ((pure, pure), (theorem(), warm)):
+    for cold, pooled in ((pure, pure), (theorem(), warm), (dense, dense), (mixed, mixed)):
         seq = run_ensemble(cold, threads=1)
         par = run_ensemble(pooled, threads=3)
         assert np.array_equal(seq.median, par.median)

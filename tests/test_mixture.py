@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slln_lab import mixture
-from slln_lab.diagnostics import PathSummary
-from slln_lab.errors import ConfigError
+from slln_lab.diagnostics import PathSummary, run_ensemble
+from slln_lab.errors import ConfigError, InvalidExponent
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
 from slln_lab.mixture import MAX_HORIZON, ExperimentSpec, run_path
 from slln_lab.rng import Channel, StreamKey, derive_stream
@@ -75,12 +77,13 @@ def reference_summary(config, checkpoints):
         insert_count=int(np.sum(config.pattern.alpha(config.horizon))),
         max_abs_value=max(abs(z) for z in values),
         final_avg=total / config.horizon,
+        nonfinite_values=sum(not math.isfinite(z) for z in values),
     )
 
 
 def test_all_zero_pattern_is_pure_x():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=1000)
-    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
+    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
     direct = XFamily.uniform(1.0).sample_block(
         1000, derive_stream(StreamKey(9, 0, Channel.X))
     )
@@ -90,7 +93,7 @@ def test_all_zero_pattern_is_pure_x():
 
 def test_all_one_pattern_is_pure_y():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=200)
-    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
+    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
     assert insert_count == values.size == 200
     assert np.all(values >= 1.0)  # heavy draws sit above the envelope support start
 
@@ -98,7 +101,7 @@ def test_all_one_pattern_is_pure_y():
 def test_explicit_pattern_unrolls():
     pattern = SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0, 0, 1))
     config = make_config(pattern=pattern, horizon=4)
-    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
+    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
     assert insert_count == 2
     x_direct = XFamily.uniform(1.0).sample_block(2, derive_stream(StreamKey(9, 0, Channel.X)))
     assert values[1] == x_direct[0]  # first non-insert consumes the first draw
@@ -117,7 +120,7 @@ def test_run_path_matches_reference():
                     XFamily.pareto_centered(2.0)):
             for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
                 config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
-                vec_values, _ = mixture._emit_values(config, np.empty(config.horizon))
+                vec_values, _ = mixture._emit_values(config, mixture.path_workspace(config))
                 assert np.array_equal(vec_values, reference_values(config))
                 expected = reference_summary(config, checkpoints)
                 got = dataclasses.asdict(run_path(config, checkpoints))
@@ -138,10 +141,11 @@ def _explicit(horizon, ones):
 
 
 @st.composite
-def path_cases(draw):
-    """A valid one-path spec of any pattern mode, family and dependence, and its checkpoints."""
+def path_cases(draw, modes=tuple(SparsityMode), dependences=tuple(DependenceMode)):
+    """A valid one-path spec of any pattern mode, family and dependence (or
+    of those given), and its checkpoints."""
     horizon = draw(st.integers(1, 300))
-    mode = draw(st.sampled_from(SparsityMode))
+    mode = draw(st.sampled_from(modes))
     schedule = draw(st.sampled_from((SCHED, DENSE)))
     if mode is SparsityMode.AUTO:
         pattern = build_sparsity(schedule, draw(st.sampled_from((0.5, 1.0, 3.0))))
@@ -151,7 +155,7 @@ def path_cases(draw):
     else:
         pattern = SparsityPattern(mode=mode)
     config = make_config(pattern=pattern, x_family=draw(st.sampled_from(FAMILIES)),
-                         dependence=draw(st.sampled_from(DependenceMode)), horizon=horizon,
+                         dependence=draw(st.sampled_from(dependences)), horizon=horizon,
                          seed=draw(st.integers(0, 2 ** 64 - 1)), schedule=schedule)
     checkpoints = sorted(draw(st.sets(st.integers(1, horizon), min_size=1, max_size=4)))
     return config.with_path(draw(st.integers(0, 5))), checkpoints
@@ -169,15 +173,88 @@ def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=D
 @example(_long_case(_explicit(LONG, _chunk_edges(LONG))))
 @example(_long_case(build_sparsity(SCHED, 1.0)))
 @example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ZERO), x_family=XFamily.shifted_exp(2.0)))
+@example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ONE), dependence=DependenceMode.INDEPENDENT))
 def test_run_path_matches_reference_on_random_specs(case):
     config, checkpoints = case
     expected = dataclasses.asdict(reference_summary(config, checkpoints))
-    buf = np.empty(config.horizon)
-    run_path(config.with_path(config.path_index + 1), checkpoints, buf)  # leaves another path in buf
-    for summary in (run_path(config, checkpoints), run_path(config, checkpoints, buf)):
+    workspace = mixture.path_workspace(config)
+    # path j, then path i, on one workspace: j leaves its values in the buffer
+    run_path(config.with_path(config.path_index + 1), checkpoints, workspace)
+    for summary in (run_path(config, checkpoints), run_path(config, checkpoints, workspace)):
         got = dataclasses.asdict(summary)
         for field, want in expected.items():
             assert np.array_equal(got[field], want), field
+
+
+@st.composite
+def ensemble_specs(draw, modes=tuple(SparsityMode), dependences=tuple(DependenceMode)):
+    """A valid spec of a few paths, built around a path case."""
+    config, checkpoints = draw(path_cases(modes, dependences))
+    spec = dataclasses.replace(
+        config, path_index=0, checkpoints=tuple(checkpoints), n_paths=draw(st.integers(2, 9)),
+        envelope=draw(st.sampled_from((TailEnvelope.pareto(2.0), TailEnvelope.pareto(1.5),
+                                       TailEnvelope.exponential()))),
+        name=draw(st.text(max_size=8)),
+        fraction_target=draw(st.sampled_from((0.1, 0.25, 1.0))),
+        infrequency_threshold=draw(st.none() | st.floats(0.01, 100.0)),
+    )
+    spec.validate()
+    return spec
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(ensemble_specs())
+def test_spec_round_trips_through_json(spec):
+    assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+@pytest.mark.parametrize("dependence", DependenceMode)
+@pytest.mark.parametrize("mode", SparsityMode)
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(data=st.data())
+def test_one_worker_equals_two_on_random_specs(mode, dependence, data):
+    spec = data.draw(ensemble_specs((mode,), (dependence,)))
+    one, two = run_ensemble(spec, threads=1), run_ensemble(spec, threads=2)
+    assert np.array_equal(one.d_matrix, two.d_matrix)
+    assert one.to_dict() == two.to_dict()
+
+
+class _SteepSchedule(MomentSchedule):
+    """Twice the exponents of its form, so the first ones exceed 1; only a
+    spec that skips validation can hold it."""
+
+    def value(self, n):
+        return 2.0 * super().value(n)
+
+
+def test_workspace_rejects_bad_exponent():
+    # the exponent check runs once per process, when the workspace is built
+    spec = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=50,
+                       schedule=_SteepSchedule(ScheduleForm.INV_SQRT_LOG), n_paths=4)
+    with pytest.raises(InvalidExponent):
+        mixture.path_workspace(spec)
+    with pytest.raises(InvalidExponent):
+        run_path(spec, [50])
+    for threads in (1, 2):  # a pool worker's error reaches the caller as raised
+        with pytest.raises(InvalidExponent):
+            run_ensemble(spec, threads=threads)
+
+
+def test_workspace_of_another_spec_is_rejected():
+    config = make_config(horizon=500)
+    with pytest.raises(ValueError, match="workspace"):
+        run_path(config, [100], mixture.path_workspace(dataclasses.replace(config, horizon=400)))
+
+
+def test_nonfinite_values_counted():
+    # a_n = 0.001 raises the Pareto draws to the power 1000: most overflow to inf
+    config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=300,
+                         schedule=MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.001))
+    with np.errstate(over="ignore"):
+        values, _ = mixture._emit_values(config, mixture.path_workspace(config))
+        summary = run_path(config, [300])
+    assert summary.nonfinite_values == np.count_nonzero(~np.isfinite(values)) > 0
+    assert run_path(make_config(horizon=300), [300]).nonfinite_values == 0
 
 
 def test_schedule_evaluated_at_inserts_only(monkeypatch):
@@ -200,7 +277,7 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
 
 def test_resummation_zero_ulp():
     config = make_config(x_family=XFamily.shifted_exp(1.0), horizon=400)
-    values, _ = mixture._emit_values(config, np.empty(config.horizon))
+    values, _ = mixture._emit_values(config, mixture.path_workspace(config))
     total = 0.0
     for v in values.tolist():
         total += v
@@ -210,7 +287,7 @@ def test_resummation_zero_ulp():
 
 def test_bookkeeping_counts():
     config = make_config(horizon=250)
-    values, insert_count = mixture._emit_values(config, np.empty(config.horizon))
+    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
     phi = config.pattern.phi(250)
     assert insert_count == phi[-1] == run_path(config, [250]).insert_count
     # heavy draws are >= 1 and the uniform X draws lie in [-1, 1)
@@ -262,7 +339,7 @@ def test_checkpoint_validation():
 def test_comonotone_draws_share_one_uniform():
     pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
     config = make_config(pattern=pattern, dependence=DependenceMode.COMONOTONE, horizon=50)
-    values, _ = mixture._emit_values(config, np.empty(config.horizon))
+    values, _ = mixture._emit_values(config, mixture.path_workspace(config))
     shared = derive_stream(StreamKey(9, 0, Channel.SHARED)).next()
     exps = SCHED.value(np.arange(1, 51, dtype=float))
     v = TailEnvelope.pareto(2.0).sample_v(shared)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as stats
 
+from slln_lab.generators import _CHUNK
 from slln_lab.rng import Channel, StreamKey, derive_stream
 
 
@@ -35,6 +36,21 @@ def test_draw_order_contract():
     split = np.concatenate([s.uniforms(37), s.uniforms(63)])
     whole = derive_stream(key).uniforms(100)
     assert np.array_equal(split, whole)
+
+
+def test_uniforms_into_chunks_equal_one_call():
+    # heavy draws take their uniforms into the path buffer a chunk at a time
+    key = StreamKey(21, 4, Channel.Y)
+    count = 3 * _CHUNK + 5
+    whole = derive_stream(key).uniforms(count)
+    for step in (_CHUNK, _CHUNK - 1, _CHUNK + 1, 4099):
+        s, out = derive_stream(key), np.empty(count)
+        for s0 in range(0, count, step):
+            chunk = out[s0:s0 + step]
+            assert s.uniforms(chunk.size, chunk) is chunk
+        assert np.array_equal(out.view(np.uint64), whole.view(np.uint64))
+    with pytest.raises(ValueError):
+        derive_stream(key).uniforms(3, np.empty(4))
 
 
 def test_next_matches_uniforms():
