@@ -19,8 +19,9 @@ from slln_lab.calculus import (
     weighted_y_series_ensemble,
 )
 from slln_lab.errors import BoundViolation, SearchExhausted
-from slln_lab.generators import TailEnvelope
-from slln_lab.schedules import MomentSchedule, ScheduleForm
+from slln_lab.generators import DependenceMode, TailEnvelope, sample_y
+from slln_lab.rng import Channel, StreamKey, derive_stream
+from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
 
 EXP = TailEnvelope.exponential()
 PARETO2 = TailEnvelope.pareto(2.0)
@@ -294,6 +295,14 @@ def test_weighted_series_simulated_ensemble():
         PARETO2, MomentSchedule(ScheduleForm.INV_SQRT_LOG), 1.0, 10 ** 4, 100, master_seed=0
     )
     assert ens.fraction_converged >= 0.95
+    # each path is its own series: draws from its Y stream at the exponents of the insert positions
+    schedule = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+    small = weighted_y_series_ensemble(PARETO2, schedule, 1.0, 300, 3, master_seed=5)
+    exponents = schedule.value(np.asarray(y_insertion_positions(schedule, 1.0, 300), dtype=np.float64))
+    for i in range(3):
+        stream = derive_stream(StreamKey(5, i, Channel.Y))
+        y = sample_y(PARETO2, DependenceMode.INDEPENDENT, exponents, stream=stream)
+        assert small.increments[i] == weighted_y_series(y, exponents).last_decade_increment
 
 
 # --- series-to-average conversion --------------------------------------------------------------
