@@ -14,7 +14,7 @@ print("growth check:", report.detail)
 broken = MomentSchedule(ScheduleForm.INV_LOG)
 print("designed violation:", validate_schedule(broken, 10 ** 6, growth_target=2.0).detail)
 
-pattern = build_sparsity(sched, c=1.0, horizon=10 ** 6)
+pattern = build_sparsity(sched, c=1.0)
 phi = pattern.phi(10 ** 6)
 print(f"inserts among the first 1e6 indices: {phi[-1]}")
 print(f"sup of phi_n / n**a_n: {sparsity_ratio_sup(pattern, sched, 10 ** 6):.4f} (stays below c + 1 = 2)")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.special as sp
 
 from .errors import BoundViolation, SearchExhausted
 from .generators import DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, reciprocal_exponents
@@ -48,6 +47,8 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float):
     if np.any(x < 0):
         raise ValueError("upper limit must be >= 0")
     if envelope.kind is EnvelopeKind.EXP:
+        import scipy.special as sp  # local import: it takes about 0.3 s to load, and only EXP needs it
+
         out = sp.gamma(p + 1.0) * sp.gammainc(p, x)
     else:
         g = envelope.gamma

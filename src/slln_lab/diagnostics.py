@@ -174,27 +174,23 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     aggregate them at its checkpoints and epsilons, and give the verdict.
 
     Paths use per-path derived streams, so the report is a pure function of
-    the spec no matter how many workers execute it.  Each process that runs
-    paths builds one :class:`~slln_lab.mixture.PathWorkspace` for all of
-    them; a pool's parent builds none.  Any path error propagates; partial
+    the spec no matter how many workers execute it.  At one worker
+    :func:`_run_paths` runs them all in this process; otherwise each of
+    ``workers = min(threads, n_paths)`` pool workers runs the share
+    ``range(w, n_paths, workers)``.  Any path error propagates; partial
     reports are never produced.
     """
-    from .mixture import path_workspace, run_path  # local import: mixture depends on this module
-
     if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    spec.pattern.insert_indices(spec.horizon)  # once per ensemble; pool workers get it with the spec
-    indices = range(spec.n_paths)
-    if threads <= 1:
-        workspace = path_workspace(spec)
-        summaries = [run_path(spec.with_path(i), spec.checkpoints, workspace) for i in indices]
+    workers = min(threads, spec.n_paths)
+    if workers <= 1:
+        summaries = _run_paths(spec, range(spec.n_paths))
     else:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(
-            max_workers=threads, initializer=_set_worker_spec, initargs=(spec,)
-        ) as pool:
-            summaries = list(pool.map(_path_task, indices, chunksize=8))
+        shares = [range(w, spec.n_paths, workers) for w in range(workers)]
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = [s for share in pool.map(_run_paths, [spec] * workers, shares) for s in share]
     report = aggregate_paths(summaries, spec.epsilons, spec.seed)
     report.verdict = verdict(report, spec.epsilon_target, spec.fraction_target)
     report.epsilon_target = spec.epsilon_target
@@ -202,20 +198,10 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     return report
 
 
-# set only in pool workers, once each, so tasks are bare path indices
-_worker_spec = None
-_worker_workspace = None
+def _run_paths(spec, indices: Sequence[int]) -> list[PathSummary]:
+    """The summaries of the paths ``indices`` of ``spec``, all run on one
+    :class:`~slln_lab.mixture.PathWorkspace` built here."""
+    from . import mixture  # local import: mixture depends on this module
 
-
-def _set_worker_spec(spec) -> None:
-    global _worker_spec, _worker_workspace
-    _worker_spec, _worker_workspace = spec, None
-
-
-def _path_task(path_index: int) -> PathSummary:
-    from .mixture import path_workspace, run_path
-
-    global _worker_workspace
-    if _worker_workspace is None:  # built by the first task, so that its errors reach the caller as raised
-        _worker_workspace = path_workspace(_worker_spec)
-    return run_path(_worker_spec.with_path(path_index), _worker_spec.checkpoints, _worker_workspace)
+    workspace = mixture.path_workspace(spec)
+    return [mixture.run_path(spec.with_path(i), spec.checkpoints, workspace) for i in indices]

@@ -23,41 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FieldError, InvalidExponent, ScheduleRejected
+from .errors import InvalidExponent, as_float, as_int, keyed
 from .rng import UniformStream
 from .schedules import MomentSchedule
 
 _CHUNK = 2 ** 16  # values per step of a pass that is cut into chunks
-
-
-def as_int(value) -> int:
-    """A JSON integer: an int, or a float with an integral value.
-
-    Fractions, non-finite floats and bools raise instead of truncating.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-        raise ValueError(f"expected an integer, got {value!r}")
-    raise TypeError(f"expected an integer, got {type(value).__name__}")
-
-
-def as_float(value) -> float:
-    """A JSON number (an int or a float) as a float; bools and strings raise."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise TypeError(f"expected a number, got {type(value).__name__}")
-
-
-def keyed(key: str, build, value):
-    """``build(value)``, with a failure re-raised as a :class:`FieldError`
-    on ``key``: a config value is read and checked under its own key."""
-    try:
-        return build(value)
-    except (TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
-        raise FieldError(key, str(exc)) from exc
 
 
 class XKind(Enum):

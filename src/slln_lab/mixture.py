@@ -11,9 +11,9 @@ global position.
 splices the heavy draws into the well-behaved block and reduces one
 in-place buffer to the checkpoint statistics.  Its running sum is one
 ``np.cumsum``, which adds strictly left to right in double precision.  What
-is the same on every path of a spec in one process, the buffer and 1/a_n
-at the insert indices (the pattern caches those indices per horizon), is
-a :class:`PathWorkspace`, built once.
+is the same on every path of a spec in one process, the insert indices,
+1/a_n at them and the buffer, is a :class:`PathWorkspace`, built once; the
+spec itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -30,10 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
-from .errors import ConfigError, FieldError, ScheduleRejected
-from .generators import (
-    _CHUNK, DependenceMode, TailEnvelope, XFamily, as_float, as_int, draw_heavy, reciprocal_exponents,
-)
+from .errors import ConfigError, FieldError, ScheduleRejected, as_float, as_int, keyed
+from .generators import _CHUNK, DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
@@ -72,7 +70,8 @@ class ExperimentSpec:
     infrequency_threshold: float | None = None
 
     def with_path(self, path_index: int) -> "ExperimentSpec":
-        """Same recipe, different derived streams; the pattern cache is shared."""
+        """Same recipe, different derived streams; the pattern and schedule
+        are shared, so a workspace built for one path serves every path."""
         return replace(self, path_index=path_index)
 
     def mixed_config(self) -> "ExperimentSpec":
@@ -105,44 +104,48 @@ class ExperimentSpec:
         unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-        schedule = _parse("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
-        x_family = _parse("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
-        y = _parse("y", _object, data.get("y", {}))
-        envelope = _parse("y.envelope", TailEnvelope.from_dict, y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
-        dependence = _parse("y.dependence", DependenceMode, y.get("dependence", "independent"))
-        pattern = _parse("sparsity", SparsityPattern.from_dict, data.get("sparsity", {}), schedule)
-        horizon = _parse("horizon", as_int, data.get("horizon", 10 ** 6))
-        checkpoints = _parse("checkpoints", _list_of(as_int),
-                             data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
-        epsilons = _parse("epsilons", _list_of(as_float), data.get("epsilons", cls.epsilons))
-        verdict_cfg = _parse("verdict", _object, data.get("verdict", {}))
-        epsilon_target = _parse("verdict.epsilon_target", as_float,
-                                verdict_cfg.get("epsilon_target", cls.epsilon_target))
-        if epsilon_target not in epsilons:
-            epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
-        threshold = data.get("infrequency_threshold", cls.infrequency_threshold)
-        name = data.get("name", cls.name)
-        if not isinstance(name, str):
-            raise ConfigError(f"name: expected a string, got {type(name).__name__}")
-        spec = cls(
-            x_family=x_family,
-            envelope=envelope,
-            dependence=dependence,
-            schedule=schedule,
-            pattern=pattern,
-            horizon=horizon,
-            seed=_parse("seed", as_int, data.get("seed", cls.seed)),
-            name=name,
-            n_paths=_parse("n_paths", as_int, data.get("n_paths", cls.n_paths)),
-            checkpoints=checkpoints,
-            epsilons=epsilons,
-            epsilon_target=epsilon_target,
-            fraction_target=_parse("verdict.fraction_target", as_float,
-                                   verdict_cfg.get("fraction_target", cls.fraction_target)),
-            infrequency_threshold=(
-                None if threshold is None else _parse("infrequency_threshold", as_float, threshold)
-            ),
-        )
+        try:
+            schedule = keyed("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
+            x_family = keyed("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
+            y = keyed("y", _object, data.get("y", {}))
+            envelope = keyed("y.envelope", TailEnvelope.from_dict,
+                             y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
+            dependence = keyed("y.dependence", DependenceMode, y.get("dependence", "independent"))
+            pattern = keyed("sparsity", lambda d: SparsityPattern.from_dict(d, schedule), data.get("sparsity", {}))
+            horizon = keyed("horizon", as_int, data.get("horizon", 10 ** 6))
+            checkpoints = keyed("checkpoints", _list_of(as_int),
+                                data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))
+            epsilons = keyed("epsilons", _list_of(as_float), data.get("epsilons", cls.epsilons))
+            verdict_cfg = keyed("verdict", _object, data.get("verdict", {}))
+            epsilon_target = keyed("verdict.epsilon_target", as_float,
+                                   verdict_cfg.get("epsilon_target", cls.epsilon_target))
+            if epsilon_target not in epsilons:
+                epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
+            threshold = data.get("infrequency_threshold", cls.infrequency_threshold)
+            name = data.get("name", cls.name)
+            if not isinstance(name, str):
+                raise ConfigError(f"name: expected a string, got {type(name).__name__}")
+            spec = cls(
+                x_family=x_family,
+                envelope=envelope,
+                dependence=dependence,
+                schedule=schedule,
+                pattern=pattern,
+                horizon=horizon,
+                seed=keyed("seed", as_int, data.get("seed", cls.seed)),
+                name=name,
+                n_paths=keyed("n_paths", as_int, data.get("n_paths", cls.n_paths)),
+                checkpoints=checkpoints,
+                epsilons=epsilons,
+                epsilon_target=epsilon_target,
+                fraction_target=keyed("verdict.fraction_target", as_float,
+                                      verdict_cfg.get("fraction_target", cls.fraction_target)),
+                infrequency_threshold=(
+                    None if threshold is None else keyed("infrequency_threshold", as_float, threshold)
+                ),
+            )
+        except FieldError as exc:
+            raise ConfigError(str(exc)) from exc
         spec.validate()
         return spec
 
@@ -180,17 +183,6 @@ class ExperimentSpec:
             raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _parse(field: str, build, *args):
-    """``build(*args)``, with any failure reported as a ConfigError on
-    ``field``, or on the key below it that a :class:`FieldError` names."""
-    try:
-        return build(*args)
-    except FieldError as exc:
-        raise ConfigError(f"{field}.{exc.key}: {exc.message}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
-
-
 def _object(value) -> dict:
     """A JSON object, as is."""
     if not isinstance(value, dict):
@@ -217,10 +209,14 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
 
 @dataclass(frozen=True)
 class PathWorkspace:
-    """What every path of one spec reuses in one process: ``buf``, scratch
-    space of horizon float64 values that a path overwrites, and
-    ``inv_exponents``, 1/a_n at the insert indices."""
+    """What every path of one spec reuses in one process: the ``pattern``
+    and ``schedule`` it was built from; ``inserts``, the 0-based insert
+    indices, read-only; ``buf``, scratch space of horizon float64 values
+    that a path overwrites; and ``inv_exponents``, 1/a_n at the inserts."""
 
+    pattern: SparsityPattern
+    schedule: MomentSchedule
+    inserts: np.ndarray
     buf: np.ndarray
     inv_exponents: np.ndarray
 
@@ -228,8 +224,9 @@ class PathWorkspace:
 def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
     """The workspace of ``spec``; raises :class:`InvalidExponent` if an
     insert's exponent lies outside (0, 1]."""
-    inserts = spec.pattern.insert_indices(spec.horizon)
-    return PathWorkspace(np.empty(spec.horizon, dtype=np.float64),
+    inserts = np.flatnonzero(spec.pattern.alpha(spec.horizon))
+    inserts.flags.writeable = False
+    return PathWorkspace(spec.pattern, spec.schedule, inserts, np.empty(spec.horizon, dtype=np.float64),
                          reciprocal_exponents(spec.schedule.value(inserts + 1)))
 
 
@@ -241,8 +238,7 @@ def _emit_values(config: ExperimentSpec, workspace: PathWorkspace) -> tuple[np.n
     buffer, spread right to the positions that are not inserts, and the
     heavy draws are dropped into the gaps.
     """
-    horizon, buf = config.horizon, workspace.buf
-    inserts = config.pattern.insert_indices(horizon)
+    horizon, buf, inserts = config.horizon, workspace.buf, workspace.inserts
     n_insert = inserts.size
 
     def stream(channel: Channel) -> UniformStream:
@@ -294,7 +290,9 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     """Simulate one path to its horizon and summarize it at the checkpoints.
 
     ``workspace`` is the :func:`path_workspace` of any path of the same
-    spec, so the paths of an ensemble can share one; None builds one.  The
+    spec (one that shares its pattern and schedule objects, as
+    :meth:`ExperimentSpec.with_path` does), so the paths of an ensemble can
+    share one; None builds one.  The
     values are accumulated in place: its buffer holds Z_n, then S_n, then
     S_n/n, then |S_n/n| for the suffix-sup reduction.
     """
@@ -306,8 +304,8 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         raise ValueError("checkpoints must lie in [1, horizon]")
     if workspace is None:
         workspace = path_workspace(config)
-    elif (workspace.buf.shape != (horizon,)
-          or workspace.inv_exponents.shape != config.pattern.insert_indices(horizon).shape):
+    elif (workspace.buf.shape != (horizon,) or workspace.pattern is not config.pattern
+          or workspace.schedule is not config.schedule):
         raise ValueError("workspace was built for another spec")
 
     buf, insert_count = _emit_values(config, workspace)

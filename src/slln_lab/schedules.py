@@ -15,12 +15,12 @@ exponent of the position it lands on.  Small indices clamp to the value at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import FieldError, ScheduleRejected, SearchExhausted
+from .errors import FieldError, ScheduleRejected, SearchExhausted, as_float, as_int, keyed
 
 _POSITION_SEARCH_CAP = 10 ** 280
 _SEARCH_BLOCK = 1024
@@ -92,8 +92,6 @@ class MomentSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MomentSchedule":
-        from .generators import as_float, as_int, keyed  # local import: generators depends on this module
-
         form = keyed("form", ScheduleForm, data.get("form", "inv_sqrt_log"))
         # built one key at a time, so a failed check names its key
         constant_a = data.get("constant_a")
@@ -172,21 +170,21 @@ def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
     return np.ceil(c * np.power(n, schedule.value(n)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparsityPattern:
     """Nonrandom 0/1 insertion pattern with running counts.
 
     AUTO mode fires an insert exactly when ceil(c * n**a_n) increments, so
     phi_n tracks ceil(c * n**a_n) and the sup of phi_n / n**a_n stays below
-    c + 1.  The alpha array and its insert indices are materialized lazily
-    per horizon and cached.
+    c + 1.  The pattern is a plain value: alpha is built anew on each
+    call, and what the paths of a simulation reuse (the insert indices)
+    is kept in their :class:`~slln_lab.mixture.PathWorkspace`.
     """
 
     mode: SparsityMode
     c: float = 1.0
     schedule: MomentSchedule | None = None
     explicit: tuple[int, ...] | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the checks of one field name it by its JSON key
@@ -204,37 +202,6 @@ class SparsityPattern:
         """alpha_1..alpha_horizon as a uint8 array."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        cached = self._cache.get("alpha")
-        if cached is None or cached.size < horizon:
-            cached = self._cache["alpha"] = self._build_alpha(horizon)
-        return cached[:horizon]
-
-    def insert_indices(self, horizon: int) -> np.ndarray:
-        """0-based positions of the inserts among the first ``horizon``
-        indices, ``np.flatnonzero`` of alpha; read-only, cached next to it."""
-        cached = self._cache.get("inserts")
-        if cached is None or cached[0] != horizon:
-            indices = np.flatnonzero(self.alpha(horizon))
-            indices.flags.writeable = False
-            cached = self._cache["inserts"] = (horizon, indices)
-        return cached[1]
-
-    def phi(self, horizon: int) -> np.ndarray:
-        """Running insert count phi_1..phi_horizon.
-
-        Built from a fresh alpha and not cached: a spec keeps its pattern
-        for as long as its caller keeps the spec, and only the simulation
-        reads alpha often enough to be worth keeping.
-        """
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        return np.cumsum(self._build_alpha(horizon), dtype=np.int64)
-
-    def psi(self, horizon: int) -> np.ndarray:
-        """Running count of non-insert positions, n - phi_n."""
-        return np.arange(1, horizon + 1, dtype=np.int64) - self.phi(horizon)
-
-    def _build_alpha(self, horizon: int) -> np.ndarray:
         if self.mode is SparsityMode.ALL_ZERO:
             return np.zeros(horizon, dtype=np.uint8)
         if self.mode is SparsityMode.ALL_ONE:
@@ -251,6 +218,14 @@ class SparsityPattern:
             alpha[1:] = (np.diff(targets) > 0).astype(np.uint8)
         return alpha
 
+    def phi(self, horizon: int) -> np.ndarray:
+        """Running insert count phi_1..phi_horizon."""
+        return np.cumsum(self.alpha(horizon), dtype=np.int64)
+
+    def psi(self, horizon: int) -> np.ndarray:
+        """Running count of non-insert positions, n - phi_n."""
+        return np.arange(1, horizon + 1, dtype=np.int64) - self.phi(horizon)
+
     def to_dict(self) -> dict:
         out = {"mode": self.mode.value, "c": self.c}
         if self.explicit is not None:
@@ -260,8 +235,6 @@ class SparsityPattern:
     @classmethod
     def from_dict(cls, data: dict, schedule: MomentSchedule) -> "SparsityPattern":
         """``schedule`` drives the AUTO mode and is ignored by the others."""
-        from .generators import as_float, as_int, keyed  # local import: generators depends on this module
-
         mode = keyed("mode", SparsityMode, data.get("mode", "auto"))
         explicit = None
         if "alpha" in data:
@@ -274,12 +247,9 @@ class SparsityPattern:
         )
 
 
-def build_sparsity(schedule: MomentSchedule, c: float, horizon: int | None = None) -> SparsityPattern:
-    """AUTO pattern targeting phi_n ~ ceil(c * n**a_n); ``horizon`` pre-warms the cache."""
-    pattern = SparsityPattern(mode=SparsityMode.AUTO, c=c, schedule=schedule)
-    if horizon is not None:
-        pattern.alpha(horizon)
-    return pattern
+def build_sparsity(schedule: MomentSchedule, c: float) -> SparsityPattern:
+    """AUTO pattern targeting phi_n ~ ceil(c * n**a_n)."""
+    return SparsityPattern(mode=SparsityMode.AUTO, c=c, schedule=schedule)
 
 
 def sparsity_ratio_sup(pattern: SparsityPattern, schedule: MomentSchedule, horizon: int) -> float:

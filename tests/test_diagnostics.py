@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from slln_lab.diagnostics import (
     verdict,
 )
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
-from slln_lab.hypotheses import verify_hypotheses
 from slln_lab.mixture import ExperimentSpec, run_path
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern
 
@@ -145,27 +145,32 @@ def test_ensemble_deterministic_across_workers():
     def fixture(name, **changes):
         return dataclasses.replace(cli.load_config(name), seed=3, horizon=2 * 10 ** 4, **ensemble, **changes)
 
-    def theorem():
-        return fixture("theorem.json")
-
+    theorem = fixture("theorem.json")
     # every index an insert, and sparse independent inserts: both draw
     # their heavy values through each process's workspace
     dense = fixture("violate-sparsity.json")
     mixed = fixture("theorem.json", dependence=DependenceMode.INDEPENDENT)
-    assert dense.pattern.insert_indices(dense.horizon).size == dense.horizon
+    assert np.all(dense.pattern.alpha(dense.horizon) == 1)
     assert mixed.pattern.mode is SparsityMode.AUTO
-    # the pool is handed a spec that was already checked and whose sparsity
-    # pattern is already built
-    warm = theorem()
-    verify_hypotheses(warm)
-    warm.pattern.alpha(warm.horizon)
-    for cold, pooled in ((pure, pure), (theorem(), warm), (dense, dense), (mixed, mixed)):
-        seq = run_ensemble(cold, threads=1)
-        par = run_ensemble(pooled, threads=3)
+    # fewer paths than threads: one pool worker per path
+    pair = dataclasses.replace(theorem, n_paths=2)
+    for spec in (pure, theorem, dense, mixed, pair):
+        seq = run_ensemble(spec, threads=1)
+        par = run_ensemble(spec, threads=3)
         assert np.array_equal(seq.median, par.median)
         assert np.array_equal(seq.q99, par.q99)
         assert np.array_equal(seq.d_matrix, par.d_matrix)
         assert seq.verdict is par.verdict
+
+
+def test_ensemble_leaves_spec_unchanged():
+    # the spec is a plain value: what a run reuses lives in its workspace
+    spec = dataclasses.replace(cli.load_config("theorem.json"), horizon=2 * 10 ** 4, n_paths=4,
+                               checkpoints=(10 ** 3, 2 * 10 ** 4))
+    before = pickle.dumps(spec)
+    for threads in (1, 2):
+        run_ensemble(spec, threads=threads)
+        assert pickle.dumps(spec) == before
 
 
 def test_ensemble_repeatable():

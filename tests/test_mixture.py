@@ -244,6 +244,12 @@ def test_workspace_of_another_spec_is_rejected():
     config = make_config(horizon=500)
     with pytest.raises(ValueError, match="workspace"):
         run_path(config, [100], mixture.path_workspace(dataclasses.replace(config, horizon=400)))
+    # same horizon and insert count, inserts elsewhere
+    first = make_config(pattern=SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0) * 250), horizon=500)
+    second = make_config(pattern=SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(0, 1) * 250), horizon=500)
+    with pytest.raises(ValueError, match="workspace"):
+        run_path(second, [100], mixture.path_workspace(first))
+    run_path(first.with_path(3), [100], mixture.path_workspace(first))
 
 
 def test_nonfinite_values_counted():
@@ -269,10 +275,11 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
     for pattern in (build_sparsity(SCHED, 1.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
                     SparsityPattern(mode=SparsityMode.ALL_ONE)):
         config = make_config(pattern=pattern, horizon=10 ** 5)
-        config.pattern.insert_indices(config.horizon)  # built once per ensemble, not per path
+        workspace = mixture.path_workspace(config)  # built once per process, not per path
         points.clear()
-        summary = run_path(config, [10 ** 5])
-        assert sum(points) == summary.insert_count
+        summary = run_path(config, [10 ** 5], workspace)
+        assert sum(points) == 0
+        assert workspace.inv_exponents.size == summary.insert_count
 
 
 def test_resummation_zero_ulp():

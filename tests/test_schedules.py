@@ -113,7 +113,7 @@ def test_growth_broken_form_never_reaches():
 
 def test_build_sparsity_tracks_ceiling():
     # closed form: phi(1e6) = ceil(exp(sqrt(ln 1e6))) = ceil(41.137) = 42
-    pattern = build_sparsity(INV_SQRT_LOG, 1.0, 10 ** 6)
+    pattern = build_sparsity(INV_SQRT_LOG, 1.0)
     phi = pattern.phi(10 ** 6)
     assert phi[-1] == 42
     sup = sparsity_ratio_sup(pattern, INV_SQRT_LOG, 10 ** 6)
