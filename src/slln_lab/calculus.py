@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundViolation, SearchExhausted
-from .generators import DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, reciprocal_exponents
+from .generators import _CHUNK, DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, reciprocal_exponents
 from .quadrature import integrate_piecewise
 from .rng import Channel, StreamKey, derive_stream
 from .schedules import MomentSchedule, y_insertion_positions
@@ -38,8 +38,12 @@ DEFAULT_TRUNCATION = 10 ** 6
 DEFAULT_PS = (1.01, 1.5, 2.0, 3.0, 10.0)
 
 
-def envelope_power_integral(envelope: TailEnvelope, n, p: float):
-    """Closed form of integral_0^x p s**(p-1) G(s) ds for scalar or array x >= 0."""
+def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray | None = None):
+    """Closed form of integral_0^x p s**(p-1) G(s) ds for scalar or array x >= 0.
+
+    For an array ``n``, ``out`` (which may be ``n`` itself) receives the
+    values; None allocates it.  A scalar or 0-d ``n`` ignores ``out``.
+    """
     if p <= 0:
         raise ValueError("p must be positive")
     scalar = np.isscalar(n)
@@ -49,19 +53,37 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float):
     if envelope.kind is EnvelopeKind.EXP:
         import scipy.special as sp  # local import: it takes about 0.3 s to load, and only EXP needs it
 
-        out = sp.gamma(p + 1.0) * sp.gammainc(p, x)
-    else:
-        g = envelope.gamma
-        out = np.where(x <= 1.0, np.power(x, p), 0.0)
-        big = x > 1.0
-        if np.any(big):
-            xb = np.maximum(x, 1.0)
-            if abs(p - g) < 1e-12:
-                tail = 1.0 + p * np.log(xb)
-            else:
-                tail = 1.0 + p / (p - g) * (np.power(xb, p - g) - 1.0)
-            out = np.where(big, tail, out)
-    return float(out) if scalar else out
+        if x.ndim:
+            value = sp.gammainc(p, x, out=np.empty_like(x) if out is None else out)
+            value *= sp.gamma(p + 1.0)
+            return value
+        value = sp.gamma(p + 1.0) * sp.gammainc(p, x)
+        return float(value) if scalar else value
+    g = envelope.gamma
+    if x.ndim:  # the 0-d expressions below may round apart from the array loop
+        low = x <= 1.0
+        head = np.power(x[low], p)
+        value = np.maximum(x, 1.0, out=np.empty_like(x) if out is None else out)
+        if abs(p - g) < 1e-12:
+            np.log(value, out=value)
+            value *= p
+        else:
+            np.power(value, p - g, out=value)
+            value -= 1.0
+            value *= p / (p - g)
+        value += 1.0
+        value[low] = head
+        return value
+    value = np.where(x <= 1.0, np.power(x, p), 0.0)
+    big = x > 1.0
+    if np.any(big):
+        xb = np.maximum(x, 1.0)
+        if abs(p - g) < 1e-12:
+            tail = 1.0 + p * np.log(xb)
+        else:
+            tail = 1.0 + p / (p - g) * (np.power(xb, p - g) - 1.0)
+        value = np.where(big, tail, value)
+    return float(value) if scalar else value
 
 
 def truncated_power_moment(envelope: TailEnvelope, n: float, p: float) -> float:
@@ -131,6 +153,22 @@ def _body_remainder(envelope: TailEnvelope, t: float, p: float) -> float:
     return head + far
 
 
+def _partial_sum(fill, truncation: int) -> float:
+    """sum_{n=3}^{truncation} of the terms ``fill(n, dest)`` writes into ``dest``.
+
+    ``n`` runs over the float indices a chunk of ``_CHUNK`` at a time.  The
+    terms fill one array that is summed once, so the result is the float
+    ``np.sum`` gives over the whole-range expression (the same pairwise tree).
+    """
+    terms = np.empty(truncation - 2)
+    steps = np.arange(_CHUNK, dtype=np.float64)
+    n = np.empty(_CHUNK)
+    for s0 in range(0, terms.size, _CHUNK):
+        dest = terms[s0:s0 + _CHUNK]
+        fill(np.add(steps[:dest.size], s0 + 3, out=n[:dest.size]), dest)
+    return float(np.sum(terms))
+
+
 def series_bound_A(
     envelope: TailEnvelope, p: float, truncation: int = DEFAULT_TRUNCATION
 ) -> BoundCheck:
@@ -145,8 +183,13 @@ def series_bound_A(
         raise ValueError("p must exceed 1")
     if truncation < 3:
         raise ValueError("truncation must be >= 3")
-    n = np.arange(3, truncation + 1, dtype=np.float64)
-    partial = float(np.sum(n ** (-p) * envelope_power_integral(envelope, n, p)))
+    weights = np.empty(_CHUNK)
+
+    def fill(n: np.ndarray, dest: np.ndarray) -> None:
+        envelope_power_integral(envelope, n, p, out=dest)
+        dest *= np.power(n, -p, out=weights[:n.size])
+
+    partial = _partial_sum(fill, truncation)
     remainder = _body_remainder(envelope, float(truncation), p)
     return BoundCheck(
         name="series_A",
@@ -169,8 +212,7 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     """
     if truncation < 3:
         raise ValueError("truncation must be >= 3")
-    n = np.arange(3, truncation + 1, dtype=np.float64)
-    partial = float(np.sum(envelope.survival(n)))
+    partial = _partial_sum(lambda n, dest: envelope.survival(n, out=dest), truncation)
     remainder = envelope.tail_integral(float(truncation))
     return BoundCheck(
         name="series_B",

@@ -105,13 +105,15 @@ class ExperimentSpec:
         if unknown:
             raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
         try:
-            schedule = keyed("schedule", MomentSchedule.from_dict, data.get("schedule", {}))
-            x_family = keyed("x", XFamily.from_dict, data.get("x", {"family": "parity_rademacher"}))
+            schedule = keyed("schedule", lambda d: MomentSchedule.from_dict(_object(d)), data.get("schedule", {}))
+            x_family = keyed("x", lambda d: XFamily.from_dict(_object(d)),
+                             data.get("x", {"family": "parity_rademacher"}))
             y = keyed("y", _object, data.get("y", {}))
-            envelope = keyed("y.envelope", TailEnvelope.from_dict,
+            envelope = keyed("y.envelope", lambda d: TailEnvelope.from_dict(_object(d)),
                              y.get("envelope", {"kind": "pareto", "gamma": 2.0}))
             dependence = keyed("y.dependence", DependenceMode, y.get("dependence", "independent"))
-            pattern = keyed("sparsity", lambda d: SparsityPattern.from_dict(d, schedule), data.get("sparsity", {}))
+            pattern = keyed("sparsity", lambda d: SparsityPattern.from_dict(_object(d), schedule),
+                            data.get("sparsity", {}))
             horizon = keyed("horizon", as_int, data.get("horizon", 10 ** 6))
             checkpoints = keyed("checkpoints", _list_of(as_int),
                                 data.get("checkpoints", _clip_checkpoints(DEFAULT_CHECKPOINTS, horizon)))

@@ -6,6 +6,7 @@ import pytest
 
 from slln_lab.calculus import (
     BOUND_TOL,
+    BoundCheck,
     block_tail_bound,
     bound_suite,
     build_block_schedule,
@@ -130,6 +131,77 @@ def test_series_B_truncation_independent_bound():
         assert check.value <= check.bound
         # value is an upper assembly: smaller truncation, larger remainder
         assert check.remainder >= 0
+
+
+def reference_power_integral(envelope, x, p):
+    """envelope_power_integral as one whole-array expression (the oracle of the in-place form)."""
+    if envelope.kind is EXP.kind:
+        import scipy.special as sp
+
+        return sp.gamma(p + 1.0) * sp.gammainc(p, x)
+    g = envelope.gamma
+    out = np.where(x <= 1.0, np.power(x, p), 0.0)
+    xb = np.maximum(x, 1.0)
+    if abs(p - g) < 1e-12:
+        tail = 1.0 + p * np.log(xb)
+    else:
+        tail = 1.0 + p / (p - g) * (np.power(xb, p - g) - 1.0)
+    return np.where(x > 1.0, tail, out)
+
+
+def reference_survival(envelope, t):
+    if envelope.kind is EXP.kind:
+        return np.exp(-t)
+    return np.where(t <= 1.0, 1.0, np.power(np.maximum(t, 1.0), -envelope.gamma))
+
+
+def reference_series_A(envelope, p, truncation):
+    n = np.arange(3, truncation + 1, dtype=np.float64)
+    return float(np.sum(n ** (-p) * reference_power_integral(envelope, n, p)))
+
+
+def reference_series_B(envelope, truncation):
+    n = np.arange(3, truncation + 1, dtype=np.float64)
+    return float(np.sum(reference_survival(envelope, n)))
+
+
+SERIES_CASES = [(env, p) for env in (EXP, PARETO15, PARETO2) for p in (1.01, 1.5, 2.0, 10.0)]
+
+
+# truncations at the edges of the 2**16 chunks the partial sums are filled in
+@pytest.mark.parametrize("truncation", [3, 4, 2 ** 16 + 2, 2 ** 16 + 3, 3 * 2 ** 16 + 5])
+def test_series_partial_sums_equal_the_whole_array_sums(monkeypatch, truncation):
+    # the partial sums alone: at small truncations the remainder bounds exceed the series bounds
+    monkeypatch.setattr(BoundCheck, "enforce", lambda check: check)
+    for env, p in SERIES_CASES:
+        assert series_bound_A(env, p, truncation).partial == reference_series_A(env, p, truncation), (env, p)
+    for env in (EXP, PARETO15, PARETO2):
+        assert series_bound_B(env, truncation).partial == reference_series_B(env, truncation), env
+
+
+def test_series_partial_sums_equal_the_whole_array_sums_at_the_default_truncation():
+    assert series_bound_A(PARETO15, 1.5).partial == reference_series_A(PARETO15, 1.5, 10 ** 6)
+    assert series_bound_B(PARETO15).partial == reference_series_B(PARETO15, 10 ** 6)
+
+
+@pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])
+def test_array_branches_into_out_equal_the_whole_array_expressions(env):
+    x = np.array([0.0, 1e-300, 0.25, 0.5, 0.999, 1.0, 1.0 + 2 ** -52, 1.5, 2.0, 3.0, 17.5, 1e3, 1e6])
+    for p in (1.01, 1.5, 2.0, 10.0):
+        expected = reference_power_integral(env, x, p)
+        out = np.full_like(x, np.nan)
+        assert envelope_power_integral(env, x, p, out=out) is out
+        assert np.array_equal(out, expected)
+        assert np.array_equal(envelope_power_integral(env, x, p), expected)
+        in_place = x.copy()
+        assert np.array_equal(envelope_power_integral(env, in_place, p, out=in_place), expected)
+    expected = reference_survival(env, x)
+    out = np.full_like(x, np.nan)
+    assert env.survival(x, out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(env.survival(x), expected)
+    in_place = x.copy()
+    assert np.array_equal(env.survival(in_place, out=in_place), expected)
 
 
 def test_combined_bound_examples():

@@ -261,6 +261,10 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     ({"epsilons": ["0.2", True]}, "epsilons"),
     ({"infrequency_threshold": True}, "infrequency_threshold"),
     ({"name": 5}, "name"),
+    ({"sparsity": 5}, "sparsity"),
+    ({"schedule": "s"}, "schedule"),
+    ({"x": "s"}, "x"),
+    ({"y": {"envelope": "p"}}, "y.envelope"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
@@ -269,12 +273,25 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
        "floor_index_bool", "floor_index_below_log_domain", "constant_a_bool", "sparsity_c_string",
        "sparsity_c_overflow", "alpha_bools", "epsilon_target_string", "fraction_target_bool",
        "half_width_string", "rate_bool", "gamma_string", "epsilons_string_and_bool",
-       "infrequency_threshold_bool", "name_number"])
+       "infrequency_threshold_bool", "name_number", "sparsity_number", "schedule_string", "x_string",
+       "envelope_string"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, field):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2
     assert json.loads(capsys.readouterr().err)["message"].startswith(f"{field}:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"sparsity": 5}, "sparsity: expected an object, got int"),
+    ({"schedule": "s"}, "schedule: expected an object, got str"),
+    ({"x": "s"}, "x: expected an object, got str"),
+    ({"y": {"envelope": "p"}}, "y.envelope: expected an object, got str"),
+])
+def test_section_of_the_wrong_type_is_named(data, message):
+    with pytest.raises(ConfigError) as info:
+        mixture.ExperimentSpec.from_dict({"horizon": 100, **data})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("form", ["inv_sqrt_log", "loglog_over_log", "inv_log"])

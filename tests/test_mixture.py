@@ -219,6 +219,17 @@ def test_one_worker_equals_two_on_random_specs(mode, dependence, data):
     assert one.to_dict() == two.to_dict()
 
 
+@pytest.mark.parametrize("dependence", DependenceMode)
+@pytest.mark.parametrize("mode", SparsityMode)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_deviation_sup_nonincreasing_on_random_specs(mode, dependence, data):
+    report = run_ensemble(data.draw(ensemble_specs((mode,), (dependence,))), threads=1)
+    # compared, not differenced: an infinite D equal at two checkpoints is no increase
+    for d in (report.d_matrix, report.median, report.q90, report.q99, *report.fractions_above.values()):
+        assert np.all(d[..., 1:] <= d[..., :-1])
+
+
 class _SteepSchedule(MomentSchedule):
     """Twice the exponents of its form, so the first ones exceed 1; only a
     spec that skips validation can hold it."""

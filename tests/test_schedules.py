@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slln_lab.errors import ScheduleRejected, SearchExhausted
 from slln_lab.schedules import (
@@ -138,6 +140,23 @@ def test_sparsity_bookkeeping_invariants():
         assert np.array_equal(np.diff(phi), alpha[1:].astype(np.int64))
         assert set(np.unique(alpha)).issubset({0, 1})
         assert phi[0] == alpha[0]
+
+
+@st.composite
+def schedules(draw):
+    """A valid schedule of any form, with or without its own floor index."""
+    form = draw(st.sampled_from(ScheduleForm))
+    if form is ScheduleForm.CONSTANT:
+        return MomentSchedule(form, constant_a=draw(st.floats(0.01, 1.0)),
+                              floor_index=draw(st.none() | st.integers(1, 40)))
+    return MomentSchedule(form, floor_index=draw(st.none() | st.integers(3, 40)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(schedules(), st.floats(0.01, 20.0), st.integers(1, 3000))
+def test_phi_stays_below_its_target(schedule, c, horizon):
+    n = np.arange(1, horizon + 1, dtype=np.float64)
+    assert np.all(build_sparsity(schedule, c).phi(horizon) <= np.ceil(c * np.power(n, schedule.value(n))))
 
 
 def test_sparsity_ratio_sup_bounded_by_c_plus_one():
