@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from slln_lab.calculus import (
     BOUND_TOL,
@@ -136,8 +137,6 @@ def test_series_B_truncation_independent_bound():
 def reference_power_integral(envelope, x, p):
     """envelope_power_integral as one whole-array expression (the oracle of the in-place form)."""
     if envelope.kind is EXP.kind:
-        import scipy.special as sp
-
         return sp.gamma(p + 1.0) * sp.gammainc(p, x)
     g = envelope.gamma
     out = np.where(x <= 1.0, np.power(x, p), 0.0)
