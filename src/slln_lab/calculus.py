@@ -41,29 +41,26 @@ DEFAULT_PS = (1.01, 1.5, 2.0, 3.0, 10.0)
 def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray | None = None):
     """Closed form of integral_0^x p s**(p-1) G(s) ds for scalar or array x >= 0.
 
-    For an array ``n``, ``out`` (which may be ``n`` itself) receives the
-    values; None allocates it.  A scalar or 0-d ``n`` ignores ``out``.
+    ``out`` (which may be ``n`` itself) receives the values of an array ``n``;
+    None allocates it.  A scalar ``n`` gives a float.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     scalar = np.isscalar(n)
     x = np.asarray(n, dtype=np.float64)
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails too
         raise ValueError("upper limit must be >= 0")
+    value = np.empty_like(x) if out is None else out
     if envelope.kind is EnvelopeKind.EXP:
         import scipy.special as sp  # local import: it takes about 0.3 s to load, and only EXP needs it
 
-        if x.ndim:
-            value = sp.gammainc(p, x, out=np.empty_like(x) if out is None else out)
-            value *= sp.gamma(p + 1.0)
-            return value
-        value = sp.gamma(p + 1.0) * sp.gammainc(p, x)
-        return float(value) if scalar else value
-    g = envelope.gamma
-    if x.ndim:  # the 0-d expressions below may round apart from the array loop
+        sp.gammainc(p, x, out=value)
+        value *= sp.gamma(p + 1.0)
+    else:
+        g = envelope.gamma
         low = x <= 1.0
         head = np.power(x[low], p)
-        value = np.maximum(x, 1.0, out=np.empty_like(x) if out is None else out)
+        np.maximum(x, 1.0, out=value)
         if abs(p - g) < 1e-12:
             np.log(value, out=value)
             value *= p
@@ -73,16 +70,6 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray
             value *= p / (p - g)
         value += 1.0
         value[low] = head
-        return value
-    value = np.where(x <= 1.0, np.power(x, p), 0.0)
-    big = x > 1.0
-    if np.any(big):
-        xb = np.maximum(x, 1.0)
-        if abs(p - g) < 1e-12:
-            tail = 1.0 + p * np.log(xb)
-        else:
-            tail = 1.0 + p / (p - g) * (np.power(xb, p - g) - 1.0)
-        value = np.where(big, tail, value)
     return float(value) if scalar else value
 
 

@@ -335,24 +335,19 @@ class TailEnvelope:
     def survival(self, t, out: np.ndarray | None = None):
         """Envelope value at t >= 0.
 
-        For an array ``t``, ``out`` (which may be ``t`` itself) receives the
-        values; None allocates it.  A scalar or 0-d ``t`` ignores ``out``.
+        ``out`` (which may be ``t`` itself) receives the values of an array
+        ``t``; None allocates it.  A scalar ``t`` gives a float.
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0):
+        if not np.all(t >= 0):  # NaN fails too
             raise ValueError("survival is defined for t >= 0")
-        if t.ndim == 0:  # a 0-d ufunc call may round apart from the array loop
-            if self.kind is EnvelopeKind.EXP:
-                value = np.exp(-t)
-            else:
-                value = np.where(t <= 1.0, 1.0, np.power(np.maximum(t, 1.0), -self.gamma))
-            return float(value) if scalar else value
+        value = np.empty_like(t) if out is None else out
         if self.kind is EnvelopeKind.EXP:
-            s = np.negative(t, out=np.empty_like(t) if out is None else out)
-            return np.exp(s, out=s)
-        s = np.maximum(t, 1.0, out=np.empty_like(t) if out is None else out)
-        return np.power(s, -self.gamma, out=s)  # 1.0 wherever t <= 1
+            np.exp(np.negative(t, out=value), out=value)
+        else:
+            np.power(np.maximum(t, 1.0, out=value), -self.gamma, out=value)  # 1.0 wherever t <= 1
+        return float(value) if scalar else value
 
     def integral(self) -> float:
         """Total integral of the envelope (finite by construction)."""

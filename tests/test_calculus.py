@@ -192,6 +192,7 @@ def test_array_branches_into_out_equal_the_whole_array_expressions(env):
         assert envelope_power_integral(env, x, p, out=out) is out
         assert np.array_equal(out, expected)
         assert np.array_equal(envelope_power_integral(env, x, p), expected)
+        assert [envelope_power_integral(env, float(v), p) for v in x] == list(expected)
         in_place = x.copy()
         assert np.array_equal(envelope_power_integral(env, in_place, p, out=in_place), expected)
     expected = reference_survival(env, x)
@@ -199,8 +200,19 @@ def test_array_branches_into_out_equal_the_whole_array_expressions(env):
     assert env.survival(x, out=out) is out
     assert np.array_equal(out, expected)
     assert np.array_equal(env.survival(x), expected)
+    assert [env.survival(float(v)) for v in x] == list(expected)
     in_place = x.copy()
     assert np.array_equal(env.survival(in_place, out=in_place), expected)
+
+
+@pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, np.array(math.nan), np.array([0.5, math.nan, 2.0])],
+                         ids=["negative", "nan", "nan_0d", "nan_in_array"])
+def test_negative_or_nan_argument_is_rejected(env, bad):
+    with pytest.raises(ValueError, match="upper limit must be >= 0"):
+        envelope_power_integral(env, bad, 1.5)
+    with pytest.raises(ValueError, match="survival is defined for t >= 0"):
+        env.survival(bad)
 
 
 def test_combined_bound_examples():
