@@ -59,7 +59,7 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray
     else:
         g = envelope.gamma
         low = x <= 1.0
-        head = np.power(x[low], p)
+        head = np.power(x[low], p)  # taken before ``value``, which may be ``x``, is overwritten
         np.maximum(x, 1.0, out=value)
         if abs(p - g) < 1e-12:
             np.log(value, out=value)
