@@ -3,7 +3,7 @@
 import numpy as np
 
 from slln_lab import Channel, DependenceMode, StreamKey, TailEnvelope, XFamily, derive_stream
-from slln_lab.generators import sample_y
+from slln_lab.generators import draw_heavy, reciprocal_exponents
 
 # --- pairwise independent, not mutually independent --------------------------
 fam = XFamily.parity(block_bits=2)
@@ -23,11 +23,14 @@ v = env.sample_v(ystream.uniforms(10 ** 5))
 for t in (1.0, 2.0, 5.0):
     print(f"empirical P(v > {t}) = {np.mean(v > t):.5f}  envelope {env.survival(t):.5f}")
 
-y_mild = sample_y(env, DependenceMode.INDEPENDENT, np.full(10 ** 4, 0.9), stream=ystream)
-y_wild = sample_y(env, DependenceMode.INDEPENDENT, np.full(10 ** 4, 0.3), stream=ystream)
+y_mild = draw_heavy(env, DependenceMode.INDEPENDENT, reciprocal_exponents(np.full(10 ** 4, 0.9)),
+                    np.empty(10 ** 4), stream=ystream)
+y_wild = draw_heavy(env, DependenceMode.INDEPENDENT, reciprocal_exponents(np.full(10 ** 4, 0.3)),
+                    np.empty(10 ** 4), stream=ystream)
 print(f"exponent 0.9: max draw {y_mild.max():.3g} (mean still finite)")
 print(f"exponent 0.3: max draw {y_wild.max():.3g} (mean infinite: tail index {2 * 0.3:.2f})")
 
 shared = 0.75
-print("comonotone draws from one uniform:",
-      [round(sample_y(env, DependenceMode.COMONOTONE, a, shared_u=shared), 4) for a in (1.0, 0.5, 0.25)])
+comonotone = draw_heavy(env, DependenceMode.COMONOTONE, reciprocal_exponents([1.0, 0.5, 0.25]), np.empty(3),
+                        shared_u=shared)
+print("comonotone draws from one uniform:", [round(y, 4) for y in comonotone.tolist()])

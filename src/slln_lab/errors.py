@@ -67,8 +67,11 @@ class DivergentIntegral(SllnLabError):
 class BoundViolation(SllnLabError):
     """A numerically evaluated series exceeded its analytic bound.
 
-    This signals an implementation bug, not a mathematical failure: every
-    bound checked in this package is a theorem for the built-in envelopes.
+    Every bound checked in this package is a theorem for the built-in
+    envelopes, but the evaluated value is a partial sum plus a remainder
+    bound.  At a small truncation the remainder can dominate and exceed the
+    bound on its own; the message shows both parts.  At the default
+    truncation a violation signals an implementation bug.
     """
 
 

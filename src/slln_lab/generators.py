@@ -125,24 +125,11 @@ class XFamily:
             return self.shape > 1.0
         return True
 
-    def sigma(self) -> float | None:
-        """Standard deviation, or None when the variance is infinite."""
-        if self.kind is XKind.IID_UNIFORM:
-            return self.half_width / math.sqrt(3.0)
-        if self.kind is XKind.IID_SHIFTED_EXP:
-            return 1.0 / self.rate
-        if self.kind is XKind.PARITY_RADEMACHER:
-            return 1.0
-        if self.shape > 2.0:
-            b = self.shape
-            return math.sqrt(b / ((b - 1.0) ** 2 * (b - 2.0)))
-        return None
-
     def tail(self, x):
         """P(|X| > x) for scalar or array x >= 0, in closed form."""
         scalar = np.isscalar(x)
         x = np.asarray(x, dtype=np.float64)
-        if np.any(x < 0):
+        if not np.all(x >= 0):  # NaN fails too
             raise ValueError("tail is defined for x >= 0")
         if self.kind is XKind.IID_UNIFORM:
             out = np.clip(1.0 - x / self.half_width, 0.0, 1.0)
@@ -271,38 +258,6 @@ def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (ones & 1)
 
 
-@dataclass
-class MeanCheck:
-    status: str  # PASS / FAIL / N-A
-    sample_mean: float
-    band: float | None
-    n_samples: int
-    detail: str
-
-
-def centered_mean_check(family: XFamily, n_samples: int, stream: UniformStream) -> MeanCheck:
-    """Sample mean against its 3-sigma CLT band around 0.
-
-    Families with infinite mean get status N/A (no band exists); families
-    with finite mean but infinite variance fall back to the sample standard
-    deviation, flagged in the detail text.
-    """
-    if n_samples < 10 ** 3:
-        raise ValueError("n_samples must be at least 1000")
-    if not family.has_finite_mean():
-        return MeanCheck("N/A", math.nan, None, n_samples, "infinite-mean family: no centering exists")
-    draws = family.sample_block(n_samples, stream)
-    mean = float(draws.mean())
-    sigma = family.sigma()
-    detail = "analytic sigma"
-    if sigma is None:
-        sigma = float(draws.std())
-        detail = "infinite variance: band from sample sigma (indicative only)"
-    band = 3.0 * sigma / math.sqrt(n_samples)
-    status = "PASS" if abs(mean) <= band else "FAIL"
-    return MeanCheck(status, mean, band, n_samples, detail)
-
-
 class EnvelopeKind(Enum):
     EXP = "exp"
     PARETO = "pareto"
@@ -357,7 +312,7 @@ class TailEnvelope:
 
     def tail_integral(self, cutoff: float) -> float:
         """Integral of the envelope over [cutoff, inf), in closed form."""
-        if cutoff < 0:
+        if not np.all(cutoff >= 0):  # NaN fails too
             raise ValueError("cutoff must be >= 0")
         if self.kind is EnvelopeKind.EXP:
             return math.exp(-cutoff)
@@ -369,11 +324,6 @@ class TailEnvelope:
         if self.kind is EnvelopeKind.EXP:
             return [0.0]
         return [0.0, 1.0]
-
-    def median_v(self) -> float:
-        if self.kind is EnvelopeKind.EXP:
-            return math.log(2.0)
-        return 2.0 ** (1.0 / self.gamma)
 
     def sample_v(self, u, out: np.ndarray | None = None):
         """Inverse-CDF draw with survival exactly equal to the envelope.
@@ -450,23 +400,6 @@ def draw_heavy(
         envelope.sample_v(stream.uniforms(chunk.size, chunk), out=chunk)
         np.power(chunk, inv_exponents[s0:s0 + _CHUNK], out=chunk)
     return out
-
-
-def sample_y(
-    envelope: TailEnvelope,
-    mode: DependenceMode,
-    exponent,
-    stream: UniformStream | None = None,
-    shared_u: float | None = None,
-):
-    """Heavy draw(s) y = v ** (1/exponent), as :func:`draw_heavy` makes them.
-
-    ``exponent`` may be a scalar or an array; the array length fixes the
-    number of draws, and a scalar gives one float.
-    """
-    inv = reciprocal_exponents(exponent)
-    out = draw_heavy(envelope, mode, inv.reshape(-1), np.empty(inv.size), stream=stream, shared_u=shared_u)
-    return out.reshape(inv.shape) if inv.ndim else float(out[0])
 
 
 def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule) -> int | None:

@@ -102,7 +102,6 @@ def envelope_constant(envelope: TailEnvelope) -> float:
 class VMomentReport:
     status: str
     mean_v: float
-    median_v: float
     infinite_mean_onset_index: int | None
     detail: str
 
@@ -122,7 +121,6 @@ def v_moment_check(envelope: TailEnvelope, schedule: MomentSchedule | None = Non
     return VMomentReport(
         status="PASS" if math.isfinite(mean_v) else "FAIL",
         mean_v=mean_v,
-        median_v=envelope.median_v(),
         infinite_mean_onset_index=onset,
         detail=detail,
     )

@@ -26,7 +26,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     integrands).  Refinement stops at depth 60; hitting that cap degrades
     accuracy rather than raising, and it goes unnoticed unless the caller
     cross-checks the result, as only ``envelope_constant`` does
-    (``cesaro_tail_constant`` and ``truncated_power_moment`` do not).
+    (``cesaro_tail_constant`` does not).
     """
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)

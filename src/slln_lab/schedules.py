@@ -252,13 +252,6 @@ def build_sparsity(schedule: MomentSchedule, c: float) -> SparsityPattern:
     return SparsityPattern(mode=SparsityMode.AUTO, c=c, schedule=schedule)
 
 
-def sparsity_ratio_sup(pattern: SparsityPattern, schedule: MomentSchedule, horizon: int) -> float:
-    """max over n <= horizon of phi_n / n**a_n."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return float(ratio_running_max(pattern, schedule, horizon)[-1])
-
-
 def ratio_running_max(pattern: SparsityPattern, schedule: MomentSchedule, horizon: int) -> np.ndarray:
     """Running max of phi_n / n**a_n (used by the infrequency verifier)."""
     n = np.arange(1, horizon + 1, dtype=np.float64)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from slln_lab.calculus import (
     weighted_y_series_ensemble,
 )
 from slln_lab.errors import BoundViolation, SearchExhausted
-from slln_lab.generators import DependenceMode, TailEnvelope, sample_y
+from slln_lab.generators import DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
 
@@ -38,8 +39,10 @@ def test_truncated_moment_empty():
 
 
 def test_truncated_moment_exp_limit():
-    # integral of 2 s exp(-s) over [0, inf) = 2
-    assert truncated_power_moment(EXP, 60.0, 2.0) == pytest.approx(2.0, rel=1e-9)
+    # integral of 2 s exp(-s) over [0, inf) = 2; from n = 1e4 on, 2 s e**-s is 0 in floats at
+    # every first sample of an adaptive Simpson on [0, n], which then accepted 0
+    for n in (60.0, 1e4, 1e5, 1e6):
+        assert truncated_power_moment(EXP, n, 2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_truncated_moment_pareto_closed_form():
@@ -49,13 +52,26 @@ def test_truncated_moment_pareto_closed_form():
     assert value == pytest.approx(6.6052, abs=1e-4)
 
 
-def test_truncated_moment_matches_closed_form_integral():
-    for env in (EXP, PARETO2, PARETO15):
-        for p in (1.5, 2.0, 3.0):
-            for n in (2, 7, 25):
-                quad = truncated_power_moment(env, n, p)
-                closed = envelope_power_integral(env, float(n), p) + n ** p * env.survival(float(n))
-                assert quad == pytest.approx(closed, rel=1e-8)
+def mpmath_truncated_moment(envelope, n, p):
+    """E min(v, n)**p by mpmath quadrature, split at the envelope's kink."""
+    def surv(s):
+        return mpmath.exp(-s) if envelope.kind is EXP.kind else min(mpmath.mpf(1), s ** -envelope.gamma)
+
+    n = mpmath.mpf(n)
+    body = mpmath.quad(lambda s: p * s ** (p - 1) * surv(s), [0, min(1, n), n])
+    return float(body + n ** p * surv(n))
+
+
+@pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 10.0])
+def test_truncated_moment_matches_mpmath(env, p):
+    # an adaptive Simpson hit its depth cap at p = 1.01, and on Pareto(1.5) at p = 10, n = 1e3 ran
+    # past 8 s, refining an integral near n**8.5 to an absolute tolerance
+    for n in (0.5, 2, 7, 25, 10 ** 3):
+        start = time.perf_counter()
+        value = truncated_power_moment(env, n, p)
+        assert time.perf_counter() - start < 0.5
+        assert value == pytest.approx(mpmath_truncated_moment(env, n, p), rel=1e-9)
 
 
 def test_truncated_moment_nondecreasing_in_n():
@@ -68,7 +84,6 @@ def test_truncated_moment_nondecreasing_in_n():
         assert all(b >= a - 1e-12 for a, b in zip(exact, exact[1:]))
         boundary = [truncated_power_moment(env, n, 2.5) - e for n, e in zip(grid, exact)]
         assert all(t >= -1e-9 for t in boundary)
-        # at n=64 the boundary term has decayed; what is left is quadrature error
         assert boundary[-1] == pytest.approx(64.0 ** 2.5 * env.survival(64.0), abs=1e-8)
 
 
@@ -213,6 +228,13 @@ def test_negative_or_nan_argument_is_rejected(env, bad):
         envelope_power_integral(env, bad, 1.5)
     with pytest.raises(ValueError, match="survival is defined for t >= 0"):
         env.survival(bad)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        env.tail_integral(bad)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        truncated_power_moment(env, bad, 1.5)
+    for fam in (XFamily.uniform(), XFamily.shifted_exp(), XFamily.parity(), XFamily.pareto_centered()):
+        with pytest.raises(ValueError, match="tail is defined for x >= 0"):
+            fam.tail(bad)
 
 
 def test_combined_bound_examples():
@@ -253,6 +275,21 @@ def test_bound_violation_detected_for_inconsistent_envelope():
 
     with pytest.raises(BoundViolation):
         series_bound_A(LyingEnvelope(), 2.0)
+
+
+def test_small_truncation_violation_shows_its_remainder(monkeypatch):
+    # the bound is a theorem, but the value adds a remainder bound that is too loose at a small
+    # truncation: series A on Pareto(1.5) at p = 10 exceeds its bound up to truncation 7
+    with pytest.raises(BoundViolation) as raised:
+        bound_suite([PARETO15], ps=(10.0,), truncation=7)
+    assert bound_suite([PARETO15], ps=(10.0,), truncation=8)[0]["slack_A"] > 0
+    monkeypatch.setattr(BoundCheck, "enforce", lambda check: check)
+    check = series_bound_A(PARETO15, 10.0, 7)
+    assert check.remainder > check.partial
+    assert str(raised.value) == (
+        f"series_A[pareto(1.5), p=10.0]: value {check.value!r} (partial sum {check.partial!r} "
+        f"+ remainder {check.remainder!r} at truncation 7) exceeds bound {check.bound!r}"
+    )
 
 
 def test_mpmath_confirms_series_A_below_bound_for_stress_pair():
@@ -384,7 +421,8 @@ def test_weighted_series_simulated_ensemble():
     exponents = schedule.value(np.asarray(y_insertion_positions(schedule, 1.0, 300), dtype=np.float64))
     for i in range(3):
         stream = derive_stream(StreamKey(5, i, Channel.Y))
-        y = sample_y(PARETO2, DependenceMode.INDEPENDENT, exponents, stream=stream)
+        y = draw_heavy(PARETO2, DependenceMode.INDEPENDENT, reciprocal_exponents(exponents), np.empty(300),
+                       stream=stream)
         assert small.increments[i] == weighted_y_series(y, exponents).last_decade_increment
 
 

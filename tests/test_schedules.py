@@ -13,7 +13,7 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    sparsity_ratio_sup,
+    ratio_running_max,
     validate_schedule,
     _targets,
     y_insertion_positions,
@@ -118,7 +118,7 @@ def test_build_sparsity_tracks_ceiling():
     pattern = build_sparsity(INV_SQRT_LOG, 1.0)
     phi = pattern.phi(10 ** 6)
     assert phi[-1] == 42
-    sup = sparsity_ratio_sup(pattern, INV_SQRT_LOG, 10 ** 6)
+    sup = ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 6)[-1]
     assert 0.5 <= sup <= 2.0
     assert sup <= 1.0 + 1.0  # c + 1
 
@@ -159,16 +159,16 @@ def test_phi_stays_below_its_target(schedule, c, horizon):
     assert np.all(build_sparsity(schedule, c).phi(horizon) <= np.ceil(c * np.power(n, schedule.value(n))))
 
 
-def test_sparsity_ratio_sup_bounded_by_c_plus_one():
+def test_ratio_running_max_bounded_by_c_plus_one():
     for c in (0.3, 0.7, 1.0, 2.0, 5.0):
         pattern = build_sparsity(INV_SQRT_LOG, c)
-        assert sparsity_ratio_sup(pattern, INV_SQRT_LOG, 10 ** 5) <= c + 1.0 + 1e-12
+        assert ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 5)[-1] <= c + 1.0 + 1e-12
 
 
 def test_all_one_ratio_grows():
     # n / n**a_n at horizon 1e4: 1e4 / e^{sqrt(ln 1e4)} = 480.84...
     pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
-    sup = sparsity_ratio_sup(pattern, INV_SQRT_LOG, 10 ** 4)
+    sup = ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 4)[-1]
     expected = 10 ** 4 / math.exp(math.sqrt(math.log(10 ** 4)))
     assert sup == pytest.approx(expected, rel=1e-9)
     assert sup == pytest.approx(481, abs=1.0)
@@ -176,7 +176,7 @@ def test_all_one_ratio_grows():
 
 def test_all_zero_ratio_is_zero():
     pattern = SparsityPattern(mode=SparsityMode.ALL_ZERO)
-    assert sparsity_ratio_sup(pattern, INV_SQRT_LOG, 10 ** 4) == 0.0
+    assert ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 4)[-1] == 0.0
 
 
 def test_constant_one_dense_pattern():
