@@ -139,6 +139,8 @@ def _partial_sum(fill, truncation: int) -> float:
     terms fill one array that is summed once, so the result is the float
     ``np.sum`` gives over the whole-range expression (the same pairwise tree).
     """
+    if truncation < 3:
+        raise ValueError("truncation must be >= 3")
     terms = np.empty(truncation - 2)
     steps = np.arange(_CHUNK, dtype=np.float64)
     n = np.empty(_CHUNK)
@@ -160,8 +162,6 @@ def series_bound_A(
     """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    if truncation < 3:
-        raise ValueError("truncation must be >= 3")
     weights = np.empty(_CHUNK)
 
     def fill(n: np.ndarray, dest: np.ndarray) -> None:
@@ -189,8 +189,6 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     series is below the envelope integral from 2 (recorded as the partial
     bound) and in particular below the full integral, which is asserted.
     """
-    if truncation < 3:
-        raise ValueError("truncation must be >= 3")
     partial = _partial_sum(lambda n, dest: envelope.survival(n, out=dest), truncation)
     remainder = envelope.tail_integral(float(truncation))
     return BoundCheck(
@@ -205,21 +203,28 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     ).enforce()
 
 
-def combined_series_bound(
-    envelope: TailEnvelope, p: float, truncation: int = DEFAULT_TRUNCATION
-) -> BoundCheck:
-    """A + B against (2p-1)/(p-1) times the envelope integral."""
-    a = series_bound_A(envelope, p, truncation)
-    b = series_bound_B(envelope, truncation)
+def combined_series_bound(envelope: TailEnvelope, a: BoundCheck, b: BoundCheck) -> BoundCheck:
+    """A + B against (2p-1)/(p-1) times the envelope integral.
+
+    Sums the given checks of series A and series B of ``envelope`` at one
+    truncation; neither series is evaluated again.
+    """
+    label = _envelope_label(envelope)
+    if (a.name, b.name) != ("series_A", "series_B"):
+        raise ValueError(f"expected a series_A and a series_B check, got {a.name} and {b.name}")
+    if not a.envelope_label == b.envelope_label == label:
+        raise ValueError(f"checks of {a.envelope_label} and {b.envelope_label} do not belong to {label}")
+    if a.truncation != b.truncation:
+        raise ValueError(f"checks at truncations {a.truncation} and {b.truncation} differ")
     return BoundCheck(
         name="series_A_plus_B",
-        envelope_label=a.envelope_label,
-        p=p,
+        envelope_label=label,
+        p=a.p,
         value=a.value + b.value,
         partial=a.partial + b.partial,
         remainder=a.remainder + b.remainder,
-        bound=(2.0 * p - 1.0) / (p - 1.0) * envelope.integral(),
-        truncation=truncation,
+        bound=(2.0 * a.p - 1.0) / (a.p - 1.0) * envelope.integral(),
+        truncation=a.truncation,
     ).enforce()
 
 
@@ -228,34 +233,26 @@ def bound_suite(
     ps: Sequence[float] = DEFAULT_PS,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> list[dict]:
-    """All three bound checks over the envelope/exponent grid, as CSV-ready rows."""
+    """All three bound checks over the envelope/exponent grid, as CSV-ready rows.
+
+    A is evaluated once per (envelope, p) and B once per envelope, shared
+    across p.  B runs after the envelope's first A, so the checks run in the
+    order A(p1), B, A+B(p1), A(p2), A+B(p2), ... and the first violation
+    raised is the first in that order.
+    """
     if envelopes is None:
-        envelopes = (
-            TailEnvelope.exponential(),
-            TailEnvelope.pareto(1.5),
-            TailEnvelope.pareto(2.0),
-        )
+        envelopes = (TailEnvelope.exponential(), TailEnvelope.pareto(1.5), TailEnvelope.pareto(2.0))
     rows = []
     for env in envelopes:
+        b = None
         for p in ps:
             a = series_bound_A(env, p, truncation)
-            b = series_bound_B(env, truncation)
-            c = combined_series_bound(env, p, truncation)
-            rows.append(
-                {
-                    "envelope": a.envelope_label,
-                    "p": p,
-                    "A": a.value,
-                    "bound_A": a.bound,
-                    "slack_A": a.slack,
-                    "B": b.value,
-                    "bound_B": b.bound,
-                    "slack_B": b.slack,
-                    "combined": c.value,
-                    "bound_combined": c.bound,
-                    "slack_combined": c.slack,
-                }
-            )
+            b = b or series_bound_B(env, truncation)
+            c = combined_series_bound(env, a, b)
+            rows.append({"envelope": a.envelope_label, "p": p,
+                         "A": a.value, "bound_A": a.bound, "slack_A": a.slack,
+                         "B": b.value, "bound_B": b.bound, "slack_B": b.slack,
+                         "combined": c.value, "bound_combined": c.bound, "slack_combined": c.slack})
     return rows
 
 

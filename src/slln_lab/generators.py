@@ -164,7 +164,9 @@ class XFamily:
         return [0.0, 1.0]
 
     def tail_integral_remainder(self, cutoff: float) -> float:
-        """Closed-form integral of the tail over [cutoff, inf); inf if divergent."""
+        """Closed-form integral of the tail over [cutoff, inf) for cutoff >= 0; inf if divergent."""
+        if not np.all(cutoff >= 0):  # NaN fails too
+            raise ValueError("cutoff must be >= 0")
         if self.kind is XKind.IID_UNIFORM:
             if cutoff >= self.half_width:
                 return 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from slln_lab import calculus
 from slln_lab.calculus import (
     BOUND_TOL,
     BoundCheck,
@@ -235,46 +237,126 @@ def test_negative_or_nan_argument_is_rejected(env, bad):
     for fam in (XFamily.uniform(), XFamily.shifted_exp(), XFamily.parity(), XFamily.pareto_centered()):
         with pytest.raises(ValueError, match="tail is defined for x >= 0"):
             fam.tail(bad)
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            fam.tail_integral_remainder(bad)
 
 
 def test_combined_bound_examples():
-    combined = combined_series_bound(EXP, 2.0)
+    a, b_exp = series_bound_A(EXP, 2.0), series_bound_B(EXP)
+    combined = combined_series_bound(EXP, a, b_exp)
+    assert (combined.value, combined.partial, combined.remainder, combined.p, combined.truncation) == (
+        a.value + b_exp.value, a.partial + b_exp.partial, a.remainder + b_exp.remainder, 2.0, 10 ** 6)
     assert combined.bound == 3.0
     truth = _oracle_series_A_exp_p2() + math.exp(-3.0) / (1.0 - math.exp(-1.0))
     assert combined.value == pytest.approx(truth, abs=1e-4)
-    combined3 = combined_series_bound(PARETO2, 3.0)
+    combined3 = combined_series_bound(PARETO2, series_bound_A(PARETO2, 3.0), series_bound_B(PARETO2))
     assert combined3.bound == 5.0
     assert combined3.value < 5.0
-    stress = combined_series_bound(EXP, 1.001)
+    stress = combined_series_bound(EXP, series_bound_A(EXP, 1.001), b_exp)
     assert stress.bound == pytest.approx((2 * 1.001 - 1.0) / 0.001)  # ~1002 * C
     assert math.isfinite(stress.value)
 
 
-def test_bound_suite_all_hold_with_slack():
+@pytest.mark.parametrize("mismatch", ["a_not_series_A", "b_not_series_B", "a_of_another_envelope",
+                                      "b_of_another_envelope", "both_of_another_envelope", "truncations_differ"])
+def test_combined_bound_rejects_checks_that_do_not_belong_together(mismatch):
+    a, b = series_bound_A(EXP, 2.0, 1000), series_bound_B(EXP, 1000)
+    a_pareto, b_pareto = series_bound_A(PARETO2, 2.0, 1000), series_bound_B(PARETO2, 1000)
+    cases = {
+        "a_not_series_A": ((b, b), "expected a series_A and a series_B check"),
+        "b_not_series_B": ((a, a), "expected a series_A and a series_B check"),
+        "a_of_another_envelope": ((a_pareto, b), "do not belong to exp"),
+        "b_of_another_envelope": ((a, b_pareto), "do not belong to exp"),
+        "both_of_another_envelope": ((a_pareto, b_pareto), "do not belong to exp"),
+        "truncations_differ": ((a, series_bound_B(EXP, 2000)), "truncations 1000 and 2000 differ"),
+    }
+    checks, message = cases[mismatch]
+    with pytest.raises(ValueError, match=message):
+        combined_series_bound(EXP, *checks)
+
+
+# sha256 of the 45 values (A, B and A + B of each row of the default bound suite), one repr a line
+BOUND_SUITE_SHA256 = "5800116b1d7271815abdfe906bde27ad97ca428e8b2ab88bd2ba2a61016fdc19"
+
+
+def count_series_calls(monkeypatch) -> dict:
+    """Counting wrappers on series_bound_A/B; the returned dict holds their call counts."""
+    calls = {"series_A": 0, "series_B": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(calculus, "series_bound_A", counted("series_A", series_bound_A))
+    monkeypatch.setattr(calculus, "series_bound_B", counted("series_B", series_bound_B))
+    return calls
+
+
+def test_bound_suite_all_hold_with_slack(monkeypatch):
+    calls = count_series_calls(monkeypatch)
     rows = bound_suite()
     assert len(rows) == 15
+    assert calls == {"series_A": 15, "series_B": 3}  # A once per (envelope, p), B once per envelope
     for row in rows:
         assert row["slack_A"] > 0
         assert row["slack_B"] > 0
         assert row["slack_combined"] > 0
+    values = "\n".join(repr(row[k]) for row in rows for k in ("A", "B", "combined"))
+    assert hashlib.sha256(values.encode()).hexdigest() == BOUND_SUITE_SHA256
+
+
+@pytest.mark.parametrize("ps", [calculus.DEFAULT_PS, (10.0, 1.5, 1.5)], ids=["default", "unsorted"])
+def test_bound_suite_rows_equal_the_separate_checks(monkeypatch, ps):
+    # the oracle evaluates A and B afresh for every (envelope, p) and adds their values
+    truncation = 10 ** 4
+    envelopes = (EXP, PARETO15, PARETO2)
+    oracle = []
+    for env in envelopes:
+        for p in ps:
+            a, b = series_bound_A(env, p, truncation), series_bound_B(env, truncation)
+            combined = a.value + b.value
+            bound = (2.0 * p - 1.0) / (p - 1.0) * env.integral()
+            oracle.append({"envelope": a.envelope_label, "p": p,
+                           "A": a.value, "bound_A": a.bound, "slack_A": a.slack,
+                           "B": b.value, "bound_B": b.bound, "slack_B": b.slack,
+                           "combined": combined, "bound_combined": bound, "slack_combined": bound - combined})
+    calls = count_series_calls(monkeypatch)
+    assert repr(bound_suite(envelopes, ps, truncation)) == repr(oracle)
+    assert calls == {"series_A": len(envelopes) * len(ps), "series_B": len(envelopes)}
+
+
+class LyingEnvelope:
+    kind = EXP.kind
+    gamma = 2.0
+
+    def survival(self, t, out=None):
+        return EXP.survival(t, out=out)
+
+    def integral(self):
+        return 0.05  # wrong on purpose: claims far less mass than it has
+
+    def tail_integral(self, cutoff):
+        return EXP.tail_integral(cutoff)
 
 
 def test_bound_violation_detected_for_inconsistent_envelope():
-    class LyingEnvelope:
-        kind = EXP.kind
-        gamma = 2.0
-
-        def survival(self, t):
-            return EXP.survival(t)
-
-        def integral(self):
-            return 0.05  # wrong on purpose: claims far less mass than it has
-
-        def tail_integral(self, cutoff):
-            return EXP.tail_integral(cutoff)
-
     with pytest.raises(BoundViolation):
         series_bound_A(LyingEnvelope(), 2.0)
+
+
+def test_first_violation_is_the_first_series_A(monkeypatch):
+    # A and B both exceed their bounds on the lying envelope; A runs first, so its violation is raised
+    with pytest.raises(BoundViolation) as raised:
+        bound_suite([LyingEnvelope()], ps=(2.0, 3.0), truncation=10 ** 4)
+    monkeypatch.setattr(BoundCheck, "enforce", lambda check: check)
+    a, b = series_bound_A(LyingEnvelope(), 2.0, 10 ** 4), series_bound_B(LyingEnvelope(), 10 ** 4)
+    assert a.slack < 0 and b.slack < 0
+    assert str(raised.value) == (
+        f"series_A[exp, p=2.0]: value {a.value!r} (partial sum {a.partial!r} "
+        f"+ remainder {a.remainder!r} at truncation 10000) exceeds bound {a.bound!r}"
+    )
 
 
 def test_small_truncation_violation_shows_its_remainder(monkeypatch):
