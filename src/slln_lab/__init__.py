@@ -3,7 +3,7 @@ a pairwise-independent part with infrequent, arbitrarily dependent
 heavy-tailed inserts whose moment orders vanish.
 
 The package constructs such sequences, verifies every standing hypothesis
-exactly or by quadrature, reproduces the intermediate series bounds of the
+from closed forms, reproduces the intermediate series bounds of the
 underlying argument numerically, and demonstrates convergence (and its
 failure when hypotheses are broken) on deterministic Monte Carlo ensembles.
 """

@@ -91,13 +91,19 @@ class BoundCheck:
     """One evaluated series against its analytic bound."""
 
     name: str
-    envelope_label: str
+    envelope: TailEnvelope
     p: float | None
     value: float          # partial sum + analytic remainder bound
     partial: float
     remainder: float
     bound: float
     truncation: int
+
+    @property
+    def envelope_label(self) -> str:
+        if self.envelope.kind is EnvelopeKind.EXP:
+            return "exp"
+        return f"pareto({self.envelope.gamma:g})"
 
     @property
     def slack(self) -> float:
@@ -111,12 +117,6 @@ class BoundCheck:
                 f"at truncation {self.truncation}) exceeds bound {self.bound!r}"
             )
         return self
-
-
-def _envelope_label(envelope: TailEnvelope) -> str:
-    if envelope.kind is EnvelopeKind.EXP:
-        return "exp"
-    return f"pareto({envelope.gamma:g})"
 
 
 def _zeta_tail_bound(m: float, p: float) -> float:
@@ -172,7 +172,7 @@ def series_bound_A(
     remainder = _body_remainder(envelope, float(truncation), p)
     return BoundCheck(
         name="series_A",
-        envelope_label=_envelope_label(envelope),
+        envelope=envelope,
         p=p,
         value=partial + remainder,
         partial=partial,
@@ -193,7 +193,7 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     remainder = envelope.tail_integral(float(truncation))
     return BoundCheck(
         name="series_B",
-        envelope_label=_envelope_label(envelope),
+        envelope=envelope,
         p=None,
         value=partial + remainder,
         partial=partial,
@@ -203,27 +203,26 @@ def series_bound_B(envelope: TailEnvelope, truncation: int = DEFAULT_TRUNCATION)
     ).enforce()
 
 
-def combined_series_bound(envelope: TailEnvelope, a: BoundCheck, b: BoundCheck) -> BoundCheck:
+def combined_series_bound(a: BoundCheck, b: BoundCheck) -> BoundCheck:
     """A + B against (2p-1)/(p-1) times the envelope integral.
 
-    Sums the given checks of series A and series B of ``envelope`` at one
-    truncation; neither series is evaluated again.
+    Sums the given checks of series A and series B, which must belong to one
+    envelope and one truncation; neither series is evaluated again.
     """
-    label = _envelope_label(envelope)
     if (a.name, b.name) != ("series_A", "series_B"):
         raise ValueError(f"expected a series_A and a series_B check, got {a.name} and {b.name}")
-    if not a.envelope_label == b.envelope_label == label:
-        raise ValueError(f"checks of {a.envelope_label} and {b.envelope_label} do not belong to {label}")
+    if a.envelope != b.envelope:
+        raise ValueError(f"checks of {a.envelope!r} and {b.envelope!r} belong to different envelopes")
     if a.truncation != b.truncation:
         raise ValueError(f"checks at truncations {a.truncation} and {b.truncation} differ")
     return BoundCheck(
         name="series_A_plus_B",
-        envelope_label=label,
+        envelope=a.envelope,
         p=a.p,
         value=a.value + b.value,
         partial=a.partial + b.partial,
         remainder=a.remainder + b.remainder,
-        bound=(2.0 * a.p - 1.0) / (a.p - 1.0) * envelope.integral(),
+        bound=(2.0 * a.p - 1.0) / (a.p - 1.0) * a.envelope.integral(),
         truncation=a.truncation,
     ).enforce()
 
@@ -248,7 +247,7 @@ def bound_suite(
         for p in ps:
             a = series_bound_A(env, p, truncation)
             b = b or series_bound_B(env, truncation)
-            c = combined_series_bound(env, a, b)
+            c = combined_series_bound(a, b)
             rows.append({"envelope": a.envelope_label, "p": p,
                          "A": a.value, "bound_A": a.bound, "slack_A": a.slack,
                          "B": b.value, "bound_B": b.bound, "slack_B": b.slack,

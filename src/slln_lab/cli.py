@@ -184,6 +184,8 @@ def run(
     """Execute the requested sections; return the process exit status."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sections: dict = {}

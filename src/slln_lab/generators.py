@@ -1,7 +1,7 @@
 """Samplers for the two ingredient sequences.
 
-The well-behaved part is drawn from an :class:`XFamily`: centered, with a
-closed-form tail of |X|, and pairwise independent (the parity family is the
+The well-behaved part is drawn from an :class:`XFamily`: centered, with
+E|X| in closed form, and pairwise independent (the parity family is the
 canonical pairwise-but-not-mutually-independent construction).  The heavy
 part is built from a :class:`TailEnvelope`: a base variable v is drawn with
 survival function exactly equal to the envelope (the tightest admissible
@@ -125,70 +125,19 @@ class XFamily:
             return self.shape > 1.0
         return True
 
-    def tail(self, x):
-        """P(|X| > x) for scalar or array x >= 0, in closed form."""
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(x >= 0):  # NaN fails too
-            raise ValueError("tail is defined for x >= 0")
+    def mean_abs(self) -> float:
+        """E|X| in closed form; inf for a Pareto shape of 1 or below."""
         if self.kind is XKind.IID_UNIFORM:
-            out = np.clip(1.0 - x / self.half_width, 0.0, 1.0)
-        elif self.kind is XKind.IID_SHIFTED_EXP:
-            m = 1.0 / self.rate
-            upper = np.exp(-self.rate * (x + m))
-            lower = np.where(x < m, 1.0 - np.exp(-self.rate * np.maximum(m - x, 0.0)), 0.0)
-            out = upper + lower
-        elif self.kind is XKind.PARITY_RADEMACHER:
-            out = np.where(x < 1.0, 1.0, 0.0)
-        else:
-            b = self.shape
-            if b > 1.0:
-                m = self.pareto_shift
-                upper = np.power(m + x, -b)
-                lower = np.where(m - x > 1.0, 1.0 - np.power(np.maximum(m - x, 1.0), -b), 0.0)
-                out = upper + lower
-            else:
-                out = np.where(x < 1.0, 1.0, np.power(np.maximum(x, 1.0), -b))
-        return float(out) if scalar else out
-
-    def tail_breakpoints(self) -> list[float]:
-        """Kinks of the tail function, for piecewise quadrature."""
-        if self.kind is XKind.IID_UNIFORM:
-            return [0.0, self.half_width]
+            return self.half_width / 2.0
         if self.kind is XKind.IID_SHIFTED_EXP:
-            return [0.0, 1.0 / self.rate]
+            return 2.0 / (math.e * self.rate)
         if self.kind is XKind.PARITY_RADEMACHER:
-            return [0.0, 1.0]
-        if self.shape > 1.0:
-            return [0.0, max(self.pareto_shift - 1.0, 0.0)]
-        return [0.0, 1.0]
-
-    def tail_integral_remainder(self, cutoff: float) -> float:
-        """Closed-form integral of the tail over [cutoff, inf) for cutoff >= 0; inf if divergent."""
-        if not np.all(cutoff >= 0):  # NaN fails too
-            raise ValueError("cutoff must be >= 0")
-        if self.kind is XKind.IID_UNIFORM:
-            if cutoff >= self.half_width:
-                return 0.0
-            return (self.half_width - cutoff) ** 2 / (2.0 * self.half_width)
-        if self.kind is XKind.IID_SHIFTED_EXP:
-            m = 1.0 / self.rate
-            # integral of exp(-rate*(x+m)) from cutoff, plus the bounded lower piece
-            upper = math.exp(-self.rate * (cutoff + m)) / self.rate
-            if cutoff >= m:
-                return upper
-            lower = (m - cutoff) - (1.0 - math.exp(-self.rate * (m - cutoff))) / self.rate
-            return upper + lower
-        if self.kind is XKind.PARITY_RADEMACHER:
-            return max(0.0, 1.0 - cutoff)
+            return 1.0
         b = self.shape
         if b <= 1.0:
             return math.inf
-        m = self.pareto_shift
-        upper = (m + cutoff) ** (1.0 - b) / (b - 1.0)
-        if cutoff >= m - 1.0:
-            return upper
-        raise ValueError("cutoff must sit past the last tail breakpoint")
+        # E|W - m| = 2 E(W - m)+ with m = E W, and E(W - m)+ = m**(1-b) / (b-1)
+        return 2.0 * self.pareto_shift ** (1.0 - b) / (b - 1.0)
 
     # ---- sampling -----------------------------------------------------------
 
@@ -321,11 +270,6 @@ class TailEnvelope:
         if cutoff <= 1.0:
             return (1.0 - cutoff) + 1.0 / (self.gamma - 1.0)
         return cutoff ** (1.0 - self.gamma) / (self.gamma - 1.0)
-
-    def survival_breakpoints(self) -> list[float]:
-        if self.kind is EnvelopeKind.EXP:
-            return [0.0]
-        return [0.0, 1.0]
 
     def sample_v(self, u, out: np.ndarray | None = None):
         """Inverse-CDF draw with survival exactly equal to the envelope.

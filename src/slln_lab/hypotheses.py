@@ -7,6 +7,10 @@ identical tails over n positions is maximized in the n->infinity limit,
 where it equals the single-draw tail, so the constant reduces to E|X|
 regardless of the start index.  Resolving the sup analytically avoids the
 systematic under-estimation a truncated numerical sup would commit.
+
+Every constant is a closed form: E|X| from :meth:`XFamily.mean_abs`, the
+envelope integral from :meth:`TailEnvelope.integral`.  No value passes
+through a quadrature.
 """
 
 from __future__ import annotations
@@ -14,12 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentIntegral, SllnLabError
-from .generators import EnvelopeKind, TailEnvelope, XFamily, XKind, infinite_mean_onset
-from .quadrature import integrate_piecewise
+from .errors import DivergentIntegral
+from .generators import TailEnvelope, XFamily, infinite_mean_onset
 from .schedules import MomentSchedule, SparsityPattern, ratio_running_max, validate_schedule
-
-QUAD_TOL = 1e-9
 
 
 @dataclass
@@ -54,48 +55,16 @@ class HypothesisReport:
 
 
 def cesaro_tail_constant(family: XFamily) -> float:
-    """Integral of the sup of Cesaro-averaged tails; equals E|X| for built-ins.
+    """Integral of the sup of Cesaro-averaged tails: E|X|, in closed form.
 
-    Computed by adaptive quadrature of the closed-form tail, split at its
-    kinks, with the unbounded piece handled by a closed-form remainder.
-    Raises :class:`DivergentIntegral` when the remainder is infinite (the
-    designed infinite-mean family).
+    Raises :class:`DivergentIntegral` when E|X| is infinite (the designed
+    infinite-mean family).
     """
     if not family.has_finite_mean():
         raise DivergentIntegral(
             f"tail integral beyond any budget: Pareto shape {family.shape} has no mean"
         )
-    points = sorted(set(family.tail_breakpoints()))
-    cutoff = points[-1]
-    if family.kind in (XKind.IID_SHIFTED_EXP, XKind.IID_PARETO_CENTERED):
-        # push the numeric cutoff far enough that the closed-form remainder
-        # is small, then add that remainder exactly
-        cutoff = points[-1] + _remainder_cutoff(family)
-        points = points + [cutoff]
-    body = integrate_piecewise(lambda x: family.tail(x), points, tol=QUAD_TOL)
-    return body + family.tail_integral_remainder(cutoff)
-
-
-def _remainder_cutoff(family: XFamily) -> float:
-    if family.kind is XKind.IID_SHIFTED_EXP:
-        return 30.0 / family.rate
-    # centered Pareto upper tail (m+x)**-shape: remainder is exact, a modest
-    # cutoff just keeps the quadrature interval short
-    return 50.0
-
-
-def envelope_constant(envelope: TailEnvelope) -> float:
-    """Analytic envelope integral, cross-checked against quadrature."""
-    analytic = envelope.integral()
-    cutoff = 40.0 if envelope.kind is EnvelopeKind.EXP else 50.0
-    points = sorted(set(envelope.survival_breakpoints() + [cutoff]))
-    numeric = integrate_piecewise(lambda t: envelope.survival(t), points, tol=QUAD_TOL)
-    numeric += envelope.tail_integral(cutoff)
-    if abs(numeric - analytic) > QUAD_TOL:
-        raise SllnLabError(
-            f"envelope integral cross-check failed: quadrature {numeric!r} vs analytic {analytic!r}"
-        )
-    return analytic
+    return family.mean_abs()
 
 
 @dataclass
@@ -201,9 +170,10 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     vres = v_moment_check(config.envelope, config.schedule)
     entries.append(HypothesisEntry("V_MOMENT", vres.status, vres.mean_v, vres.detail))
 
-    cg = envelope_constant(config.envelope)
     entries.append(
-        HypothesisEntry("ENVELOPE", "PASS", cg, "nonincreasing envelope with finite integral")
+        HypothesisEntry(
+            "ENVELOPE", "PASS", config.envelope.integral(), "nonincreasing envelope with finite integral"
+        )
     )
 
     ifr = infrequency_check(config.pattern, config.schedule, horizon, infrequency_threshold)

@@ -1,9 +1,8 @@
 """Adaptive Simpson quadrature.
 
-Deliberately self-contained: the integrals verified here feed inequality
-assertions, so the integration rule must be deterministic and auditable.
-Improper integrals are handled by the callers, which split at known kinks
-and add closed-form tail remainders.
+No module of the package calls it: every hypothesis constant is a closed
+form.  It stays for the benchmark under ``bench/``, whose traced runs wrap
+:func:`adaptive_simpson`, and goes once that span is dropped.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     splits (pre-asymptotic intervals can fool it on steeply decaying
     integrands).  Refinement stops at depth 60; hitting that cap degrades
     accuracy rather than raising, and it goes unnoticed unless the caller
-    cross-checks the result, as only ``envelope_constant`` does
-    (``cesaro_tail_constant`` does not).
+    cross-checks the result.
     """
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)

@@ -23,7 +23,7 @@ from slln_lab.calculus import (
 )
 from slln_lab.errors import DivergentIntegral
 from slln_lab.generators import TailEnvelope, XFamily
-from slln_lab.hypotheses import cesaro_tail_constant, envelope_constant
+from slln_lab.hypotheses import cesaro_tail_constant
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm
 
@@ -58,9 +58,9 @@ def test_criterion_2_hypothesis_constants():
     t0 = time.perf_counter()
     c_uniform = cesaro_tail_constant(XFamily.uniform(1.0))
     assert c_uniform == pytest.approx(0.5, abs=1e-9)
-    c_exp = envelope_constant(TailEnvelope.exponential())
+    c_exp = TailEnvelope.exponential().integral()
     assert c_exp == pytest.approx(1.0, abs=1e-9)
-    c_pareto = envelope_constant(TailEnvelope.pareto(2.0))
+    c_pareto = TailEnvelope.pareto(2.0).integral()
     assert c_pareto == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(DivergentIntegral):
         cesaro_tail_constant(XFamily.pareto_centered(1.0))

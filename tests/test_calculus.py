@@ -24,7 +24,7 @@ from slln_lab.calculus import (
     weighted_y_series_ensemble,
 )
 from slln_lab.errors import BoundViolation, SearchExhausted
-from slln_lab.generators import DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
+from slln_lab.generators import DependenceMode, TailEnvelope, draw_heavy, reciprocal_exponents
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
 
@@ -234,45 +234,50 @@ def test_negative_or_nan_argument_is_rejected(env, bad):
         env.tail_integral(bad)
     with pytest.raises(ValueError, match="n must be >= 0"):
         truncated_power_moment(env, bad, 1.5)
-    for fam in (XFamily.uniform(), XFamily.shifted_exp(), XFamily.parity(), XFamily.pareto_centered()):
-        with pytest.raises(ValueError, match="tail is defined for x >= 0"):
-            fam.tail(bad)
-        with pytest.raises(ValueError, match="cutoff must be >= 0"):
-            fam.tail_integral_remainder(bad)
 
 
 def test_combined_bound_examples():
     a, b_exp = series_bound_A(EXP, 2.0), series_bound_B(EXP)
-    combined = combined_series_bound(EXP, a, b_exp)
+    combined = combined_series_bound(a, b_exp)
     assert (combined.value, combined.partial, combined.remainder, combined.p, combined.truncation) == (
         a.value + b_exp.value, a.partial + b_exp.partial, a.remainder + b_exp.remainder, 2.0, 10 ** 6)
     assert combined.bound == 3.0
     truth = _oracle_series_A_exp_p2() + math.exp(-3.0) / (1.0 - math.exp(-1.0))
     assert combined.value == pytest.approx(truth, abs=1e-4)
-    combined3 = combined_series_bound(PARETO2, series_bound_A(PARETO2, 3.0), series_bound_B(PARETO2))
+    combined3 = combined_series_bound(series_bound_A(PARETO2, 3.0), series_bound_B(PARETO2))
     assert combined3.bound == 5.0
     assert combined3.value < 5.0
-    stress = combined_series_bound(EXP, series_bound_A(EXP, 1.001), b_exp)
+    stress = combined_series_bound(series_bound_A(EXP, 1.001), b_exp)
     assert stress.bound == pytest.approx((2 * 1.001 - 1.0) / 0.001)  # ~1002 * C
     assert math.isfinite(stress.value)
 
 
 @pytest.mark.parametrize("mismatch", ["a_not_series_A", "b_not_series_B", "a_of_another_envelope",
-                                      "b_of_another_envelope", "both_of_another_envelope", "truncations_differ"])
+                                      "b_of_another_envelope", "truncations_differ"])
 def test_combined_bound_rejects_checks_that_do_not_belong_together(mismatch):
     a, b = series_bound_A(EXP, 2.0, 1000), series_bound_B(EXP, 1000)
     a_pareto, b_pareto = series_bound_A(PARETO2, 2.0, 1000), series_bound_B(PARETO2, 1000)
     cases = {
         "a_not_series_A": ((b, b), "expected a series_A and a series_B check"),
         "b_not_series_B": ((a, a), "expected a series_A and a series_B check"),
-        "a_of_another_envelope": ((a_pareto, b), "do not belong to exp"),
-        "b_of_another_envelope": ((a, b_pareto), "do not belong to exp"),
-        "both_of_another_envelope": ((a_pareto, b_pareto), "do not belong to exp"),
+        "a_of_another_envelope": ((a_pareto, b), "belong to different envelopes"),
+        "b_of_another_envelope": ((a, b_pareto), "belong to different envelopes"),
         "truncations_differ": ((a, series_bound_B(EXP, 2000)), "truncations 1000 and 2000 differ"),
     }
     checks, message = cases[mismatch]
     with pytest.raises(ValueError, match=message):
-        combined_series_bound(EXP, *checks)
+        combined_series_bound(*checks)
+
+
+def test_combined_bound_rejects_envelopes_that_share_a_label():
+    # both envelopes print as pareto(1.5); the checks record the envelopes themselves
+    near = TailEnvelope.pareto(1.5000001)
+    a, b = series_bound_A(near, 2.0, 1000), series_bound_B(PARETO15, 1000)
+    assert a.envelope_label == b.envelope_label == "pareto(1.5)"
+    with pytest.raises(ValueError, match="belong to different envelopes"):
+        combined_series_bound(a, b)
+    with pytest.raises(ValueError, match="belong to different envelopes"):
+        combined_series_bound(series_bound_A(PARETO15, 2.0, 1000), series_bound_B(near, 1000))
 
 
 # sha256 of the 45 values (A, B and A + B of each row of the default bound suite), one repr a line

@@ -223,6 +223,14 @@ def test_main_horizon_cap_checked_before_any_section(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
+    code, out = _main_on(tmp_path, {"horizon": 100}, "--threads", threads)
+    assert code == 2
+    assert f"threads must be >= 1, got {threads}" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data, prefix", [
     ({"seed": "abc"}, "seed:"),
     ({"n_paths": "many"}, "n_paths:"),

@@ -1,14 +1,17 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from slln_lab.errors import InvalidExponent
 from slln_lab.generators import (
     DependenceMode,
+    EnvelopeKind,
     TailEnvelope,
     XFamily,
+    XKind,
     draw_heavy,
     infinite_mean_onset,
     reciprocal_exponents,
@@ -135,20 +138,36 @@ def test_infinite_mean_family_flagged():
     assert fam.pareto_shift == 0.0  # no mean to subtract: the draw stays uncentered
 
 
-# --- closed-form tails ----------------------------------------------------------
+# --- closed-form tails and E|X| --------------------------------------------------
+
+def reference_tail(fam, x):
+    """P(|X| > x) for a scalar x >= 0, in closed form; in mpmath arithmetic when x is an mpf."""
+    if fam.kind is XKind.IID_UNIFORM:
+        return min(max(1.0 - x / fam.half_width, 0.0), 1.0)
+    if fam.kind is XKind.IID_SHIFTED_EXP:
+        m = 1.0 / fam.rate
+        upper = mpmath.exp(-fam.rate * (x + m))
+        return upper + (1.0 - mpmath.exp(-fam.rate * (m - x)) if x < m else 0.0)
+    if fam.kind is XKind.PARITY_RADEMACHER:
+        return 1.0 if x < 1.0 else 0.0
+    b = fam.shape
+    if b <= 1.0:
+        return 1.0 if x < 1.0 else x ** -b
+    m = fam.pareto_shift
+    return (m + x) ** -b + (1.0 - (m - x) ** -b if m - x > 1.0 else 0.0)
+
 
 def test_tail_frozen_values():
-    assert XFamily.uniform(1.0).tail(0.25) == 0.75
-    assert XFamily.parity(4).tail(0.5) == 1.0
-    assert XFamily.parity(4).tail(1.5) == 0.0
-    assert XFamily.uniform(1.0).tail(0.0) == 1.0
+    assert reference_tail(XFamily.uniform(1.0), 0.25) == 0.75
+    assert reference_tail(XFamily.parity(4), 0.5) == 1.0
+    assert reference_tail(XFamily.parity(4), 1.5) == 0.0
+    assert reference_tail(XFamily.uniform(1.0), 0.0) == 1.0
 
 
 def test_tail_is_monotone_from_one():
     for fam in (XFamily.uniform(2.0), XFamily.shifted_exp(0.5), XFamily.pareto_centered(2.0),
                 XFamily.pareto_centered(1.0)):
-        x = np.linspace(0.0, 20.0, 500)
-        t = fam.tail(x)
+        t = np.array([float(reference_tail(fam, x)) for x in np.linspace(0.0, 20.0, 500)])
         assert t[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(t) <= 1e-15)
         assert np.all((t >= 0) & (t <= 1))
@@ -158,7 +177,7 @@ def _empirical_tail_matches(fam, seed, grid):
     n = 10 ** 6
     draws = np.abs(fam.sample_block(n, _stream(seed)))
     for x in grid:
-        p = fam.tail(x)
+        p = float(reference_tail(fam, x))
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(np.mean(draws > x) - p) <= 3.0 * se + 1e-9
 
@@ -176,6 +195,64 @@ def test_tail_consistency_pareto():
     _empirical_tail_matches(XFamily.pareto_centered(2.0), 23, np.array([0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]))
 
 
+def mp_quad(f, points, x=lambda u: u, dx=lambda u: 1):
+    """mpmath integral over ``points`` of f(x(u)) x'(u), at 30 digits."""
+    with mpmath.workdps(30):
+        return mpmath.quad(lambda u: f(x(u)) * dx(u), points)
+
+
+def mp_power_tail(f, start, decay):
+    """mpmath integral of f over [start, inf) for f decaying like y**-(1 + decay).
+
+    y = start * exp(u / decay) turns the integrand into about e**-u, so the
+    mass far past the float range (decay near 0) is integrated too.  It is
+    divided by its value at u = 0, since mpmath's error test is absolute.
+    """
+    y = lambda u: start * mpmath.exp(u / decay)
+    scale = f(start) * start / decay
+    return scale * mp_quad(lambda v: f(v) / scale, [0, mpmath.inf], y, lambda u: y(u) / decay)
+
+
+def mp_mean_abs(fam):
+    """E|X| as the mpmath integral of :func:`reference_tail`, split at its kink."""
+    tail = lambda x: reference_tail(fam, x)
+    if fam.kind is XKind.IID_UNIFORM:
+        return mp_quad(tail, [0, fam.half_width])
+    if fam.kind is XKind.PARITY_RADEMACHER:
+        return mp_quad(tail, [0, 1])
+    if fam.kind is XKind.IID_SHIFTED_EXP:
+        m, rate = 1.0 / fam.rate, mpmath.mpf(fam.rate)
+        return mp_quad(tail, [0, m]) + mp_quad(tail, [0, mpmath.inf], lambda u: m + u / rate, lambda u: 1 / rate)
+    m = fam.pareto_shift  # kink at m - 1; past it the tail is (m + x)**-shape
+    upper = mp_power_tail(lambda y: tail(y - m), 2 * mpmath.mpf(m) - 1, mpmath.mpf(fam.shape) - 1)
+    return mp_quad(tail, [0, m - 1]) + upper
+
+
+@pytest.mark.parametrize("fam", [
+    *(XFamily.shifted_exp(rate) for rate in (1e-6, 1.0, 1e6)),
+    *(XFamily.pareto_centered(shape) for shape in (1.0001, 1.5, 2.0, 5.0, 50.0)),
+    *(XFamily.uniform(half_width) for half_width in (1e-9, 1.0, 1e9)),
+    XFamily.parity(3),
+], ids=lambda fam: "{}-{}={}".format(fam.kind.value, *fam.to_dict()["params"].popitem()))
+def test_mean_abs_is_the_integral_of_the_tail(fam):
+    assert fam.mean_abs() == pytest.approx(float(mp_mean_abs(fam)), rel=1e-13, abs=0.0)
+
+
+def test_mean_abs_is_infinite_without_a_mean():
+    assert XFamily.pareto_centered(1.0).mean_abs() == math.inf
+    assert XFamily.pareto_centered(0.5).mean_abs() == math.inf
+
+
+@pytest.mark.parametrize("fam, seed", [
+    (XFamily.uniform(2.0), 51), (XFamily.shifted_exp(0.5), 52), (XFamily.parity(3), 53),
+    (XFamily.pareto_centered(5.0), 54),
+], ids=["uniform", "shifted_exp", "parity", "pareto"])
+def test_sampled_mean_abs_within_3_sigma(fam, seed):
+    # parity draws are all +-1: |X| = 1 exactly, so sigma is 0 and the means must agree exactly
+    draws = np.abs(fam.sample_block(10 ** 6, _stream(seed)))
+    assert abs(draws.mean() - fam.mean_abs()) <= 3.0 * draws.std() / 10 ** 3
+
+
 def test_pareto_centered_has_mean_zero():
     draws = XFamily.pareto_centered(3.0).sample_block(10 ** 6, _stream(24))
     sigma = math.sqrt(3.0 / (2.0 ** 2 * 1.0))  # b / ((b-1)**2 (b-2)) is the variance at shape b = 3
@@ -191,6 +268,29 @@ def test_envelope_survival_and_integral():
     assert env.integral() == 2.0
     assert TailEnvelope.exponential().integral() == 1.0
     assert TailEnvelope.pareto(1.5).integral() == pytest.approx(3.0)
+
+
+def reference_survival(env, t):
+    """Envelope value at a scalar t >= 0; in mpmath arithmetic when t is an mpf."""
+    if env.kind is EnvelopeKind.EXP:
+        return mpmath.exp(-t)
+    return 1.0 if t <= 1.0 else t ** -env.gamma
+
+
+@pytest.mark.parametrize("env", [TailEnvelope.exponential()] + [
+    TailEnvelope.pareto(gamma) for gamma in (1.0001, 1.01, 1.5, 2.0, 3.0, 10.0, 100.0, 1000.0)
+], ids=lambda env: "exp" if env.kind is EnvelopeKind.EXP else f"pareto-{env.gamma}")
+def test_envelope_integrals_match_mpmath(env):
+    surv = lambda t: reference_survival(env, t)
+    for cutoff in (0.0, 0.5, 1.0, 2.0):
+        if env.kind is EnvelopeKind.EXP:
+            ref = mp_quad(surv, [0, mpmath.inf], lambda u: cutoff + u)
+        else:
+            knee = max(cutoff, 1.0)
+            ref = mp_quad(surv, [cutoff, knee]) + mp_power_tail(surv, knee, mpmath.mpf(env.gamma) - 1)
+        assert env.tail_integral(cutoff) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+        if cutoff == 0.0:
+            assert env.integral() == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 def test_envelope_requires_integrable_tail():

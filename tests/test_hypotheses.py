@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from slln_lab.errors import DivergentIntegral
 from slln_lab.generators import TailEnvelope, XFamily
 from slln_lab.hypotheses import (
     cesaro_tail_constant,
-    envelope_constant,
     infrequency_check,
     v_moment_check,
     verify_hypotheses,
@@ -27,7 +27,7 @@ from slln_lab.schedules import (
 SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
 
 
-# --- quadrature engine -----------------------------------------------------------
+# --- quadrature engine (no caller in the package; the benchmark trace wraps it) ----
 
 def test_adaptive_simpson_against_closed_forms():
     assert adaptive_simpson(lambda x: x * x, 0.0, 3.0, tol=1e-12) == pytest.approx(9.0, abs=1e-10)
@@ -53,28 +53,29 @@ def test_piecewise_handles_kinks():
 # --- tail integral constants -------------------------------------------------------
 
 def test_cesaro_constant_uniform():
-    assert cesaro_tail_constant(XFamily.uniform(1.0)) == pytest.approx(0.5, abs=1e-9)
+    assert cesaro_tail_constant(XFamily.uniform(1.0)) == 0.5
 
 
 def test_cesaro_constant_parity():
-    assert cesaro_tail_constant(XFamily.parity(2)) == pytest.approx(1.0, abs=1e-9)
+    assert cesaro_tail_constant(XFamily.parity(2)) == 1.0
 
 
 def test_cesaro_constant_shifted_exp():
     # E|X| = 2 / (rate * e)
-    assert cesaro_tail_constant(XFamily.shifted_exp(1.0)) == pytest.approx(2.0 / math.e, abs=1e-9)
-    assert cesaro_tail_constant(XFamily.shifted_exp(2.0)) == pytest.approx(1.0 / math.e, abs=1e-9)
+    assert cesaro_tail_constant(XFamily.shifted_exp(1.0)) == pytest.approx(2.0 / math.e, rel=1e-15)
+    assert cesaro_tail_constant(XFamily.shifted_exp(2.0)) == pytest.approx(1.0 / math.e, rel=1e-15)
 
 
 def test_cesaro_constant_pareto():
     # E|W - m| = 2 m^(1-shape) / (shape - 1); shape 2 gives exactly 1
-    assert cesaro_tail_constant(XFamily.pareto_centered(2.0)) == pytest.approx(1.0, abs=1e-9)
+    assert cesaro_tail_constant(XFamily.pareto_centered(2.0)) == 1.0
 
 
-def test_cesaro_constant_equals_quadrature_of_tail():
-    for fam in (XFamily.uniform(2.0), XFamily.shifted_exp(0.5), XFamily.pareto_centered(3.0)):
-        ref = integrate.quad(lambda x: fam.tail(x), 0.0, np.inf, epsabs=1e-12, limit=200)[0]
-        assert cesaro_tail_constant(fam) == pytest.approx(ref, abs=1e-8)
+def test_cesaro_constant_is_the_closed_form_mean():
+    # the closed form itself is held to an mpmath integral of the tail in test_generators.py
+    for fam in (XFamily.uniform(2.0), XFamily.shifted_exp(0.5), XFamily.shifted_exp(1e6), XFamily.parity(3),
+                XFamily.pareto_centered(3.0)):
+        assert cesaro_tail_constant(fam) == fam.mean_abs()
 
 
 def test_cesaro_divergent_for_infinite_mean():
@@ -85,9 +86,12 @@ def test_cesaro_divergent_for_infinite_mean():
 # --- envelope checks ------------------------------------------------------------------
 
 def test_envelope_constants():
-    assert envelope_constant(TailEnvelope.exponential()) == pytest.approx(1.0, abs=1e-9)
-    assert envelope_constant(TailEnvelope.pareto(2.0)) == pytest.approx(2.0, abs=1e-9)
-    assert envelope_constant(TailEnvelope.pareto(1.5)) == pytest.approx(3.0, abs=1e-9)
+    # the ENVELOPE entry reads the closed-form integral, held to mpmath in test_generators.py
+    theorem = cli.load_config("theorem.json")
+    for env, integral in ((TailEnvelope.exponential(), 1.0), (TailEnvelope.pareto(2.0), 2.0),
+                          (TailEnvelope.pareto(1.5), 3.0)):
+        entry = verify_hypotheses(replace(theorem, envelope=env)).entry("ENVELOPE")
+        assert (entry.status, entry.value) == ("PASS", integral)
 
 
 def test_envelope_monotone_on_log_grid():
@@ -137,11 +141,38 @@ def test_infrequency_trivial_for_empty_pattern():
 
 # --- umbrella -----------------------------------------------------------------------------
 
+# (id, status, repr(value)) of every entry, for each bundled fixture
+FIXTURE_HYPOTHESES = {
+    "theorem.json": [
+        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
+        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "1.2392161941376152"), ("A_LN_N", "PASS", "8104.0"),
+    ],
+    "pure-x.json": [
+        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
+        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "0.0"), ("A_LN_N", "PASS", "8104.0"),
+    ],
+    "violate-sparsity.json": [
+        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
+        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "FAIL", "3360.5342818204476"), ("A_LN_N", "PASS", "8104.0"),
+    ],
+    "violate-x-mean.json": [
+        ("CENTERING", "FAIL", "nan"), ("CESARO_TAIL", "FAIL", "inf"), ("V_MOMENT", "PASS", "2.0"),
+        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "0.0"), ("A_LN_N", "PASS", "8104.0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_HYPOTHESES))
+def test_fixture_hypotheses_are_pinned(name):
+    report = verify_hypotheses(cli.load_config(name))
+    assert [(e.id, e.status, repr(e.value)) for e in report.entries] == FIXTURE_HYPOTHESES[name]
+
+
 def test_verify_hypotheses_theorem_config():
     spec = cli.load_config("theorem.json")
     report = verify_hypotheses(spec)
     assert report.all_pass()
-    assert report.entry("CESARO_TAIL").value == pytest.approx(1.0, abs=1e-9)
+    assert report.entry("CESARO_TAIL").value == 1.0
     assert report.entry("ENVELOPE").value == 2.0
     assert report.entry("A_LN_N").value == 8104
 
