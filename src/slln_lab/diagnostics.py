@@ -178,10 +178,13 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     :func:`_run_paths` runs them all in this process; otherwise each of
     ``workers = min(threads, n_paths)`` pool workers runs the share
     ``range(w, n_paths, workers)``.  Any path error propagates; partial
-    reports are never produced.
+    reports are never produced.  ``threads`` below 1 raises ``ValueError``
+    before any path runs.
     """
     if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, spec.n_paths)
     if workers <= 1:
         summaries = _run_paths(spec, range(spec.n_paths))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slln_lab import cli
+from slln_lab import cli, diagnostics
 from slln_lab.diagnostics import (
     ConvergenceReport,
     Verdict,
@@ -171,6 +171,16 @@ def test_ensemble_leaves_spec_unchanged():
     for threads in (1, 2):
         run_ensemble(spec, threads=threads)
         assert pickle.dumps(spec) == before
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_ensemble_rejects_threads_below_one(monkeypatch, threads):
+    spec = pure_x_config(XFamily.shifted_exp(1.0), 5000, n_paths=4, checkpoints=(5000,))
+    ran = []
+    monkeypatch.setattr(diagnostics, "_run_paths", lambda spec, indices: ran.append(indices))
+    with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+        run_ensemble(spec, threads=threads)
+    assert ran == []
 
 
 def test_ensemble_repeatable():

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slln_lab import schedules as schedules_module
 from slln_lab.errors import ScheduleRejected, SearchExhausted
 from slln_lab.schedules import (
     _POSITION_SEARCH_CAP,
@@ -15,6 +18,7 @@ from slln_lab.schedules import (
     build_sparsity,
     ratio_running_max,
     validate_schedule,
+    _least_integer_reaching,
     _targets,
     y_insertion_positions,
 )
@@ -260,6 +264,72 @@ def test_insertion_positions_cap_only_from_the_final_start():
         y_insertion_positions(dense, c, 3)
     with pytest.raises(SearchExhausted, match="^insert position 3 beyond cap"):
         reference_positions(dense, c, 3)
+
+
+def test_weighted_series_positions_are_pinned():
+    # the positions the weighted-series benchmark sums over (its reference
+    # sha256), so a search change that moves one fails here too
+    positions = y_insertion_positions(INV_SQRT_LOG, 1.0, 10 ** 4)
+    assert len(positions) == 10 ** 4
+    digest = hashlib.sha256(repr(positions).encode()).hexdigest()
+    assert digest == "703a5b1b16822bf559f3572cfdf446969d72021715cb36c4402bd115f71148a4"
+
+
+@functools.cache
+def reference_prefix(schedule, c, count):
+    """reference_positions, with the cap standing in for the positions from
+    the first exhausted search on."""
+    for found in range(count, -1, -1):
+        try:
+            return reference_positions(schedule, c, found) + [_POSITION_SEARCH_CAP] * (count - found)
+        except SearchExhausted:
+            pass
+
+
+BAD_ESTIMATES = {
+    "ones": lambda schedule, c, count: [1] * count,
+    "true_plus_one": lambda schedule, c, count: [p + 1 for p in reference_prefix(schedule, c, count)],
+    "past_the_cap": lambda schedule, c, count: [4 * _POSITION_SEARCH_CAP + 1] * count,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ESTIMATES, ids=list(BAD_ESTIMATES))
+def test_estimates_do_not_change_the_positions(monkeypatch, bad):
+    def estimates(schedule, c, need):
+        return np.array(BAD_ESTIMATES[bad](schedule, c, need.size), dtype=object)
+
+    dense = MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0)
+    inv_log = MomentSchedule(ScheduleForm.INV_LOG)
+    found = [reference_prefix(INV_SQRT_LOG, c, 500) for c in (1.0, 0.5)]
+    monkeypatch.setattr(schedules_module, "_estimates", estimates)
+    assert [y_insertion_positions(INV_SQRT_LOG, c, 500) for c in (1.0, 0.5)] == found
+    assert y_insertion_positions(dense, 4.2e-280, 2) == reference_positions(dense, 4.2e-280, 2)
+    with pytest.raises(SearchExhausted, match="^insert position 4 beyond cap 1.00e\\+280$"):
+        y_insertion_positions(inv_log, 1.0, 4)
+    with pytest.raises(SearchExhausted, match="^insert position 3 beyond cap 1.00e\\+280$"):
+        y_insertion_positions(dense, 4.2e-280, 3)
+
+
+def test_least_integer_reaching_rounds_up_to_the_float():
+    # past 2**53 a tie at the midpoint to the float below rounds to the
+    # even significand: 2**53 + 1 goes down, 2**53 + 3 goes up
+    for f in (1.0, 2.5, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 + 4, 2.0 ** 54, 2.0 ** 54 + 4,
+              3.0e20, 1.0e279):
+        m = _least_integer_reaching(f)
+        assert type(m) is int and float(m) >= f > float(m - 1)
+
+
+def outcome(search, schedule, c, count):
+    try:
+        return search(schedule, c, count)
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(schedules(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 300))
+def test_insertion_positions_are_the_sequential_search(schedule, c, count):
+    assert outcome(y_insertion_positions, schedule, c, count) == outcome(reference_positions, schedule, c, count)
 
 
 def _assert_targets_elementwise(schedule, c, n):
