@@ -25,8 +25,10 @@ truncation a violation means a bug.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +41,31 @@ from .schedules import MomentSchedule, y_insertion_positions
 BOUND_TOL = 1e-8  # slack below which a bound counts as violated
 DEFAULT_TRUNCATION = 10 ** 6
 DEFAULT_PS = (1.01, 1.5, 2.0, 3.0, 10.0)
+_LOG_Q_LIMIT = -56.0 * math.log(2.0)  # ln 2**-56, a factor 4 under the Q below which 1 - Q rounds to 1.0
+
+
+@lru_cache(maxsize=1024)
+def _gammainc_cutoff(p: float) -> int:
+    """Least integer x >= max(ceil(p), 2) at which the bound on Q(p, x) = 1 - P(p, x) is below 2**-56.
+
+    The bound is Q(p, x) <= x**(p-1) e**-x / Gamma(p) * x/(x-p+1) for p > 1,
+    without the last factor for p <= 1 (DiDonato and Morris, ACM TOMS 12(4),
+    1986).  Its logarithm decreases in x >= max(ceil(p), 2), so the least
+    such x is found by doubling and then bisecting.  Cached per p: the
+    scalar callers evaluate one p many times.
+    """
+    log_gamma = math.lgamma(p)
+
+    def below_limit(x: int) -> bool:
+        log_q = (p - 1.0) * math.log(x) - x - log_gamma
+        if p > 1.0:
+            log_q += math.log(x / (x - p + 1.0))
+        return log_q < _LOG_Q_LIMIT
+
+    lo = hi = max(math.ceil(p), 2)
+    while not below_limit(hi):
+        lo, hi = hi + 1, 2 * hi
+    return lo + bisect_left(range(lo, hi), True, key=below_limit)
 
 
 def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray | None = None):
@@ -46,19 +73,37 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray
 
     ``out`` (which may be ``n`` itself) receives the values of an array ``n``;
     None allocates it.  A scalar ``n`` gives a float.
+
+    For the exp envelope the integral is Gamma(p+1) P(p, x), with P the
+    regularized lower incomplete gamma function.  From the cutoff of
+    :func:`_gammainc_cutoff` on, the bound there puts Q(p, x) = 1 - P(p, x)
+    below 2**-56.  That is a factor 4 under 2**-54, below which 1 - Q rounds
+    to 1.0 in float64; the factor 4 is left for the relative error of
+    ``scipy.special.gammainc``.  So gammainc is called only below the cutoff,
+    and from there on the value is Gamma(p+1), which is Gamma(p+1) * 1.0:
+    the values are the floats Gamma(p+1) * gammainc(p, x) gives, at every x.
+    An array wholly past the cutoff is filled without a mask.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:  # NaN fails too
+        raise ValueError("p must be positive and finite")
     scalar = np.isscalar(n)
     x = np.asarray(n, dtype=np.float64)
-    if not np.all(x >= 0):  # NaN fails too
+    lowest = x.min(initial=math.inf)  # on a scalar, cheaper than np.all(x >= 0)
+    if not lowest >= 0:  # NaN fails too
         raise ValueError("upper limit must be >= 0")
     value = np.empty_like(x) if out is None else out
     if envelope.kind is EnvelopeKind.EXP:
         import scipy.special as sp  # local import: it takes about 0.3 s to load, and only EXP needs it
 
-        sp.gammainc(p, x, out=value)
-        value *= sp.gamma(p + 1.0)
+        scale = sp.gamma(p + 1.0)
+        cutoff = _gammainc_cutoff(p)
+        if lowest < cutoff:
+            low = x < cutoff
+            head = sp.gammainc(p, x[low]) * scale  # taken before ``value``, which may be ``x``, is overwritten
+            value.fill(scale)
+            value[low] = head
+        else:
+            value.fill(scale)
     else:
         g = envelope.gamma
         low = x <= 1.0
@@ -110,7 +155,7 @@ class BoundCheck:
         return self.bound - self.value
 
     def enforce(self) -> "BoundCheck":
-        if self.value > self.bound + BOUND_TOL:
+        if not self.value <= self.bound + BOUND_TOL:  # NaN fails too
             raise BoundViolation(
                 f"{self.name}[{self.envelope_label}, p={self.p}]: "
                 f"value {self.value!r} (partial sum {self.partial!r} + remainder {self.remainder!r} "
@@ -342,15 +387,16 @@ def weighted_y_series(y_abs: np.ndarray, exponents: np.ndarray) -> WeightedSerie
 
     The diagnostic compares the mass added over the last decade of indices
     to the total: a relative increment under 1e-3 counts as numerically
-    converged.
+    converged.  NaN or negative y values raise ``ValueError``; exponents
+    outside (0, 1], NaN included, raise :class:`~slln_lab.errors.InvalidExponent`.
     """
     y = np.asarray(y_abs, dtype=np.float64)
     a = np.asarray(exponents, dtype=np.float64)
     if y.shape != a.shape or y.ndim != 1 or y.size == 0:
         raise ValueError("y values and exponents must be matching nonempty 1-d arrays")
-    if np.any(y < 0):
+    if not np.all(y >= 0):  # NaN fails too
         raise ValueError("y values must be absolute values")
-    return _weighted_series(y, _series_weights(1.0 / a))
+    return _weighted_series(y, _series_weights(reciprocal_exponents(a)))
 
 
 def _series_weights(inv_exponents: np.ndarray) -> np.ndarray:
@@ -441,7 +487,7 @@ def kronecker_check(x: np.ndarray, weights: np.ndarray) -> KroneckerReport:
     b = np.asarray(weights, dtype=np.float64)
     if xs.shape != b.shape or xs.ndim != 1 or xs.size < 10:
         raise ValueError("need matching 1-d arrays with at least 10 terms")
-    if np.any(b <= 0) or np.any(np.diff(b) < 0):
+    if not np.all(b > 0) or np.any(np.diff(b) < 0):  # NaN fails too
         raise ValueError("weights must be positive and nondecreasing")
     series = np.cumsum(xs / b)
     n = xs.size

@@ -310,7 +310,7 @@ def reciprocal_exponents(exponent) -> np.ndarray:
     """1/a for each exponent a (scalar or array), after checking that every
     a lies in (0, 1]."""
     exps = np.asarray(exponent, dtype=np.float64)
-    if np.any(exps <= 0.0) or np.any(exps > 1.0):
+    if not (np.all(exps > 0.0) and np.all(exps <= 1.0)):  # NaN fails too
         raise InvalidExponent("exponents must lie in (0, 1]")
     return 1.0 / exps
 

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slln_lab import calculus
 from slln_lab.calculus import (
@@ -23,8 +25,8 @@ from slln_lab.calculus import (
     weighted_y_series,
     weighted_y_series_ensemble,
 )
-from slln_lab.errors import BoundViolation, SearchExhausted
-from slln_lab.generators import DependenceMode, TailEnvelope, draw_heavy, reciprocal_exponents
+from slln_lab.errors import BoundViolation, InvalidExponent, SearchExhausted
+from slln_lab.generators import _CHUNK, DependenceMode, TailEnvelope, draw_heavy, reciprocal_exponents
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
 
@@ -236,6 +238,73 @@ def test_negative_or_nan_argument_is_rejected(env, bad):
         truncated_power_moment(env, bad, 1.5)
 
 
+@pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_nonpositive_nan_or_infinite_exponent_is_rejected(env, p):
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        envelope_power_integral(env, np.array([0.5, 2.0]), p)
+
+
+# --- the gammainc cutoff of the exp power integral ----------------------------------
+
+CUTOFF_N = np.arange(3, 2 ** 17 + 1, dtype=np.float64)  # spans every cutoff and the first chunk edge
+
+
+def assert_exp_integral_is_gammainc_across_the_cutoff(p):
+    expected = reference_power_integral(EXP, CUTOFF_N, p)
+    assert np.array_equal(envelope_power_integral(EXP, CUTOFF_N, p), expected)
+    # a chunk at a time, as series A fills it: from the second chunk on, every n is past the cutoff
+    out = np.empty_like(CUTOFF_N)
+    for s0 in range(0, CUTOFF_N.size, _CHUNK):
+        envelope_power_integral(EXP, CUTOFF_N[s0:s0 + _CHUNK], p, out=out[s0:s0 + _CHUNK])
+    assert np.array_equal(out, expected)
+
+
+def assert_gammainc_is_one_past_the_cutoff(p):
+    # the premise of the cutoff: scipy rounds P(p, n) to exactly 1.0 from there on
+    cutoff = calculus._gammainc_cutoff(p)
+    assert np.all(sp.gammainc(p, np.arange(cutoff, cutoff + 2 ** 16, dtype=np.float64)) == 1.0)
+
+
+@pytest.mark.parametrize("p", calculus.DEFAULT_PS)
+def test_exp_integral_is_gammainc_across_the_cutoff(p):
+    assert_exp_integral_is_gammainc_across_the_cutoff(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.floats(min_value=1.0, max_value=50.0, exclude_min=True))
+def test_exp_integral_is_gammainc_across_the_cutoff_for_any_p(p):
+    assert_exp_integral_is_gammainc_across_the_cutoff(p)
+
+
+@pytest.mark.parametrize("p", calculus.DEFAULT_PS)
+def test_gammainc_is_one_past_the_cutoff(p):
+    assert_gammainc_is_one_past_the_cutoff(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.floats(min_value=1.0, max_value=50.0, exclude_min=True))
+def test_gammainc_is_one_past_the_cutoff_for_any_p(p):
+    assert_gammainc_is_one_past_the_cutoff(p)
+
+
+def test_scalar_and_in_place_calls_at_the_cutoff_equal_the_reference():
+    cutoffs = [calculus._gammainc_cutoff(p) for p in calculus.DEFAULT_PS]
+    assert cutoffs == [39, 41, 43, 46, 64]
+    for p, cutoff in zip(calculus.DEFAULT_PS, cutoffs):
+        for n in (cutoff - 6.0, cutoff - 1.0, float(cutoff)):
+            expected = reference_power_integral(EXP, np.array([n]), p)[0]
+            assert envelope_power_integral(EXP, n, p) == expected
+            zero_d = envelope_power_integral(EXP, np.array(n), p)
+            assert zero_d.shape == () and zero_d == expected
+            in_place = np.array([n, n])
+            assert envelope_power_integral(EXP, in_place, p, out=in_place) is in_place
+            assert np.array_equal(in_place, [expected, expected])
+        in_place = np.array([float(cutoff), cutoff - 1.0])  # one on each side of the cutoff
+        assert np.array_equal(envelope_power_integral(EXP, in_place, p, out=in_place),
+                              reference_power_integral(EXP, np.array([float(cutoff), cutoff - 1.0]), p))
+
+
 def test_combined_bound_examples():
     a, b_exp = series_bound_A(EXP, 2.0), series_bound_B(EXP)
     combined = combined_series_bound(a, b_exp)
@@ -349,6 +418,15 @@ class LyingEnvelope:
 def test_bound_violation_detected_for_inconsistent_envelope():
     with pytest.raises(BoundViolation):
         series_bound_A(LyingEnvelope(), 2.0)
+
+
+def test_nan_value_violates_its_bound():
+    # Gamma(401) overflows, so the exp integral at p = 400 is inf or 0 * inf and series A is NaN
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=400\.0\]: value nan \(partial sum nan"):
+            series_bound_A(EXP, 400.0, 10 ** 4)
+        with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=400\.0\]: value nan"):
+            bound_suite(ps=(2.0, 400.0), truncation=10 ** 4)
 
 
 def test_first_violation_is_the_first_series_A(monkeypatch):
@@ -497,6 +575,17 @@ def test_weighted_series_zeta_two():
     assert np.all(np.diff(res.partial_sums) >= 0)
 
 
+def test_weighted_series_rejects_nan_values():
+    with pytest.raises(ValueError, match="y values must be absolute values"):
+        weighted_y_series(np.array([1.0, math.nan, 2.0]), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("exponents", [[0.5, 0.0, -0.5], [0.5, math.nan, 0.5], [0.5, 1.5, 0.5]])
+def test_weighted_series_rejects_exponents_outside_the_unit_interval(exponents):
+    with pytest.raises(InvalidExponent):
+        weighted_y_series(np.ones(3), np.array(exponents))
+
+
 def test_weighted_series_simulated_ensemble():
     ens = weighted_y_series_ensemble(
         PARETO2, MomentSchedule(ScheduleForm.INV_SQRT_LOG), 1.0, 10 ** 4, 100, master_seed=0
@@ -541,3 +630,10 @@ def test_kronecker_validates_weights():
         kronecker_check(np.ones(20), -np.ones(20))
     with pytest.raises(ValueError):
         kronecker_check(np.ones(20), np.linspace(10, 1, 20))
+
+
+def test_kronecker_rejects_nan_weights():
+    weights = np.arange(1.0, 21.0)
+    weights[5] = math.nan
+    with pytest.raises(ValueError, match="weights must be positive and nondecreasing"):
+        kronecker_check(np.ones(20), weights)

@@ -310,7 +310,7 @@ def test_draw_heavy_exp_envelope_shared_half():
 
 
 def test_reciprocal_exponents_rejects_bad_exponent():
-    for a in (0.0, -0.5, 1.5, [0.5, 1.5]):
+    for a in (0.0, -0.5, 1.5, [0.5, 1.5], math.nan, [0.5, math.nan]):
         with pytest.raises(InvalidExponent):
             reciprocal_exponents(a)
 
