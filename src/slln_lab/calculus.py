@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundViolation, SearchExhausted
-from .generators import _CHUNK, DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, reciprocal_exponents
+from .generators import _CHUNK, DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
 from .rng import Channel, StreamKey, derive_stream
 from .schedules import MomentSchedule, y_insertion_positions
 
@@ -125,7 +125,7 @@ def truncated_power_moment(envelope: TailEnvelope, n: float, p: float) -> float:
     """E min(v, n)**p in closed form: body integral plus boundary term n**p G(n)."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    if not np.all(n >= 0):  # NaN fails too
+    if not nonnegative(n):
         raise ValueError("n must be >= 0")
     x = float(n)
     return envelope_power_integral(envelope, x, p) + x ** p * envelope.survival(x)

@@ -246,7 +246,7 @@ class TailEnvelope:
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=np.float64)
-        if not np.all(t >= 0):  # NaN fails too
+        if not nonnegative(t):
             raise ValueError("survival is defined for t >= 0")
         value = np.empty_like(t) if out is None else out
         if self.kind is EnvelopeKind.EXP:
@@ -263,7 +263,7 @@ class TailEnvelope:
 
     def tail_integral(self, cutoff: float) -> float:
         """Integral of the envelope over [cutoff, inf), in closed form."""
-        if not np.all(cutoff >= 0):  # NaN fails too
+        if not nonnegative(cutoff):
             raise ValueError("cutoff must be >= 0")
         if self.kind is EnvelopeKind.EXP:
             return math.exp(-cutoff)
@@ -304,6 +304,17 @@ class TailEnvelope:
 class DependenceMode(Enum):
     INDEPENDENT = "independent"  # fresh base draw per insert
     COMONOTONE = "comonotone"    # one shared uniform drives every insert of a path
+
+
+def nonnegative(x) -> bool:
+    """Whether a number, or every entry of an array, is >= 0; NaN is not.
+
+    For numbers and arrays, the same answer as np.all(x >= 0), without the
+    4-5 us that costs on a float.
+    """
+    if isinstance(x, (int, float)):
+        return x >= 0
+    return np.asarray(x).min(initial=math.inf) >= 0
 
 
 def reciprocal_exponents(exponent) -> np.ndarray:

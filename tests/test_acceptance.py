@@ -6,6 +6,7 @@ share the two full-scale ensemble runs through module-scoped fixtures.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -133,6 +134,11 @@ def test_criterion_4_theorem_regime(theorem_run_threads8):
                  f"median D over 1e4/1e5/1e6: {window[0]:.4f} > {window[1]:.4f} > {window[2]:.5f}; {elapsed:.1f}s")
 
 
+# sha256 of theorem.json's deviations.csv, recorded at 84ecdc7 (bench/references.json)
+# and reproduced at 5deae7e
+THEOREM_DEVIATIONS_SHA256 = "b1f8e856085b895f602608bde7812c542be14c6d451cf694b7f72b65601576d7"
+
+
 def test_criterion_8_worker_count_determinism(theorem_run_threads8, theorem_run_threads1):
     out8, _, _ = theorem_run_threads8
     out1, code1 = theorem_run_threads1
@@ -140,7 +146,8 @@ def test_criterion_8_worker_count_determinism(theorem_run_threads8, theorem_run_
     bytes8 = (out8 / "deviations.csv").read_bytes()
     bytes1 = (out1 / "deviations.csv").read_bytes()
     assert bytes8 == bytes1
-    _announce(8, f"deviations.csv byte-identical across 1 and 8 workers ({len(bytes8)} bytes)")
+    assert hashlib.sha256(bytes8).hexdigest() == THEOREM_DEVIATIONS_SHA256
+    _announce(8, f"deviations.csv byte-identical across 1 and 8 workers and to its pin ({len(bytes8)} bytes)")
 
 
 # --- criterion 5: counterexample sensitivity -----------------------------------------------

@@ -26,7 +26,7 @@ from slln_lab.calculus import (
     weighted_y_series_ensemble,
 )
 from slln_lab.errors import BoundViolation, InvalidExponent, SearchExhausted
-from slln_lab.generators import _CHUNK, DependenceMode, TailEnvelope, draw_heavy, reciprocal_exponents
+from slln_lab.generators import _CHUNK, DependenceMode, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
 
@@ -225,8 +225,10 @@ def test_array_branches_into_out_equal_the_whole_array_expressions(env):
 
 
 @pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])
-@pytest.mark.parametrize("bad", [-1.0, math.nan, np.array(math.nan), np.array([0.5, math.nan, 2.0])],
-                         ids=["negative", "nan", "nan_0d", "nan_in_array"])
+@pytest.mark.parametrize("bad", [-1.0, -1, -math.inf, np.float64(-0.5), math.nan, np.array(math.nan),
+                                 np.array([0.5, math.nan, 2.0]), np.array([0.5, -math.inf]), np.array([3.0, -1e-300])],
+                         ids=["negative", "negative_int", "minus_inf", "negative_float64", "nan", "nan_0d",
+                              "nan_in_array", "minus_inf_in_array", "negative_in_array"])
 def test_negative_or_nan_argument_is_rejected(env, bad):
     with pytest.raises(ValueError, match="upper limit must be >= 0"):
         envelope_power_integral(env, bad, 1.5)
@@ -236,6 +238,14 @@ def test_negative_or_nan_argument_is_rejected(env, bad):
         env.tail_integral(bad)
     with pytest.raises(ValueError, match="n must be >= 0"):
         truncated_power_moment(env, bad, 1.5)
+
+
+def test_nonnegative_agrees_with_np_all():
+    values = [0, 0.0, -0.0, 3, 2.5, math.inf, -1, -1.0, -math.inf, math.nan, 10 ** 400, -(10 ** 400), True,
+              np.float64(-0.5), np.float32(1.5), np.array(-2.0), np.array([]), np.array([0.0, math.inf]),
+              np.array([1.0, math.nan]), np.array([[1.0, 2.0], [3.0, -4.0]])]
+    for x in values:
+        assert nonnegative(x) == bool(np.all(x >= 0)), x
 
 
 @pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])

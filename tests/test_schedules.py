@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from slln_lab.schedules import (
     ratio_running_max,
     validate_schedule,
     _least_integer_reaching,
+    _search,
     _targets,
     y_insertion_positions,
 )
@@ -318,6 +320,63 @@ def test_least_integer_reaching_rounds_up_to_the_float():
         m = _least_integer_reaching(f)
         assert type(m) is int and float(m) >= f > float(m - 1)
 
+
+def reference_search(schedule, c, need, lo):
+    """One search of ``_search`` by the plain integer bisection, with no
+    finish: the first n found from ``lo`` with target_n >= ``need``, or 0
+    past the cap.  Also says how ``_search`` finishes it, at the first step
+    where its lower bound flo on float(lo) is float(hi) or the float below:
+    one cell or two cells with reached(lo) end at lo, two cells without it
+    at hi's cell."""
+    def reached(n):
+        return _targets(schedule, c, np.float64(n)) >= need
+
+    hi = max(lo, 2)
+    while not reached(hi):
+        hi *= 4
+        if hi > _POSITION_SEARCH_CAP:
+            return 0, None
+    flo, finish = float(lo), None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo, flo = mid + 1, float(mid)
+        if finish is None and lo < hi and math.nextafter(flo, math.inf) >= float(hi):
+            finish = "one cell" if float(lo) == float(hi) else "at lo" if reached(lo) else "hi's cell"
+    return lo, finish
+
+
+def test_search_finish_matches_the_plain_bisection():
+    # random lo in [2**60, 2**200), and a third in [2**53, 2**60), and need
+    # 0-3 counts above target(lo); at 0, hi starts at lo.  hi otherwise
+    # starts at 4**j * lo, 2j binades above it, so the two never start in one
+    # rounding cell: the one-cell case is a finish reached by bisecting, when
+    # lo = mid + 1 lands on the first integer of hi's cell.  That is common
+    # only where a cell holds few integers, hence the lo below 2**60.
+    # inv_log at c = 2/e puts c * n**a_n at 2 give or take rounding, so its
+    # target is not monotone.  No finish sees two cells with reached(lo):
+    # lo = mid + 1 with mid not reached, so a reached lo is a cell above
+    # flo = float(mid).
+    rng = random.Random(0)
+    finishes = set()
+    for schedule, c in [
+        (INV_SQRT_LOG, 1.0),
+        (INV_SQRT_LOG, 0.5),
+        (MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), 1.0),
+        (MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), 0.3),
+        (MomentSchedule(ScheduleForm.INV_LOG), 1.0),
+        (MomentSchedule(ScheduleForm.INV_LOG), 2 / math.e),
+    ]:
+        bits = rng.choices(range(61, 201), k=100) + rng.choices(range(54, 61), k=50)
+        lo = [2 ** (b - 1) + rng.getrandbits(b - 1) for b in bits]
+        need = [float(_targets(schedule, c, np.float64(n))) + rng.randint(0, 3) for n in lo]
+        found = _search(schedule, c, np.array(need), np.array(lo, dtype=object))
+        expected = [reference_search(schedule, c, k, n) for k, n in zip(need, lo)]
+        assert found.tolist() == [n for n, _ in expected]
+        finishes.update(finish for _, finish in expected)
+    assert finishes == {None, "one cell", "hi's cell"}
 
 def outcome(search, schedule, c, count):
     try:
