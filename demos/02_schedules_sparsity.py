@@ -1,23 +1,28 @@
 """Vanishing exponent schedules and the insert-budget pattern they induce."""
 
-from slln_lab import MomentSchedule, ScheduleForm, build_sparsity
-from slln_lab.schedules import ratio_running_max, validate_schedule, y_insertion_positions
+import numpy as np
 
-sched = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+from slln_lab import MomentSchedule, ScheduleForm, build_sparsity
+from slln_lab.cli import load_config
+from slln_lab.hypotheses import verify_hypotheses
+from slln_lab.schedules import validate_schedule, y_insertion_positions
+
+theorem = load_config("theorem.json")  # a_n = 1/sqrt(ln n), AUTO pattern at c = 1, horizon 1e6
+sched = theorem.schedule
 print("exponent a_n = 1/sqrt(ln n):")
 for n in (10, 100, 10 ** 4, 10 ** 6):
     print(f"  a({n}) = {sched.value(n):.5f}")
 
-report = validate_schedule(sched, 10 ** 6, growth_target=3.0)
-print("growth check:", report.detail)
+report = verify_hypotheses(theorem)
+print("growth check:", report.entry("A_LN_N").detail)
 
-broken = MomentSchedule(ScheduleForm.INV_LOG)
-print("designed violation:", validate_schedule(broken, 10 ** 6, growth_target=2.0).detail)
+growth = validate_schedule(MomentSchedule(ScheduleForm.INV_LOG), 10 ** 6) * np.log(np.arange(1, 10 ** 6 + 1))
+print(f"designed violation: a_n*ln n reaches 2.0 on [1, 1000000]: {bool(np.any(growth >= 2.0))}"
+      f" (value {growth[-1]:.6g} at horizon)")
 
-pattern = build_sparsity(sched, c=1.0)
-phi = pattern.phi(10 ** 6)
+phi = build_sparsity(sched, c=1.0).phi(10 ** 6)
 print(f"inserts among the first 1e6 indices: {phi[-1]}")
-print(f"sup of phi_n / n**a_n: {ratio_running_max(pattern, sched, 10 ** 6)[-1]:.4f} (stays below c + 1 = 2)")
+print(f"sup of phi_n / n**a_n: {report.entry('INFREQUENCY').value:.4f} (stays below c + 1 = 2)")
 print("first 12 insert positions:", y_insertion_positions(sched, 1.0, 12))
 print("insert positions grow like exp((ln k)^2); the 50th sits at",
       f"{y_insertion_positions(sched, 1.0, 50)[-1]:.3e}")

@@ -18,9 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergentIntegral
-from .generators import TailEnvelope, XFamily, infinite_mean_onset
-from .schedules import MomentSchedule, SparsityPattern, ratio_running_max, validate_schedule
+from .generators import XFamily, infinite_mean_onset
+from .schedules import ScheduleForm, SparsityMode, _auto_alpha, validate_schedule
+
+_GROWTH_TARGET = 3.0  # A_LN_N: the first n with a_n * ln n at least this witnesses the growth
 
 
 @dataclass
@@ -67,80 +71,21 @@ def cesaro_tail_constant(family: XFamily) -> float:
     return family.mean_abs()
 
 
-@dataclass
-class VMomentReport:
-    status: str
-    mean_v: float
-    infinite_mean_onset_index: int | None
-    detail: str
-
-
-def v_moment_check(envelope: TailEnvelope, schedule: MomentSchedule | None = None) -> VMomentReport:
-    """Finiteness of the base-variable mean (exact for the extremal law).
-
-    The base variable is nonnegative with survival equal to the envelope, so
-    its mean is the envelope integral.  When a schedule is supplied, also
-    reports the first index whose transformed draw loses its mean.
-    """
-    mean_v = envelope.integral()
-    onset = infinite_mean_onset(envelope, schedule) if schedule is not None else None
-    detail = f"mean of the base variable = envelope integral = {mean_v:.12g}"
-    if onset is not None:
-        detail += f"; transformed draws lose their mean from index {onset}"
-    return VMomentReport(
-        status="PASS" if math.isfinite(mean_v) else "FAIL",
-        mean_v=mean_v,
-        infinite_mean_onset_index=onset,
-        detail=detail,
-    )
-
-
-@dataclass
-class InfrequencyReport:
-    status: str
-    sup_ratio: float
-    threshold: float
-    new_max_in_last_decade: bool
-    horizon: int
-
-
-def infrequency_check(
-    pattern: SparsityPattern,
-    schedule: MomentSchedule,
-    horizon: int,
-    threshold: float | None = None,
-) -> InfrequencyReport:
-    """Boundedness witness for phi_n / n**a_n over [1, horizon].
-
-    PASS if the running max stops growing over the last decade of indices or
-    stays below the threshold (default 10 * c).
-    """
-    if threshold is None:
-        threshold = 10.0 * pattern.c
-    running = ratio_running_max(pattern, schedule, horizon)
-    sup_ratio = float(running[-1])
-    decade_start = max(horizon // 10, 1)
-    new_max = bool(running[-1] > running[decade_start - 1])
-    ok = (not new_max) or sup_ratio <= threshold
-    return InfrequencyReport(
-        status="PASS" if ok else "FAIL",
-        sup_ratio=sup_ratio,
-        threshold=threshold,
-        new_max_in_last_decade=new_max,
-        horizon=horizon,
-    )
-
-
 def verify_hypotheses(config, infrequency_threshold: float | None = None) -> HypothesisReport:
     """Run every hypothesis check against one experiment spec.
 
-    ``infrequency_threshold`` defaults to the spec's own.  The index-wise
-    checks run to the config horizon capped at 10**6, so a large simulation
-    config can be vetted quickly.
+    ``infrequency_threshold`` defaults to the spec's own, then to 10 * c.
+    The index-wise checks read one evaluation of a_n over the config
+    horizon capped at 10**6, so a large simulation config can be vetted
+    quickly.  The schedule checks and A_LN_N take at least 3 indices;
+    INFREQUENCY takes only the indices where the pattern is defined.
     """
-    if infrequency_threshold is None:
-        infrequency_threshold = config.infrequency_threshold
-    horizon = max(min(config.horizon, 10 ** 6), 3)
+    pattern, schedule = config.pattern, config.schedule
+    threshold = config.infrequency_threshold if infrequency_threshold is None else infrequency_threshold
+    if threshold is None:
+        threshold = 10.0 * pattern.c
+    horizon = min(config.horizon, 10 ** 6)
+    span = max(horizon, 3)
     entries: list[HypothesisEntry] = []
 
     family = config.x_family
@@ -167,31 +112,48 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     except DivergentIntegral as exc:
         entries.append(HypothesisEntry("CESARO_TAIL", "FAIL", math.inf, str(exc)))
 
-    vres = v_moment_check(config.envelope, config.schedule)
-    entries.append(HypothesisEntry("V_MOMENT", vres.status, vres.mean_v, vres.detail))
+    # the base variable has the envelope as survival, so its mean is the
+    # envelope integral; the onset is where a transformed draw loses it
+    mean_v = config.envelope.integral()
+    onset = infinite_mean_onset(config.envelope, schedule)
+    detail = f"mean of the base variable = envelope integral = {mean_v:.12g}"
+    if onset is not None:
+        detail += f"; transformed draws lose their mean from index {onset}"
+    entries.append(HypothesisEntry("V_MOMENT", "PASS" if math.isfinite(mean_v) else "FAIL", mean_v, detail))
+    entries.append(HypothesisEntry("ENVELOPE", "PASS", mean_v, "nonincreasing envelope with finite integral"))
 
+    a = validate_schedule(schedule, span)
+    n = np.arange(1, span + 1, dtype=np.float64)
+    growth = np.log(n)
+    growth *= a
+    hit = np.flatnonzero(growth >= _GROWTH_TARGET)
+    if hit.size:
+        growth_entry = HypothesisEntry(
+            "A_LN_N", "PASS", float(hit[0] + 1), f"a_n*ln n reaches {_GROWTH_TARGET} at n={hit[0] + 1}"
+        )
+    else:
+        growth_entry = HypothesisEntry(
+            "A_LN_N", "PASS" if schedule.form is ScheduleForm.CONSTANT else "FAIL", math.inf,
+            f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth[-1]:.6g} at horizon)",
+        )
+    power = np.power(n, a, out=a)[:horizon]
+    del n, growth  # freed before alpha and the ratios are built: the peak stays that of one a_n evaluation
+    # an AUTO pattern built from another schedule keeps its own inserts
+    if pattern.mode is SparsityMode.AUTO and pattern.schedule == schedule:
+        alpha = _auto_alpha(pattern.c, power)
+    else:
+        alpha = pattern.alpha(horizon)
+    # PASS if the running max of phi_n / n**a_n stops growing over the last
+    # decade of indices or stays within the threshold
+    running = np.cumsum(alpha, dtype=np.int64) / power
+    np.maximum.accumulate(running, out=running)
+    sup_ratio = float(running[-1])
+    new_max = bool(running[-1] > running[max(horizon // 10, 1) - 1])
     entries.append(
         HypothesisEntry(
-            "ENVELOPE", "PASS", config.envelope.integral(), "nonincreasing envelope with finite integral"
+            "INFREQUENCY", "PASS" if not new_max or sup_ratio <= threshold else "FAIL", sup_ratio,
+            f"sup ratio {sup_ratio:.6g} vs threshold {threshold:.6g} (new max in last decade: {new_max})",
         )
     )
-
-    ifr = infrequency_check(config.pattern, config.schedule, horizon, infrequency_threshold)
-    entries.append(
-        HypothesisEntry(
-            "INFREQUENCY", ifr.status, ifr.sup_ratio,
-            f"sup ratio {ifr.sup_ratio:.6g} vs threshold {ifr.threshold:.6g}"
-            f" (new max in last decade: {ifr.new_max_in_last_decade})",
-        )
-    )
-
-    sched = validate_schedule(config.schedule, horizon)
-    growth_value = (
-        float(sched.first_index_reaching) if sched.first_index_reaching is not None else math.inf
-    )
-    entries.append(
-        HypothesisEntry(
-            "A_LN_N", "PASS" if sched.growth_ok else "FAIL", growth_value, sched.detail
-        )
-    )
+    entries.append(growth_entry)
     return HypothesisReport(entries)

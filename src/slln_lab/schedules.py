@@ -4,7 +4,7 @@ A :class:`MomentSchedule` supplies the vanishing exponent sequence a_n used
 both to transform heavy-tailed draws (y = v ** (1/a_n)) and to budget how
 often they may appear.  A :class:`SparsityPattern` is the nonrandom 0/1
 sequence deciding which global indices receive a heavy draw; ``phi`` counts
-inserts, ``psi`` counts the remaining (well-behaved) positions.
+the inserts.
 
 Exponents are defined on the GLOBAL index: the k-th insert inherits the
 exponent of the position it lands on.  Small indices clamp to the value at
@@ -103,55 +103,17 @@ class MomentSchedule:
         return keyed("floor_index", lambda f: replace(schedule, floor_index=as_int(f)), floor_index)
 
 
-@dataclass
-class ScheduleValidation:
-    growth_ok: bool
-    first_index_reaching: int | None
-    growth_target: float
-    horizon: int
-    value_at_horizon: float
-    detail: str
-
-
-def validate_schedule(schedule: MomentSchedule, horizon: int, growth_target: float = 3.0) -> ScheduleValidation:
-    """Check positivity, range, monotonicity, and unbounded a_n * ln n.
-
-    Raises :class:`ScheduleRejected` on a positivity/range/monotonicity
-    violation.  The growth check never raises: it reports the first index n
-    with a_n * ln n >= ``growth_target``, or its absence within ``horizon``.
-    CONSTANT schedules pass the growth check by construction.
-    """
+def validate_schedule(schedule: MomentSchedule, horizon: int) -> np.ndarray:
+    """a_1..a_horizon as a float64 array, once its values lie in (0, 1]
+    and never increase; raises :class:`ScheduleRejected` otherwise."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    n = np.arange(1, horizon + 1, dtype=np.float64)
-    a = schedule.value(n)
+    a = schedule.value(np.arange(1, horizon + 1, dtype=np.float64))
     if not np.all((a > 0.0) & (a <= 1.0)):
         raise ScheduleRejected("a_n outside (0, 1] on [1, horizon]")
     if np.any(np.diff(a) > 0.0):
         raise ScheduleRejected("a_n is not nonincreasing on [1, horizon]")
-
-    growth = a * np.log(n)
-    first: int | None = None
-    hit = np.nonzero(growth >= growth_target)[0]
-    if hit.size:
-        first = int(hit[0]) + 1
-    growth_ok = schedule.form is ScheduleForm.CONSTANT or first is not None
-    at_horizon = float(growth[-1])
-    if first is not None:
-        detail = f"a_n*ln n reaches {growth_target} at n={first}"
-    else:
-        detail = (
-            f"a_n*ln n never reaches {growth_target} on [1, {horizon}]"
-            f" (value {at_horizon:.6g} at horizon)"
-        )
-    return ScheduleValidation(
-        growth_ok=growth_ok,
-        first_index_reaching=first,
-        growth_target=growth_target,
-        horizon=horizon,
-        value_at_horizon=at_horizon,
-        detail=detail,
-    )
+    return a
 
 
 class SparsityMode(Enum):
@@ -165,10 +127,23 @@ def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
     """ceil(c * n**a_n) on a float64 array ``n``: the AUTO pattern's target.
 
     np.power, not exp(a*ln n): pow(x, 1.0) is exact, so integer targets (the
-    a=1 boundary case) land on integers.  The pattern and the insert-position
-    search both evaluate this one expression.
+    a=1 boundary case) land on integers.  The pattern (through
+    :func:`_auto_alpha`) and the insert-position search both evaluate this
+    one expression.
     """
     return np.ceil(c * np.power(n, schedule.value(n)))
+
+
+def _auto_alpha(c: float, power: np.ndarray) -> np.ndarray:
+    """The AUTO pattern's alpha_1..alpha_h, from ``power`` = n**a_n over
+    1..h as ``np.power`` computes it: an insert wherever the target
+    ceil(c * n**a_n) increments."""
+    alpha = np.empty(power.size, dtype=np.uint8)
+    # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
+    alpha[0] = 1 if c >= 1.0 else 0
+    targets = c * power
+    alpha[1:] = np.diff(np.ceil(targets, out=targets)) > 0
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -211,21 +186,12 @@ class SparsityPattern:
             if len(self.explicit) < horizon:
                 raise ValueError("explicit alpha list shorter than horizon")
             return np.asarray(self.explicit[:horizon], dtype=np.uint8)
-        targets = _targets(self.schedule, self.c, np.arange(1, horizon + 1, dtype=np.float64))
-        alpha = np.empty(horizon, dtype=np.uint8)
-        # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
-        alpha[0] = 1 if self.c >= 1.0 else 0
-        if horizon > 1:
-            alpha[1:] = (np.diff(targets) > 0).astype(np.uint8)
-        return alpha
+        n = np.arange(1, horizon + 1, dtype=np.float64)
+        return _auto_alpha(self.c, np.power(n, self.schedule.value(n), out=n))
 
     def phi(self, horizon: int) -> np.ndarray:
         """Running insert count phi_1..phi_horizon."""
         return np.cumsum(self.alpha(horizon), dtype=np.int64)
-
-    def psi(self, horizon: int) -> np.ndarray:
-        """Running count of non-insert positions, n - phi_n."""
-        return np.arange(1, horizon + 1, dtype=np.int64) - self.phi(horizon)
 
     def to_dict(self) -> dict:
         out = {"mode": self.mode.value, "c": self.c}
@@ -251,13 +217,6 @@ class SparsityPattern:
 def build_sparsity(schedule: MomentSchedule, c: float) -> SparsityPattern:
     """AUTO pattern targeting phi_n ~ ceil(c * n**a_n)."""
     return SparsityPattern(mode=SparsityMode.AUTO, c=c, schedule=schedule)
-
-
-def ratio_running_max(pattern: SparsityPattern, schedule: MomentSchedule, horizon: int) -> np.ndarray:
-    """Running max of phi_n / n**a_n (used by the infrequency verifier)."""
-    n = np.arange(1, horizon + 1, dtype=np.float64)
-    ratios = pattern.phi(horizon) / np.power(n, schedule.value(n))
-    return np.maximum.accumulate(ratios)
 
 
 def y_insertion_positions(schedule: MomentSchedule, c: float, count: int) -> list[int]:

@@ -150,7 +150,24 @@ def test_criterion_8_worker_count_determinism(theorem_run_threads8, theorem_run_
     _announce(8, f"deviations.csv byte-identical across 1 and 8 workers and to its pin ({len(bytes8)} bytes)")
 
 
+# sha256 of pure-x.json's deviations.csv, recorded at 7ad2ba8
+PURE_X_DEVIATIONS_SHA256 = "cd64014681609b9e8a47d4af982cc70f35c57ab72944615462f5b0139c3858f9"
+
+
+def test_pure_x_deviations_are_pinned(tmp_path):
+    code = cli.run(cli.load_config("pure-x.json"), subcommand="simulate", out_dir=tmp_path)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "deviations.csv").read_bytes()).hexdigest() == PURE_X_DEVIATIONS_SHA256
+
+
 # --- criterion 5: counterexample sensitivity -----------------------------------------------
+
+# sha256 of each counterexample's deviations.csv, recorded at 7ad2ba8
+COUNTEREXAMPLE_DEVIATIONS_SHA256 = {
+    "violate-sparsity.json": "bd9189d5fe651357ba5e2c45703e1352a3a269c6648468b73fac27a0093f094c",
+    "violate-x-mean.json": "2755456faf2e6a19ce27859cad80c2c2fdbf096b00e333cf9358e470b45edd31",
+}
+
 
 def test_criterion_5_counterexamples(tmp_path):
     t0 = time.perf_counter()
@@ -165,6 +182,8 @@ def test_criterion_5_counterexamples(tmp_path):
         verdicts[fixture] = report["status"]["convergence"]
         assert code == 1
         assert verdicts[fixture] != "CONVERGENT"
+        digest = hashlib.sha256((out / "deviations.csv").read_bytes()).hexdigest()
+        assert digest == COUNTEREXAMPLE_DEVIATIONS_SHA256[fixture]
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _announce(5, f"verdicts {verdicts}; {elapsed:.1f}s")
@@ -172,12 +191,19 @@ def test_criterion_5_counterexamples(tmp_path):
 
 # --- criterion 6: weighted heavy series ------------------------------------------------------
 
+# sha256 of the repr of the ensemble's increments as a list of floats (as bench/workloads.py
+# hashes them), recorded at 7ad2ba8; bench/references.json holds the same value
+WEIGHTED_INCREMENTS_SHA256 = "250841bd0c27eb01191fb37e9f4d86a35d06134cb889a87893b75ee3c1d2510c"
+
+
 def test_criterion_6_weighted_series():
     ens = weighted_y_series_ensemble(
         TailEnvelope.pareto(2.0), MomentSchedule(ScheduleForm.INV_SQRT_LOG),
         c=1.0, k_max=10 ** 4, n_paths=100, master_seed=0,
     )
     assert ens.fraction_converged >= 0.95
+    increments = [float(x) for x in ens.increments]
+    assert hashlib.sha256(repr(increments).encode()).hexdigest() == WEIGHTED_INCREMENTS_SHA256
     det = weighted_y_series(np.ones(10 ** 4), np.full(10 ** 4, 0.5))
     assert abs(det.total - math.pi ** 2 / 6.0) < 1e-3
     _announce(6, f"{ens.fraction_converged:.0%} of 100 paths converged; "

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -95,6 +96,14 @@ def _small_spec(**overrides):
     return dataclasses.replace(spec, **small)
 
 
+# sha256 of the calculus.csv of every bundled fixture (all Pareto(2)), recorded at 7ad2ba8
+CALCULUS_SHA256 = "47491ddaee7f66278c5659ceed44c7095800f0967e9bdaa79c318f4f1bff6db0"
+
+
+def _calculus_sha256(out: Path) -> str:
+    return hashlib.sha256((out / "calculus.csv").read_bytes()).hexdigest()
+
+
 def test_run_calculus_section(tmp_path):
     code = cli.run(_small_spec(), subcommand="calculus", out_dir=tmp_path)
     assert code == 0
@@ -104,6 +113,7 @@ def test_run_calculus_section(tmp_path):
     csv = (tmp_path / "calculus.csv").read_text().splitlines()
     assert csv[0] == "envelope,p,A,bound_A,B,bound_B,combined,bound_combined"
     assert len(csv) == 6  # five exponents for the config envelope
+    assert _calculus_sha256(tmp_path) == CALCULUS_SHA256
 
 
 def test_run_simulate_writes_artifacts(tmp_path):
@@ -148,6 +158,7 @@ def test_violation_run_exits_nonzero(tmp_path):
     assert report["status"]["convergence"] != "CONVERGENT"
     assert "hypotheses" in report["failures"]
     assert report["exit_code"] == 1
+    assert _calculus_sha256(tmp_path) == CALCULUS_SHA256
 
 
 def test_main_entrypoint(tmp_path):
@@ -180,6 +191,7 @@ def test_default_threads_are_the_usable_cpus_up_to_4(monkeypatch):
 def test_main_entrypoint_calculus_exit_zero(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "theorem.json", "--out", str(out), "--subcommand", "calculus"]) == 0
+    assert _calculus_sha256(out) == CALCULUS_SHA256
 
 
 def test_main_config_error_exit_code(tmp_path):
@@ -202,6 +214,15 @@ def test_main_explicit_alpha_shorter_than_horizon(tmp_path, capsys):
     assert code == 2
     assert "sparsity.alpha" in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
+
+
+def test_main_hypotheses_on_a_short_explicit_pattern(tmp_path):
+    # the schedule checks take 3 indices, INFREQUENCY only the 2 the pattern defines
+    data = {"horizon": 2, "checkpoints": [1, 2], "sparsity": {"mode": "explicit_list", "alpha": [0, 1]}}
+    code, out = _main_on(tmp_path, data, "--subcommand", "hypotheses")
+    assert code in (0, 1)
+    entries = json.loads((out / "report.json").read_text())["hypotheses"]["entries"]
+    assert [e["id"] for e in entries] == ["CENTERING", "CESARO_TAIL", "V_MOMENT", "ENVELOPE", "INFREQUENCY", "A_LN_N"]
 
 
 def test_main_explicit_mode_without_alpha(tmp_path, capsys):

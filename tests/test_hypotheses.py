@@ -8,12 +8,7 @@ import scipy.integrate as integrate
 from slln_lab import cli
 from slln_lab.errors import DivergentIntegral
 from slln_lab.generators import TailEnvelope, XFamily
-from slln_lab.hypotheses import (
-    cesaro_tail_constant,
-    infrequency_check,
-    v_moment_check,
-    verify_hypotheses,
-)
+from slln_lab.hypotheses import cesaro_tail_constant, verify_hypotheses
 from slln_lab.quadrature import adaptive_simpson, integrate_piecewise
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import (
@@ -25,6 +20,11 @@ from slln_lab.schedules import (
 )
 
 SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+
+
+def _theorem_entry(entry_id, **changes):
+    """One hypothesis entry of theorem.json with ``changes`` to its spec."""
+    return verify_hypotheses(replace(cli.load_config("theorem.json"), **changes)).entry(entry_id)
 
 
 # --- quadrature engine (no caller in the package; the benchmark trace wraps it) ----
@@ -87,10 +87,9 @@ def test_cesaro_divergent_for_infinite_mean():
 
 def test_envelope_constants():
     # the ENVELOPE entry reads the closed-form integral, held to mpmath in test_generators.py
-    theorem = cli.load_config("theorem.json")
     for env, integral in ((TailEnvelope.exponential(), 1.0), (TailEnvelope.pareto(2.0), 2.0),
                           (TailEnvelope.pareto(1.5), 3.0)):
-        entry = verify_hypotheses(replace(theorem, envelope=env)).entry("ENVELOPE")
+        entry = _theorem_entry("ENVELOPE", envelope=env)
         assert (entry.status, entry.value) == ("PASS", integral)
 
 
@@ -103,12 +102,12 @@ def test_envelope_monotone_on_log_grid():
 
 
 def test_v_moment_check():
-    exp_report = v_moment_check(TailEnvelope.exponential())
-    assert exp_report.status == "PASS"
-    assert exp_report.mean_v == 1.0
-    pareto_report = v_moment_check(TailEnvelope.pareto(2.0), SCHED)
-    assert pareto_report.mean_v == 2.0
-    assert pareto_report.infinite_mean_onset_index == 55
+    exp_entry = _theorem_entry("V_MOMENT", envelope=TailEnvelope.exponential())
+    assert (exp_entry.status, exp_entry.value) == ("PASS", 1.0)
+    assert "lose their mean" not in exp_entry.detail
+    pareto_entry = _theorem_entry("V_MOMENT", envelope=TailEnvelope.pareto(2.0))
+    assert pareto_entry.value == 2.0
+    assert pareto_entry.detail.endswith("transformed draws lose their mean from index 55")
 
 
 def test_v_moment_empirical_median():
@@ -120,52 +119,71 @@ def test_v_moment_empirical_median():
 # --- infrequency ------------------------------------------------------------------------
 
 def test_infrequency_pass_for_built_pattern():
-    pattern = build_sparsity(SCHED, 1.0)
-    report = infrequency_check(pattern, SCHED, 10 ** 5)
-    assert report.status == "PASS"
-    assert report.sup_ratio <= 2.0
+    entry = _theorem_entry("INFREQUENCY", horizon=10 ** 5, pattern=build_sparsity(SCHED, 1.0))
+    assert entry.status == "PASS"
+    assert entry.value <= 2.0
 
 
 def test_infrequency_fail_for_dense_pattern():
-    report = infrequency_check(SparsityPattern(mode=SparsityMode.ALL_ONE), SCHED, 10 ** 4)
-    assert report.status == "FAIL"
-    assert report.sup_ratio == pytest.approx(10 ** 4 / math.exp(math.sqrt(math.log(10 ** 4))), rel=1e-9)
-    assert report.new_max_in_last_decade
+    # n / n**a_n at horizon 1e4: 1e4 / e^{sqrt(ln 1e4)} = 480.84...
+    entry = _theorem_entry("INFREQUENCY", horizon=10 ** 4, pattern=SparsityPattern(mode=SparsityMode.ALL_ONE))
+    assert entry.status == "FAIL"
+    assert entry.value == pytest.approx(10 ** 4 / math.exp(math.sqrt(math.log(10 ** 4))), rel=1e-9)
+    assert entry.value == pytest.approx(481, abs=1.0)
+    assert entry.detail.endswith("(new max in last decade: True)")
 
 
 def test_infrequency_trivial_for_empty_pattern():
-    report = infrequency_check(SparsityPattern(mode=SparsityMode.ALL_ZERO), SCHED, 10 ** 4)
-    assert report.status == "PASS"
-    assert report.sup_ratio == 0.0
+    entry = _theorem_entry("INFREQUENCY", horizon=10 ** 4, pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO))
+    assert entry.status == "PASS"
+    assert entry.value == 0.0
+
+
+def test_infrequency_counts_the_pattern_own_inserts():
+    # an AUTO pattern built from another schedule than the spec's keeps its own inserts
+    constant = MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5)
+    n = np.arange(1, 10 ** 4 + 1, dtype=np.float64)
+    want = np.max(build_sparsity(SCHED, 1.0).phi(10 ** 4) / np.power(n, 0.5))
+    assert _theorem_entry("INFREQUENCY", horizon=10 ** 4, schedule=constant).value == want
 
 
 # --- umbrella -----------------------------------------------------------------------------
 
-# (id, status, repr(value)) of every entry, for each bundled fixture
+# (id, status, repr(value), detail) of every entry, for each bundled fixture, recorded at 7ad2ba8
+_CENTERED = [
+    ("CENTERING", "PASS", "0.0", "family is centered by construction"),
+    ("CESARO_TAIL", "PASS", "1.0", "tail integral from start index 1 equals E|X| = 1"),
+]
+_V_MOMENT_ENVELOPE = [
+    ("V_MOMENT", "PASS", "2.0",
+     "mean of the base variable = envelope integral = 2; transformed draws lose their mean from index 55"),
+    ("ENVELOPE", "PASS", "2.0", "nonincreasing envelope with finite integral"),
+]
+_NO_INSERTS = ("INFREQUENCY", "PASS", "0.0", "sup ratio 0 vs threshold 10 (new max in last decade: False)")
+_A_LN_N = ("A_LN_N", "PASS", "8104.0", "a_n*ln n reaches 3.0 at n=8104")
 FIXTURE_HYPOTHESES = {
-    "theorem.json": [
-        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
-        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "1.2392161941376152"), ("A_LN_N", "PASS", "8104.0"),
+    "theorem.json": _CENTERED + _V_MOMENT_ENVELOPE + [
+        ("INFREQUENCY", "PASS", "1.2392161941376152",
+         "sup ratio 1.23922 vs threshold 10 (new max in last decade: False)"),
+        _A_LN_N,
     ],
-    "pure-x.json": [
-        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
-        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "0.0"), ("A_LN_N", "PASS", "8104.0"),
-    ],
-    "violate-sparsity.json": [
-        ("CENTERING", "PASS", "0.0"), ("CESARO_TAIL", "PASS", "1.0"), ("V_MOMENT", "PASS", "2.0"),
-        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "FAIL", "3360.5342818204476"), ("A_LN_N", "PASS", "8104.0"),
+    "pure-x.json": _CENTERED + _V_MOMENT_ENVELOPE + [_NO_INSERTS, _A_LN_N],
+    "violate-sparsity.json": _CENTERED + _V_MOMENT_ENVELOPE + [
+        ("INFREQUENCY", "FAIL", "3360.5342818204476",
+         "sup ratio 3360.53 vs threshold 10 (new max in last decade: True)"),
+        _A_LN_N,
     ],
     "violate-x-mean.json": [
-        ("CENTERING", "FAIL", "nan"), ("CESARO_TAIL", "FAIL", "inf"), ("V_MOMENT", "PASS", "2.0"),
-        ("ENVELOPE", "PASS", "2.0"), ("INFREQUENCY", "PASS", "0.0"), ("A_LN_N", "PASS", "8104.0"),
-    ],
+        ("CENTERING", "FAIL", "nan", "Pareto shape 1.0: no finite mean, centering impossible"),
+        ("CESARO_TAIL", "FAIL", "inf", "tail integral beyond any budget: Pareto shape 1.0 has no mean"),
+    ] + _V_MOMENT_ENVELOPE + [_NO_INSERTS, _A_LN_N],
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_HYPOTHESES))
 def test_fixture_hypotheses_are_pinned(name):
     report = verify_hypotheses(cli.load_config(name))
-    assert [(e.id, e.status, repr(e.value)) for e in report.entries] == FIXTURE_HYPOTHESES[name]
+    assert [(e.id, e.status, repr(e.value), e.detail) for e in report.entries] == FIXTURE_HYPOTHESES[name]
 
 
 def test_verify_hypotheses_theorem_config():
@@ -191,3 +209,21 @@ def test_verify_hypotheses_flags_uncentered_family():
     assert report.entry("CENTERING").status == "FAIL"
     assert report.entry("CESARO_TAIL").status == "FAIL"
     assert report.entry("CESARO_TAIL").value == math.inf
+
+
+@pytest.mark.parametrize("name", ["theorem.json", "pure-x.json"])
+def test_schedule_is_evaluated_once(name, monkeypatch):
+    # one array evaluation of a_n over the 1e6 indices feeds A_LN_N, the AUTO
+    # pattern and the INFREQUENCY ratio
+    spec = cli.load_config(name)
+    points = []
+    value = MomentSchedule.value
+
+    def counting(self, n):
+        if not np.isscalar(n):
+            points.append(np.size(n))
+        return value(self, n)
+
+    monkeypatch.setattr(MomentSchedule, "value", counting)
+    verify_hypotheses(spec)
+    assert points == [10 ** 6]

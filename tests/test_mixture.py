@@ -310,7 +310,7 @@ def test_bookkeeping_counts():
     assert insert_count == phi[-1] == run_path(config, [250]).insert_count
     # heavy draws are >= 1 and the uniform X draws lie in [-1, 1)
     assert np.count_nonzero(values >= 1.0) == insert_count
-    assert values.size - insert_count == config.pattern.psi(250)[-1]
+    assert values.size - insert_count == 250 - phi[-1]
 
 
 def test_repeat_run_bit_identical():

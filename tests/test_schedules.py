@@ -2,14 +2,17 @@ import functools
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slln_lab import cli
 from slln_lab import schedules as schedules_module
 from slln_lab.errors import ScheduleRejected, SearchExhausted
+from slln_lab.hypotheses import verify_hypotheses
 from slln_lab.schedules import (
     _POSITION_SEARCH_CAP,
     MomentSchedule,
@@ -17,7 +20,6 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    ratio_running_max,
     validate_schedule,
     _least_integer_reaching,
     _search,
@@ -99,24 +101,33 @@ def test_floor_index_rejects_bools(flag):
         MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5, floor_index=flag)
 
 
+def _theorem_entry(entry_id, **changes):
+    """One hypothesis entry of theorem.json (AUTO on inv_sqrt_log at c = 1) with ``changes`` to its spec."""
+    return verify_hypotheses(replace(cli.load_config("theorem.json"), **changes)).entry(entry_id)
+
+
+def test_validate_schedule_returns_the_exponents():
+    n = np.arange(1, 10 ** 4 + 1, dtype=np.float64)
+    assert np.array_equal(validate_schedule(INV_SQRT_LOG, 10 ** 4), INV_SQRT_LOG.value(n))
+
+
 def test_growth_first_index():
     # sqrt(ln n) >= 3 first at n = ceil(e^9) = 8104
-    report = validate_schedule(INV_SQRT_LOG, 10 ** 6, growth_target=3.0)
-    assert report.growth_ok
-    assert report.first_index_reaching == 8104
+    entry = _theorem_entry("A_LN_N")
+    assert (entry.status, entry.value) == ("PASS", 8104.0)
 
 
 def test_growth_constant_always_passes():
-    report = validate_schedule(MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5), 100, growth_target=50.0)
-    assert report.growth_ok
+    # 0.5 * ln n reaches 3 only at n = 404, past the horizon
+    entry = _theorem_entry("A_LN_N", schedule=MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5), horizon=100)
+    assert (entry.status, entry.value) == ("PASS", math.inf)
 
 
 def test_growth_broken_form_never_reaches():
     # a_n * ln n is identically 1 above the floor
-    report = validate_schedule(MomentSchedule(ScheduleForm.INV_LOG), 10 ** 6, growth_target=2.0)
-    assert not report.growth_ok
-    assert report.first_index_reaching is None
-    assert report.value_at_horizon == pytest.approx(1.0, abs=1e-12)
+    entry = _theorem_entry("A_LN_N", schedule=MomentSchedule(ScheduleForm.INV_LOG))
+    assert (entry.status, entry.value) == ("FAIL", math.inf)
+    assert entry.detail == "a_n*ln n never reaches 3.0 on [1, 1000000] (value 1 at horizon)"
 
 
 def test_build_sparsity_tracks_ceiling():
@@ -124,7 +135,7 @@ def test_build_sparsity_tracks_ceiling():
     pattern = build_sparsity(INV_SQRT_LOG, 1.0)
     phi = pattern.phi(10 ** 6)
     assert phi[-1] == 42
-    sup = ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 6)[-1]
+    sup = _theorem_entry("INFREQUENCY", pattern=pattern).value
     assert 0.5 <= sup <= 2.0
     assert sup <= 1.0 + 1.0  # c + 1
 
@@ -140,9 +151,8 @@ def test_sparsity_bookkeeping_invariants():
     ):
         alpha = pattern.alpha(horizon)
         phi = pattern.phi(horizon)
-        psi = pattern.psi(horizon)
         n = np.arange(1, horizon + 1)
-        assert np.array_equal(phi + psi, n)
+        assert np.all((0 <= phi) & (phi <= n))  # phi and n - phi count positions
         assert np.array_equal(np.diff(phi), alpha[1:].astype(np.int64))
         assert set(np.unique(alpha)).issubset({0, 1})
         assert phi[0] == alpha[0]
@@ -167,22 +177,8 @@ def test_phi_stays_below_its_target(schedule, c, horizon):
 
 def test_ratio_running_max_bounded_by_c_plus_one():
     for c in (0.3, 0.7, 1.0, 2.0, 5.0):
-        pattern = build_sparsity(INV_SQRT_LOG, c)
-        assert ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 5)[-1] <= c + 1.0 + 1e-12
-
-
-def test_all_one_ratio_grows():
-    # n / n**a_n at horizon 1e4: 1e4 / e^{sqrt(ln 1e4)} = 480.84...
-    pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
-    sup = ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 4)[-1]
-    expected = 10 ** 4 / math.exp(math.sqrt(math.log(10 ** 4)))
-    assert sup == pytest.approx(expected, rel=1e-9)
-    assert sup == pytest.approx(481, abs=1.0)
-
-
-def test_all_zero_ratio_is_zero():
-    pattern = SparsityPattern(mode=SparsityMode.ALL_ZERO)
-    assert ratio_running_max(pattern, INV_SQRT_LOG, 10 ** 4)[-1] == 0.0
+        entry = _theorem_entry("INFREQUENCY", pattern=build_sparsity(INV_SQRT_LOG, c), horizon=10 ** 5)
+        assert entry.value <= c + 1.0 + 1e-12
 
 
 def test_constant_one_dense_pattern():
