@@ -181,6 +181,19 @@ def test_ratio_running_max_bounded_by_c_plus_one():
         assert entry.value <= c + 1.0 + 1e-12
 
 
+def test_all_one_ratio_grows():
+    # n / n**a_n at horizon 1e4: 1e4 / e^{sqrt(ln 1e4)} = 480.84...
+    sup = _theorem_entry("INFREQUENCY", pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=10 ** 4).value
+    expected = 10 ** 4 / math.exp(math.sqrt(math.log(10 ** 4)))
+    assert sup == pytest.approx(expected, rel=1e-9)
+    assert sup == pytest.approx(481, abs=1.0)
+
+
+def test_all_zero_ratio_is_zero():
+    pattern = SparsityPattern(mode=SparsityMode.ALL_ZERO)
+    assert _theorem_entry("INFREQUENCY", pattern=pattern, horizon=10 ** 4).value == 0.0
+
+
 def test_constant_one_dense_pattern():
     sched = MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0)
     pattern = build_sparsity(sched, 1.0)
