@@ -5,7 +5,7 @@ import numpy as np
 from slln_lab import MomentSchedule, ScheduleForm, build_sparsity
 from slln_lab.cli import load_config
 from slln_lab.hypotheses import verify_hypotheses
-from slln_lab.schedules import validate_schedule, y_insertion_positions
+from slln_lab.schedules import y_insertion_positions
 
 theorem = load_config("theorem.json")  # a_n = 1/sqrt(ln n), AUTO pattern at c = 1, horizon 1e6
 sched = theorem.schedule
@@ -16,7 +16,8 @@ for n in (10, 100, 10 ** 4, 10 ** 6):
 report = verify_hypotheses(theorem)
 print("growth check:", report.entry("A_LN_N").detail)
 
-growth = validate_schedule(MomentSchedule(ScheduleForm.INV_LOG), 10 ** 6) * np.log(np.arange(1, 10 ** 6 + 1))
+n = np.arange(1, 10 ** 6 + 1, dtype=np.float64)
+growth = MomentSchedule(ScheduleForm.INV_LOG).value(n) * np.log(n)
 print(f"designed violation: a_n*ln n reaches 2.0 on [1, 1000000]: {bool(np.any(growth >= 2.0))}"
       f" (value {growth[-1]:.6g} at horizon)")
 

@@ -34,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundViolation, SearchExhausted
-from .generators import _CHUNK, DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
+from .generators import DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
 from .rng import Channel, StreamKey, derive_stream
-from .schedules import MomentSchedule, y_insertion_positions
+from .schedules import _CHUNK, MomentSchedule, y_insertion_positions
 
 BOUND_TOL = 1e-8  # slack below which a bound counts as violated
 DEFAULT_TRUNCATION = 10 ** 6

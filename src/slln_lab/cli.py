@@ -262,14 +262,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = load_config(args.config)
+        spec = loaded = load_config(args.config)  # validated
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         if args.paths is not None:
             spec = replace(spec, n_paths=args.paths)
         if args.horizon is not None:
             spec = replace(spec, horizon=args.horizon, checkpoints=_clip_checkpoints(spec.checkpoints, args.horizon))
-        spec.validate()
+        if spec is not loaded:
+            spec.validate()
         return run(spec, subcommand=args.subcommand, out_dir=args.out, threads=args.threads, plot=args.plot)
     except Exception as exc:  # one JSON line on stderr instead of a traceback
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

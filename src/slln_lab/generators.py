@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import InvalidExponent, as_float, as_int, keyed
 from .rng import UniformStream
-from .schedules import MomentSchedule
-
-_CHUNK = 2 ** 16  # values per step of a pass that is cut into chunks
+from .schedules import _CHUNK, MomentSchedule
 
 
 class XKind(Enum):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergentIntegral
 from .generators import XFamily, infinite_mean_onset
-from .schedules import ScheduleForm, SparsityMode, _auto_alpha, validate_schedule
+from .schedules import ScheduleForm, SparsityMode, _auto_alpha, _exponent_chunks
 
 _GROWTH_TARGET = 3.0  # A_LN_N: the first n with a_n * ln n at least this witnesses the growth
 
@@ -77,7 +77,8 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     ``infrequency_threshold`` defaults to the spec's own, then to 10 * c.
     The index-wise checks read one evaluation of a_n over the config
     horizon capped at 10**6, so a large simulation config can be vetted
-    quickly.  The schedule checks and A_LN_N take at least 3 indices;
+    quickly; it runs a chunk of indices at a time, so its temporaries stay
+    chunk-sized.  The schedule checks and A_LN_N take at least 3 indices;
     INFREQUENCY takes only the indices where the pattern is defined.
     """
     pattern, schedule = config.pattern, config.schedule
@@ -122,33 +123,53 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     entries.append(HypothesisEntry("V_MOMENT", "PASS" if math.isfinite(mean_v) else "FAIL", mean_v, detail))
     entries.append(HypothesisEntry("ENVELOPE", "PASS", mean_v, "nonincreasing envelope with finite integral"))
 
-    a = validate_schedule(schedule, span)
-    n = np.arange(1, span + 1, dtype=np.float64)
-    growth = np.log(n)
-    growth *= a
-    hit = np.flatnonzero(growth >= _GROWTH_TARGET)
-    if hit.size:
+    # an AUTO pattern built from another schedule keeps its own inserts
+    own_alpha = pattern.mode is SparsityMode.AUTO and pattern.schedule == schedule
+    alpha = None if own_alpha else pattern.alpha(horizon)
+    decade = max(horizon // 10, 1) - 1  # INFREQUENCY: a new max past this index counts
+    # carried across chunks: the first n with a_n*ln n at the target and
+    # a_n*ln n at the chunk's end (A_LN_N); the AUTO target, phi and the
+    # running max of phi_n / n**a_n at the chunk's end, and the running
+    # max at the decade index (INFREQUENCY)
+    hit = growth_last = target = running_max = decade_max = None
+    phi_last = s0 = 0
+    for n, a in _exponent_chunks(schedule, span):
+        if hit is None:
+            growth = np.log(n)
+            growth *= a
+            reached = np.flatnonzero(growth >= _GROWTH_TARGET)
+            if reached.size:
+                hit = s0 + int(reached[0]) + 1
+            growth_last = growth[-1]
+        power = np.power(n, a, out=a)[:horizon - s0]  # s0 < horizon: span > horizon only below 3
+        if own_alpha:
+            chunk = np.empty(power.size, dtype=np.uint8)
+            target = _auto_alpha(pattern.c, power, target, chunk)
+        else:
+            chunk = alpha[s0:s0 + power.size]
+        phi = np.cumsum(chunk, dtype=np.int64)
+        phi += phi_last
+        phi_last = phi[-1]
+        running = phi / power
+        if running_max is not None:
+            # the step one accumulate over the whole horizon takes, NaN included
+            running[0] = np.maximum(running_max, running[0])
+        np.maximum.accumulate(running, out=running)
+        running_max = running[-1]
+        if s0 <= decade < s0 + running.size:
+            decade_max = running[decade - s0]
+        s0 += n.size
+    if hit is not None:
         growth_entry = HypothesisEntry(
-            "A_LN_N", "PASS", float(hit[0] + 1), f"a_n*ln n reaches {_GROWTH_TARGET} at n={hit[0] + 1}"
+            "A_LN_N", "PASS", float(hit), f"a_n*ln n reaches {_GROWTH_TARGET} at n={hit}"
         )
     else:
         growth_entry = HypothesisEntry(
             "A_LN_N", "PASS" if schedule.form is ScheduleForm.CONSTANT else "FAIL", math.inf,
-            f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth[-1]:.6g} at horizon)",
+            f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth_last:.6g} at horizon)",
         )
-    power = np.power(n, a, out=a)[:horizon]
-    del n, growth  # freed before alpha and the ratios are built: the peak stays that of one a_n evaluation
-    # an AUTO pattern built from another schedule keeps its own inserts
-    if pattern.mode is SparsityMode.AUTO and pattern.schedule == schedule:
-        alpha = _auto_alpha(pattern.c, power)
-    else:
-        alpha = pattern.alpha(horizon)
-    # PASS if the running max of phi_n / n**a_n stops growing over the last
-    # decade of indices or stays within the threshold
-    running = np.cumsum(alpha, dtype=np.int64) / power
-    np.maximum.accumulate(running, out=running)
-    sup_ratio = float(running[-1])
-    new_max = bool(running[-1] > running[max(horizon // 10, 1) - 1])
+    sup_ratio = float(running_max)
+    new_max = bool(running_max > decade_max)
     entries.append(
         HypothesisEntry(
             "INFREQUENCY", "PASS" if not new_max or sup_ratio <= threshold else "FAIL", sup_ratio,

@@ -31,9 +31,9 @@ import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, FieldError, ScheduleRejected, as_float, as_int, keyed
-from .generators import _CHUNK, DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
+from .generators import DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
 from .rng import Channel, StreamKey, UniformStream, derive_stream
-from .schedules import MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
+from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern, validate_schedule
 
 MAX_HORIZON = 10 ** 7  # run_path holds a few float64 buffers of this length
 
@@ -228,8 +228,11 @@ def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
     insert's exponent lies outside (0, 1]."""
     inserts = np.flatnonzero(spec.pattern.alpha(spec.horizon))
     inserts.flags.writeable = False
+    inv_exponents = np.empty(inserts.size, dtype=np.float64)
+    for s0 in range(0, inserts.size, _CHUNK):  # chunk-sized temporaries, however many inserts
+        inv_exponents[s0:s0 + _CHUNK] = reciprocal_exponents(spec.schedule.value(inserts[s0:s0 + _CHUNK] + 1))
     return PathWorkspace(spec.pattern, spec.schedule, inserts, np.empty(spec.horizon, dtype=np.float64),
-                         reciprocal_exponents(spec.schedule.value(inserts + 1)))
+                         inv_exponents)
 
 
 def _emit_values(config: ExperimentSpec, workspace: PathWorkspace) -> tuple[np.ndarray, int]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import FieldError, ScheduleRejected, SearchExhausted, as_float, as_int, keyed
 
+_CHUNK = 2 ** 16  # values per step of a pass that is cut into chunks
 _POSITION_SEARCH_CAP = 10 ** 280
 _CAP_FLOAT = math.nextafter(float(_POSITION_SEARCH_CAP), 0.0)  # float(10**280) rounds up past it
 _SEARCH_BLOCK = 1024
@@ -103,17 +104,34 @@ class MomentSchedule:
         return keyed("floor_index", lambda f: replace(schedule, floor_index=as_int(f)), floor_index)
 
 
-def validate_schedule(schedule: MomentSchedule, horizon: int) -> np.ndarray:
-    """a_1..a_horizon as a float64 array, once its values lie in (0, 1]
-    and never increase; raises :class:`ScheduleRejected` otherwise."""
+def validate_schedule(schedule: MomentSchedule, horizon: int) -> None:
+    """Raise :class:`ScheduleRejected` unless a_1..a_horizon lie in (0, 1]
+    and never increase."""
     if horizon < 3:
         raise ValueError("horizon must be >= 3")
-    a = schedule.value(np.arange(1, horizon + 1, dtype=np.float64))
-    if not np.all((a > 0.0) & (a <= 1.0)):
-        raise ScheduleRejected("a_n outside (0, 1] on [1, horizon]")
-    if np.any(np.diff(a) > 0.0):
-        raise ScheduleRejected("a_n is not nonincreasing on [1, horizon]")
-    return a
+    for _ in _exponent_chunks(schedule, horizon):
+        pass
+
+
+def _exponent_chunks(schedule: MomentSchedule, horizon: int, checked: bool = True):
+    """(n, a_n) over n = 1..horizon as float64 arrays of ``_CHUNK`` indices
+    at a time, the last one shorter.  The caller may overwrite both.
+
+    ``checked`` chunks are checked before they are yielded: a_n must lie in
+    (0, 1] and not exceed a_{n-1}, across chunk boundaries too.  Raises
+    :class:`ScheduleRejected` at the first chunk that fails.
+    """
+    last = math.inf  # a_n at the index before the chunk
+    for s0 in range(0, horizon, _CHUNK):
+        n = np.arange(s0 + 1, min(s0 + _CHUNK, horizon) + 1, dtype=np.float64)
+        a = schedule.value(n)
+        if checked:
+            if not np.all((a > 0.0) & (a <= 1.0)):
+                raise ScheduleRejected("a_n outside (0, 1] on [1, horizon]")
+            if a[0] > last or np.any(np.diff(a) > 0.0):
+                raise ScheduleRejected("a_n is not nonincreasing on [1, horizon]")
+            last = float(a[-1])
+        yield n, a
 
 
 class SparsityMode(Enum):
@@ -134,16 +152,22 @@ def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
     return np.ceil(c * np.power(n, schedule.value(n)))
 
 
-def _auto_alpha(c: float, power: np.ndarray) -> np.ndarray:
-    """The AUTO pattern's alpha_1..alpha_h, from ``power`` = n**a_n over
-    1..h as ``np.power`` computes it: an insert wherever the target
-    ceil(c * n**a_n) increments."""
-    alpha = np.empty(power.size, dtype=np.uint8)
-    # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
-    alpha[0] = 1 if c >= 1.0 else 0
+def _auto_alpha(c: float, power: np.ndarray, last: float | None, out: np.ndarray) -> float:
+    """Write the AUTO pattern's alpha over one chunk of indices into
+    ``out``, from ``power`` = n**a_n over the chunk as ``np.power``
+    computes it: an insert wherever the target ceil(c * n**a_n)
+    increments.  ``last`` is the target at the index before the chunk,
+    None for a chunk that starts at n = 1.  Returns the chunk's last
+    target."""
     targets = c * power
-    alpha[1:] = np.diff(np.ceil(targets, out=targets)) > 0
-    return alpha
+    np.ceil(targets, out=targets)
+    if last is None:
+        # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
+        out[0] = 1 if c >= 1.0 else 0
+    else:
+        out[0] = targets[0] > last
+    out[1:] = np.diff(targets) > 0
+    return float(targets[-1])
 
 
 @dataclass(frozen=True)
@@ -186,8 +210,13 @@ class SparsityPattern:
             if len(self.explicit) < horizon:
                 raise ValueError("explicit alpha list shorter than horizon")
             return np.asarray(self.explicit[:horizon], dtype=np.uint8)
-        n = np.arange(1, horizon + 1, dtype=np.float64)
-        return _auto_alpha(self.c, np.power(n, self.schedule.value(n), out=n))
+        alpha = np.empty(horizon, dtype=np.uint8)
+        s0, last = 0, None
+        # unchecked: a log form may rise below its default floor, and alpha is still defined
+        for n, a in _exponent_chunks(self.schedule, horizon, checked=False):
+            last = _auto_alpha(self.c, np.power(n, a, out=n), last, alpha[s0:s0 + n.size])
+            s0 += n.size
+        return alpha
 
     def phi(self, horizon: int) -> np.ndarray:
         """Running insert count phi_1..phi_horizon."""

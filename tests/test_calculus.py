@@ -26,9 +26,9 @@ from slln_lab.calculus import (
     weighted_y_series_ensemble,
 )
 from slln_lab.errors import BoundViolation, InvalidExponent, SearchExhausted
-from slln_lab.generators import _CHUNK, DependenceMode, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
+from slln_lab.generators import DependenceMode, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
 from slln_lab.rng import Channel, StreamKey, derive_stream
-from slln_lab.schedules import MomentSchedule, ScheduleForm, y_insertion_positions
+from slln_lab.schedules import _CHUNK, MomentSchedule, ScheduleForm, y_insertion_positions
 
 EXP = TailEnvelope.exponential()
 PARETO2 = TailEnvelope.pareto(2.0)

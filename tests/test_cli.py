@@ -11,7 +11,7 @@ import pytest
 from slln_lab import cli, mixture
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, EnvelopeKind, XKind
-from slln_lab.schedules import ScheduleForm, SparsityMode
+from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode
 
 
 def test_bundled_theorem_fixture():
@@ -206,6 +206,31 @@ def _main_on(tmp_path, data, *flags):
     out = tmp_path / "out"
     code = cli.main(["run", str(cfg), "--out", str(out), *flags])
     return code, out
+
+
+@pytest.mark.parametrize("flags, points", [
+    ((), 10 ** 5 + 10 ** 6),  # load_config validates over 1e5 indices, the hypotheses take 1e6
+    (("--seed", "3"), 2 * 10 ** 5 + 10 ** 6),  # an override is validated again
+])
+def test_main_validates_once_unless_overridden(tmp_path, monkeypatch, flags, points):
+    counted = []
+    value = MomentSchedule.value
+
+    def counting(self, n):
+        if not np.isscalar(n):
+            counted.append(np.size(n))
+        return value(self, n)
+
+    monkeypatch.setattr(MomentSchedule, "value", counting)
+    args = ["run", "theorem.json", "--subcommand", "hypotheses", "--out", str(tmp_path / "out"), *flags]
+    assert cli.main(args) == 0
+    assert sum(counted) == points
+
+
+def test_main_paths_override_is_validated(tmp_path, capsys):
+    assert cli.main(["run", "theorem.json", "--subcommand", "hypotheses", "--paths", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "n_paths" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_main_explicit_alpha_shorter_than_horizon(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from slln_lab.hypotheses import cesaro_tail_constant, verify_hypotheses
 from slln_lab.quadrature import adaptive_simpson, integrate_piecewise
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import (
+    _CHUNK,
     MomentSchedule,
     ScheduleForm,
     SparsityMode,
@@ -213,7 +215,7 @@ def test_verify_hypotheses_flags_uncentered_family():
 
 @pytest.mark.parametrize("name", ["theorem.json", "pure-x.json"])
 def test_schedule_is_evaluated_once(name, monkeypatch):
-    # one array evaluation of a_n over the 1e6 indices feeds A_LN_N, the AUTO
+    # one pass of a_n over the 1e6 indices, in chunks, feeds A_LN_N, the AUTO
     # pattern and the INFREQUENCY ratio
     spec = cli.load_config(name)
     points = []
@@ -226,4 +228,17 @@ def test_schedule_is_evaluated_once(name, monkeypatch):
 
     monkeypatch.setattr(MomentSchedule, "value", counting)
     verify_hypotheses(spec)
-    assert points == [10 ** 6]
+    assert sum(points) == 10 ** 6
+    assert max(points) <= _CHUNK
+
+
+def test_verify_hypotheses_peak_memory_is_chunk_sized():
+    # whole-horizon float64 temporaries would take 7.6 MiB each at 1e6
+    spec = cli.load_config("theorem.json")
+    tracemalloc.start()
+    try:
+        verify_hypotheses(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slln_lab import mixture
+from slln_lab import cli, mixture
 from slln_lab.diagnostics import PathSummary, run_ensemble
 from slln_lab.errors import ConfigError, InvalidExponent
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
@@ -249,6 +250,22 @@ def test_workspace_rejects_bad_exponent():
     for threads in (1, 2):  # a pool worker's error reaches the caller as raised
         with pytest.raises(InvalidExponent):
             run_ensemble(spec, threads=threads)
+
+
+@pytest.mark.parametrize("name", ["theorem.json", "violate-sparsity.json"])
+def test_workspace_peak_memory_is_what_it_keeps(name):
+    # the AUTO alpha and 1/a_n at the inserts take chunk-sized temporaries:
+    # theorem keeps its buffer and 42 inserts, violate-sparsity three arrays
+    # of 1e6 values
+    spec = dataclasses.replace(cli.load_config(name), horizon=10 ** 6, checkpoints=(10 ** 6,))
+    tracemalloc.start()
+    try:
+        workspace = mixture.path_workspace(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = workspace.buf.nbytes + workspace.inserts.nbytes + workspace.inv_exponents.nbytes
+    assert peak < kept + 2 * 2 ** 20
 
 
 def test_workspace_of_another_spec_is_rejected():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats as stats
 
-from slln_lab.generators import _CHUNK
 from slln_lab.rng import Channel, StreamKey, derive_stream
+from slln_lab.schedules import _CHUNK
 
 
 def test_same_key_same_stream():

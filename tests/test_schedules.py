@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from slln_lab import schedules as schedules_module
 from slln_lab.errors import ScheduleRejected, SearchExhausted
 from slln_lab.hypotheses import verify_hypotheses
 from slln_lab.schedules import (
+    _CHUNK,
     _POSITION_SEARCH_CAP,
     MomentSchedule,
     ScheduleForm,
@@ -104,11 +106,6 @@ def test_floor_index_rejects_bools(flag):
 def _theorem_entry(entry_id, **changes):
     """One hypothesis entry of theorem.json (AUTO on inv_sqrt_log at c = 1) with ``changes`` to its spec."""
     return verify_hypotheses(replace(cli.load_config("theorem.json"), **changes)).entry(entry_id)
-
-
-def test_validate_schedule_returns_the_exponents():
-    n = np.arange(1, 10 ** 4 + 1, dtype=np.float64)
-    assert np.array_equal(validate_schedule(INV_SQRT_LOG, 10 ** 4), INV_SQRT_LOG.value(n))
 
 
 def test_growth_first_index():
@@ -210,6 +207,73 @@ def test_first_insert_convention():
     alpha = half.alpha(100)
     assert alpha[0] == 0
     assert alpha.sum() > 0
+
+
+# --- passes cut into chunks: each carries its state across chunk boundaries ----
+
+CHUNK_EDGES = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+FORMS = (INV_SQRT_LOG, MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), MomentSchedule(ScheduleForm.INV_LOG),
+         MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5))
+
+
+class _StepUp(MomentSchedule):
+    """Its form's exponents, raised by 0.01 from n = _CHUNK + 1 on: the one
+    increase sits on the first index of the second chunk."""
+
+    def value(self, n):
+        return super().value(n) + np.where(np.asarray(n) > _CHUNK, 0.01, 0.0)
+
+
+@pytest.mark.parametrize("horizon", CHUNK_EDGES)
+@pytest.mark.parametrize("schedule", FORMS, ids=lambda s: s.form.value)
+@pytest.mark.parametrize("c", (0.3, 1.0, 2.5))
+def test_auto_alpha_matches_the_whole_array_oracle(horizon, schedule, c):
+    n = np.arange(1, horizon + 1, dtype=np.float64)
+    oracle = np.empty(horizon, dtype=np.uint8)
+    oracle[0] = c >= 1.0
+    oracle[1:] = np.diff(np.ceil(c * np.power(n, schedule.value(n)))) > 0
+    assert np.array_equal(build_sparsity(schedule, c).alpha(horizon), oracle)
+
+
+def test_validate_schedule_rejects_a_step_up_at_a_chunk_boundary():
+    step_up = _StepUp(ScheduleForm.INV_SQRT_LOG)
+    validate_schedule(step_up, _CHUNK)
+    with pytest.raises(ScheduleRejected, match="nonincreasing"):
+        validate_schedule(step_up, _CHUNK + 1)
+
+
+@pytest.mark.parametrize("pattern", [
+    SparsityPattern(mode=SparsityMode.ALL_ONE),
+    # the sup is reached in the first chunk, past the decade index, and must survive the later chunks
+    SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1,) * 40_000 + (0,) * (3 * _CHUNK + 5 - 40_000)),
+], ids=["all_one", "front_loaded"])
+def test_infrequency_across_chunks_matches_the_whole_array_oracle(pattern):
+    horizon = 3 * _CHUNK + 5
+    n = np.arange(1, horizon + 1, dtype=np.float64)
+    running = np.maximum.accumulate(pattern.phi(horizon) / np.power(n, INV_SQRT_LOG.value(n)))
+    new_max = bool(running[-1] > running[horizon // 10 - 1])
+    entry = _theorem_entry("INFREQUENCY", pattern=pattern, horizon=horizon, checkpoints=(horizon,))
+    assert entry.value == running[-1]
+    assert entry.detail.endswith(f"(new max in last decade: {new_max})")
+
+
+def test_growth_first_index_past_the_first_chunks():
+    # 0.25 * ln n reaches 3 first at n = ceil(e^12) = 162755, in the third chunk
+    schedule = MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.25)
+    entry = _theorem_entry("A_LN_N", schedule=schedule, pattern=build_sparsity(schedule, 1.0))
+    assert (entry.status, entry.value) == ("PASS", 162755.0)
+
+
+def test_alpha_peak_memory_is_chunk_sized():
+    # a whole-horizon float64 temporary would take 7.6 MiB at 1e6
+    pattern = build_sparsity(INV_SQRT_LOG, 1.0)
+    tracemalloc.start()
+    try:
+        pattern.alpha(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_insertion_positions_match_scan():
