@@ -262,15 +262,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = loaded = load_config(args.config)  # validated
+        spec = load_config(args.config)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         if args.paths is not None:
             spec = replace(spec, n_paths=args.paths)
         if args.horizon is not None:
             spec = replace(spec, horizon=args.horizon, checkpoints=_clip_checkpoints(spec.checkpoints, args.horizon))
-        if spec is not loaded:
-            spec.validate()
+        spec.validate()  # the overrides too
         return run(spec, subcommand=args.subcommand, out_dir=args.out, threads=args.threads, plot=args.plot)
     except Exception as exc:  # one JSON line on stderr instead of a traceback
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -40,6 +40,30 @@ def as_float(value) -> float:
     raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
+def as_object(value) -> dict:
+    """A JSON object, as is."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def known_keys(section: dict, keys) -> dict:
+    """``section`` as is, if it holds only ``keys``, the keys its reader
+    reads: a misspelt key is refused, not read as its default.  Raises a
+    :class:`FieldError` on the first other key."""
+    for key in section:
+        if key not in keys:
+            raise FieldError(str(key), f"unknown key; expected one of {', '.join(sorted(keys))}")
+    return section
+
+
+def required(section: dict, key: str):
+    """``section[key]``; a missing key is a :class:`FieldError` on it."""
+    if key not in section:
+        raise FieldError(key, "required key is missing")
+    return section[key]
+
+
 def keyed(key: str, build, value):
     """``build(value)``, with a failure re-raised as a :class:`FieldError`
     on ``key``: a config value is read and checked under its own key.  A
@@ -48,12 +72,8 @@ def keyed(key: str, build, value):
         return build(value)
     except FieldError as exc:
         raise FieldError(f"{key}.{exc.key}", exc.message) from exc
-    except (KeyError, TypeError, ValueError, OverflowError, ScheduleRejected) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FieldError(key, str(exc)) from exc
-
-
-class ScheduleRejected(SllnLabError):
-    """A moment schedule violates positivity, the (0,1] range, or monotonicity."""
 
 
 class InvalidExponent(SllnLabError):

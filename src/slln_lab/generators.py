@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidExponent, as_float, as_int, keyed
+from .errors import InvalidExponent, as_float, as_int, as_object, keyed, known_keys, required
 from .rng import UniformStream
 from .schedules import _CHUNK, MomentSchedule
 
@@ -93,8 +93,10 @@ class XFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "XFamily":
-        kind = keyed("family", XKind, data["family"])
-        name, params = _PARAM[kind], data.get("params", {})
+        known_keys(data, ("family", "params"))
+        kind = keyed("family", XKind, required(data, "family"))
+        name = _PARAM[kind]
+        params = keyed("params", lambda p: known_keys(as_object(p), (name,)), data.get("params", {}))
         if name not in params:
             return cls(kind)
         convert = as_int if kind is XKind.PARITY_RADEMACHER else as_float
@@ -293,9 +295,10 @@ class TailEnvelope:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TailEnvelope":
-        kind = keyed("kind", EnvelopeKind, data["kind"])
+        kind = keyed("kind", EnvelopeKind, required(data, "kind"))
+        known_keys(data, ("kind", "gamma") if kind is EnvelopeKind.PARETO else ("kind",))
         if kind is EnvelopeKind.PARETO:
-            return keyed("gamma", lambda gamma: cls(kind, gamma=as_float(gamma)), data["gamma"])
+            return keyed("gamma", lambda gamma: cls(kind, gamma=as_float(gamma)), required(data, "gamma"))
         return cls(kind)
 
 

@@ -78,8 +78,8 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     The index-wise checks read one evaluation of a_n over the config
     horizon capped at 10**6, so a large simulation config can be vetted
     quickly; it runs a chunk of indices at a time, so its temporaries stay
-    chunk-sized.  The schedule checks and A_LN_N take at least 3 indices;
-    INFREQUENCY takes only the indices where the pattern is defined.
+    chunk-sized.  A_LN_N takes at least 3 indices; INFREQUENCY takes only
+    the indices where the pattern is defined.
     """
     pattern, schedule = config.pattern, config.schedule
     threshold = config.infrequency_threshold if infrequency_threshold is None else infrequency_threshold

@@ -208,11 +208,9 @@ def _main_on(tmp_path, data, *flags):
     return code, out
 
 
-@pytest.mark.parametrize("flags, points", [
-    ((), 10 ** 5 + 10 ** 6),  # load_config validates over 1e5 indices, the hypotheses take 1e6
-    (("--seed", "3"), 2 * 10 ** 5 + 10 ** 6),  # an override is validated again
-])
-def test_main_validates_once_unless_overridden(tmp_path, monkeypatch, flags, points):
+@pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["loaded", "overridden"])
+def test_main_evaluates_the_schedule_only_for_the_hypotheses(tmp_path, monkeypatch, flags):
+    # validation evaluates no a_n, overridden or not: the hypotheses take 1e6
     counted = []
     value = MomentSchedule.value
 
@@ -224,7 +222,7 @@ def test_main_validates_once_unless_overridden(tmp_path, monkeypatch, flags, poi
     monkeypatch.setattr(MomentSchedule, "value", counting)
     args = ["run", "theorem.json", "--subcommand", "hypotheses", "--out", str(tmp_path / "out"), *flags]
     assert cli.main(args) == 0
-    assert sum(counted) == points
+    assert sum(counted) == 10 ** 6
 
 
 def test_main_paths_override_is_validated(tmp_path, capsys):
@@ -319,6 +317,18 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
     ({"schedule": "s"}, "schedule: expected an object, got str"),
     ({"x": "s"}, "x: expected an object, got str"),
     ({"y": {"envelope": "p"}}, "y.envelope: expected an object, got str"),
+    ({"x": {"family": "iid_uniform", "params": {"half_widht": 2.0}}}, "x.params.half_widht: unknown key"),
+    ({"schedule": {"floor": 20}}, "schedule.floor: unknown key"),
+    ({"sparsity": {"C": 0.5}}, "sparsity.C: unknown key"),
+    ({"y": {"dependance": "comonotone"}}, "y.dependance: unknown key"),
+    ({"verdict": {"epsilon_taget": 0.1}}, "verdict.epsilon_taget: unknown key"),
+    ({"y": {"envelope": {"kind": "exp", "gamma": 2.0}}}, "y.envelope.gamma: unknown key"),
+    ({"sparsity": {"mode": "all_one", "alpha": [1] * 100}}, "sparsity.alpha: unknown key"),
+    ({"x": {"family": "iid_uniform", "params": "wide"}}, "x.params: expected an object, got str"),
+    ({"x": {"params": {"half_width": 2.0}}}, "x.family: required key is missing"),
+    ({"y": {"envelope": {"kind": "pareto"}}}, "y.envelope.gamma: required key is missing"),
+    ({"schedule": {"floor_index": 10 ** 400}}, "schedule.floor_index: floor_index must be at most 10**300"),
+    ({"schedule": {"form": "loglog_over_log", "floor_index": 14}}, "schedule.floor_index:"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
@@ -328,11 +338,15 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
        "sparsity_c_overflow", "alpha_bools", "epsilon_target_string", "fraction_target_bool",
        "half_width_string", "rate_bool", "gamma_string", "epsilons_string_and_bool",
        "infrequency_threshold_bool", "name_number", "sparsity_number", "schedule_string", "x_string",
-       "envelope_string"])
+       "envelope_string", "params_key_typo", "schedule_key_typo", "sparsity_key_case", "y_key_typo",
+       "verdict_key_typo", "gamma_on_exp", "alpha_on_all_one", "params_string", "family_missing",
+       "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
     code, out = _main_on(tmp_path, {"horizon": 100, **data})
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["message"].startswith(prefix)
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(prefix)
+    assert len(message) < 200  # a value is named, not echoed at any length
     assert not out.exists()
 
 

@@ -232,8 +232,9 @@ def test_deviation_sup_nonincreasing_on_random_specs(mode, dependence, data):
 
 
 class _SteepSchedule(MomentSchedule):
-    """Twice the exponents of its form, so the first ones exceed 1; only a
-    spec that skips validation can hold it."""
+    """Twice the exponents of its form, so the first ones exceed 1: the
+    constructor checks the form, not an overridden ``value``, so only the
+    sampler's own check on 1/a_n can refuse it."""
 
     def value(self, n):
         return 2.0 * super().value(n)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from slln_lab import cli
 from slln_lab import schedules as schedules_module
-from slln_lab.errors import ScheduleRejected, SearchExhausted
+from slln_lab.errors import FieldError, SearchExhausted
 from slln_lab.hypotheses import verify_hypotheses
+from slln_lab.mixture import MAX_HORIZON
 from slln_lab.schedules import (
     _CHUNK,
     _POSITION_SEARCH_CAP,
@@ -22,7 +23,7 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    validate_schedule,
+    _exponent_chunks,
     _least_integer_reaching,
     _search,
     _targets,
@@ -30,6 +31,9 @@ from slln_lab.schedules import (
 )
 
 INV_SQRT_LOG = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
+# the least floor_index of each form: 1/ln 2 > 1, and ln ln n / ln n peaks at n = e**e ~ 15.2
+LEAST_FLOOR = {ScheduleForm.INV_SQRT_LOG: 3, ScheduleForm.LOGLOG_OVER_LOG: 15, ScheduleForm.CONSTANT: 1,
+               ScheduleForm.INV_LOG: 3}
 
 
 def reference_phi(schedule, c, n):
@@ -85,21 +89,44 @@ def test_range_and_monotonicity():
         assert np.all(np.diff(a) <= 0)
 
 
+@pytest.mark.parametrize("form", [ScheduleForm.INV_SQRT_LOG, ScheduleForm.LOGLOG_OVER_LOG, ScheduleForm.INV_LOG],
+                         ids=lambda f: f.value)
+def test_least_floor_keeps_a_n_in_range_and_nonincreasing(form):
+    # the constructor is the only check, so every schedule it accepts must
+    # hold the invariant over the run horizon and up to the 1e9 of
+    # infinite_mean_onset's bisection
+    schedule = MomentSchedule(form, floor_index=LEAST_FLOOR[form])
+    last = 1.0
+    for _, a in _exponent_chunks(schedule, MAX_HORIZON):
+        assert np.all(a > 0.0) and a[0] <= last and np.all(np.diff(a) <= 0.0)
+        last = a[-1]
+    far = schedule.value(np.array([10 ** 9 - 1, 10 ** 9], dtype=np.float64))
+    assert 0.0 < far[1] <= far[0] <= last
+
+
+@pytest.mark.parametrize("form", list(ScheduleForm), ids=lambda f: f.value)
+def test_floor_below_the_least_is_refused(form):
+    a = 0.5 if form is ScheduleForm.CONSTANT else None
+    MomentSchedule(form, constant_a=a, floor_index=LEAST_FLOOR[form])
+    with pytest.raises(FieldError, match=f"^floor_index: floor_index must be an integer >= {LEAST_FLOOR[form]} "):
+        MomentSchedule(form, constant_a=a, floor_index=LEAST_FLOOR[form] - 1)
+
+
 def test_constant_form_validation():
-    with pytest.raises(ScheduleRejected):
+    with pytest.raises(FieldError):
         MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.5)
-    with pytest.raises(ScheduleRejected):
+    with pytest.raises(FieldError):
         MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.0)
-    with pytest.raises(ScheduleRejected):
+    with pytest.raises(FieldError):
         MomentSchedule(ScheduleForm.CONSTANT)
-    with pytest.raises(ScheduleRejected):
+    with pytest.raises(FieldError):
         MomentSchedule(ScheduleForm.INV_SQRT_LOG, constant_a=0.5)
 
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_floor_index_rejects_bools(flag):
     # True would pass as the integer 1 for the CONSTANT form
-    with pytest.raises(ScheduleRejected, match="floor_index"):
+    with pytest.raises(FieldError, match="floor_index"):
         MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5, floor_index=flag)
 
 
@@ -159,10 +186,10 @@ def test_sparsity_bookkeeping_invariants():
 def schedules(draw):
     """A valid schedule of any form, with or without its own floor index."""
     form = draw(st.sampled_from(ScheduleForm))
+    floor_index = draw(st.none() | st.integers(LEAST_FLOOR[form], 40))
     if form is ScheduleForm.CONSTANT:
-        return MomentSchedule(form, constant_a=draw(st.floats(0.01, 1.0)),
-                              floor_index=draw(st.none() | st.integers(1, 40)))
-    return MomentSchedule(form, floor_index=draw(st.none() | st.integers(3, 40)))
+        return MomentSchedule(form, constant_a=draw(st.floats(0.01, 1.0)), floor_index=floor_index)
+    return MomentSchedule(form, floor_index=floor_index)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -216,14 +243,6 @@ FORMS = (INV_SQRT_LOG, MomentSchedule(ScheduleForm.LOGLOG_OVER_LOG), MomentSched
          MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.5))
 
 
-class _StepUp(MomentSchedule):
-    """Its form's exponents, raised by 0.01 from n = _CHUNK + 1 on: the one
-    increase sits on the first index of the second chunk."""
-
-    def value(self, n):
-        return super().value(n) + np.where(np.asarray(n) > _CHUNK, 0.01, 0.0)
-
-
 @pytest.mark.parametrize("horizon", CHUNK_EDGES)
 @pytest.mark.parametrize("schedule", FORMS, ids=lambda s: s.form.value)
 @pytest.mark.parametrize("c", (0.3, 1.0, 2.5))
@@ -233,13 +252,6 @@ def test_auto_alpha_matches_the_whole_array_oracle(horizon, schedule, c):
     oracle[0] = c >= 1.0
     oracle[1:] = np.diff(np.ceil(c * np.power(n, schedule.value(n)))) > 0
     assert np.array_equal(build_sparsity(schedule, c).alpha(horizon), oracle)
-
-
-def test_validate_schedule_rejects_a_step_up_at_a_chunk_boundary():
-    step_up = _StepUp(ScheduleForm.INV_SQRT_LOG)
-    validate_schedule(step_up, _CHUNK)
-    with pytest.raises(ScheduleRejected, match="nonincreasing"):
-        validate_schedule(step_up, _CHUNK + 1)
 
 
 @pytest.mark.parametrize("pattern", [
