@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BoundViolation, SearchExhausted
 from .generators import DependenceMode, EnvelopeKind, TailEnvelope, draw_heavy, nonnegative, reciprocal_exponents
 from .rng import Channel, StreamKey, derive_stream
-from .schedules import _CHUNK, MomentSchedule, y_insertion_positions
+from .schedules import _CHUNK, MomentSchedule, least_index, y_insertion_positions
 
 BOUND_TOL = 1e-8  # slack below which a bound counts as violated
 DEFAULT_TRUNCATION = 10 ** 6
@@ -50,9 +50,10 @@ def _gammainc_cutoff(p: float) -> int:
 
     The bound is Q(p, x) <= x**(p-1) e**-x / Gamma(p) * x/(x-p+1) for p > 1,
     without the last factor for p <= 1 (DiDonato and Morris, ACM TOMS 12(4),
-    1986).  Its logarithm decreases in x >= max(ceil(p), 2), so the least
-    such x is found by doubling and then bisecting.  Cached per p: the
-    scalar callers evaluate one p many times.
+    1986).  Its logarithm decreases in x >= max(ceil(p), 2), so once below
+    the limit it stays there, and :func:`~slln_lab.schedules.least_index`
+    finds the least such x with no upper end.  Cached per p: the scalar
+    callers evaluate one p many times.
     """
     log_gamma = math.lgamma(p)
 
@@ -62,10 +63,7 @@ def _gammainc_cutoff(p: float) -> int:
             log_q += math.log(x / (x - p + 1.0))
         return log_q < _LOG_Q_LIMIT
 
-    lo = hi = max(math.ceil(p), 2)
-    while not below_limit(hi):
-        lo, hi = hi + 1, 2 * hi
-    return lo + bisect_left(range(lo, hi), True, key=below_limit)
+    return least_index(below_limit, max(math.ceil(p), 2))
 
 
 def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray | None = None):
@@ -338,9 +336,12 @@ def build_block_schedule(
     """Find the least block boundaries making each tail bound drop below 1/k**2.
 
     The k-th exponent is the reciprocal of the schedule value at index k and
-    must exceed 1.  Boundaries are forced strictly increasing.  Raises
-    :class:`SearchExhausted` past ``search_cap`` (the construction only
-    promises existence, not smallness).
+    must exceed 1.  Boundaries are forced strictly increasing: the k-th is
+    the least n above the one before at which the tail bound, which never
+    rises in n, is below 1/k**2, found by
+    :func:`~slln_lab.schedules.least_index`.  Raises
+    :class:`SearchExhausted` when no such n is at most ``search_cap`` (the
+    construction only promises existence, not smallness).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -354,19 +355,9 @@ def build_block_schedule(
             raise ValueError(f"schedule value at index {k} is {a_k}; exponent 1/a must exceed 1")
         p_k = 1.0 / a_k
         target = 1.0 / k ** 2
-        lo = prev + 1
-        if block_tail_bound(envelope, lo, p_k) < target:
-            found = lo
-        else:
-            hi = lo
-            while block_tail_bound(envelope, hi, p_k) >= target:
-                hi *= 2
-                if hi > search_cap:
-                    raise SearchExhausted(
-                        f"block boundary {k} not found below cap {search_cap}"
-                    )
-            lo = max(lo, hi // 2)
-            found = lo + bisect_left(range(lo, hi), True, key=lambda m: block_tail_bound(envelope, m, p_k) < target)
+        found = least_index(lambda m: block_tail_bound(envelope, m, p_k) < target, prev + 1, search_cap)
+        if found is None:
+            raise SearchExhausted(f"block boundary {k} not found up to cap {search_cap}")
         boundaries.append(found)
         exponents.append(p_k)
         tails.append(block_tail_bound(envelope, found, p_k))

@@ -59,9 +59,11 @@ def load_config(path: str | Path) -> ExperimentSpec:
     """Parse and validate a JSON experiment file."""
     resolved = resolve_config_path(str(path))
     try:
-        data = json.loads(resolved.read_text())
+        data = json.loads(resolved.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{resolved}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, an int past the digit limit
+        raise ConfigError(f"{resolved}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{resolved}: top-level JSON object expected")
     return ExperimentSpec.from_dict(data)
@@ -85,20 +87,7 @@ def write_calculus_csv(rows: Sequence[dict], path: Path) -> None:
     header = ["envelope", "p", "A", "bound_A", "B", "bound_B", "combined", "bound_combined"]
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["envelope"],
-                    _csv_cell(row["p"]),
-                    _csv_cell(row["A"]),
-                    _csv_cell(row["bound_A"]),
-                    _csv_cell(row["B"]),
-                    _csv_cell(row["bound_B"]),
-                    _csv_cell(row["combined"]),
-                    _csv_cell(row["bound_combined"]),
-                ]
-            )
-        )
+        lines.append(",".join([row["envelope"]] + [_csv_cell(row[col]) for col in header[1:]]))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -120,9 +120,9 @@ def verdict(report: ConvergenceReport, epsilon_target: float, fraction_target: f
     paths have D above ``epsilon_target``, and the median D strictly
     decreases across the last three checkpoints (a median pinned at exactly
     zero counts as converged: there is nothing left to decrease).
-    DIVERGENT: the final median is not finite, or the median strictly
-    increases across the last three checkpoints.  Anything else is
-    INCONCLUSIVE.
+    DIVERGENT: the final median is not finite.  Anything else is
+    INCONCLUSIVE.  (The median cannot rise across checkpoints: each path's
+    D never increases, and the median is an order statistic of them.)
     """
     if epsilon_target not in report.fractions_above:
         raise ValueError(f"epsilon_target {epsilon_target} not among the tracked epsilons")
@@ -132,11 +132,8 @@ def verdict(report: ConvergenceReport, epsilon_target: float, fraction_target: f
     window = np.asarray(report.median[-3:], dtype=np.float64)
     diffs = np.diff(window)
     decreasing = bool(window[-1] == 0.0) or (diffs.size > 0 and bool(np.all(diffs < 0)))
-    increasing = diffs.size > 0 and bool(np.all(diffs > 0))
     if frac_final < fraction_target and decreasing:
         return Verdict.CONVERGENT
-    if increasing:
-        return Verdict.DIVERGENT
     return Verdict.INCONCLUSIVE
 
 

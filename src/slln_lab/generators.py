@@ -17,7 +17,6 @@ place a heavy draw is raised to its power.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidExponent, as_float, as_int, as_object, keyed, known_keys, required
 from .rng import UniformStream
-from .schedules import _CHUNK, MomentSchedule
+from .schedules import _CHUNK, MomentSchedule, least_index
 
 
 class XKind(Enum):
@@ -364,14 +363,11 @@ def infinite_mean_onset(envelope: TailEnvelope, schedule: MomentSchedule) -> int
     """First index up to 10**9 whose transformed draw has an infinite mean, if any.
 
     For a Pareto envelope the mean of v ** (1/a) is finite iff gamma * a > 1,
-    so the onset is the first n with a_n <= 1/gamma.  Exponential envelopes
+    so the onset is the first n with a_n <= 1/gamma, which holds from there
+    on, as a_n never rises.  Exponential envelopes
     keep all moments finite at every exponent.
     """
     if envelope.kind is EnvelopeKind.EXP:
         return None
     threshold = 1.0 / envelope.gamma
-    if schedule.value(1) <= threshold:
-        return 1
-    if schedule.value(10 ** 9) > threshold:
-        return None
-    return 1 + bisect_left(range(1, 10 ** 9), True, key=lambda n: schedule.value(n) <= threshold)
+    return least_index(lambda n: schedule.value(n) <= threshold, 1, 10 ** 9)

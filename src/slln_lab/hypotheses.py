@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergentIntegral
 from .generators import XFamily, infinite_mean_onset
-from .schedules import ScheduleForm, SparsityMode, _auto_alpha, _exponent_chunks
+from .schedules import ScheduleForm, SparsityMode, _auto_alpha, _exponent_chunks, least_index
 
 _GROWTH_TARGET = 3.0  # A_LN_N: the first n with a_n * ln n at least this witnesses the growth
 
@@ -75,11 +75,12 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     """Run every hypothesis check against one experiment spec.
 
     ``infrequency_threshold`` defaults to the spec's own, then to 10 * c.
-    The index-wise checks read one evaluation of a_n over the config
-    horizon capped at 10**6, so a large simulation config can be vetted
-    quickly; it runs a chunk of indices at a time, so its temporaries stay
-    chunk-sized.  A_LN_N takes at least 3 indices; INFREQUENCY takes only
-    the indices where the pattern is defined.
+    The index-wise checks read the config horizon capped at 10**6, so a
+    large simulation config can be vetted quickly.  INFREQUENCY reads one
+    pass of a_n over it, a chunk of indices at a time, so its temporaries
+    stay chunk-sized.  A_LN_N searches at least 3 indices for the first n
+    with a_n * ln n at its target: a_n * ln n never decreases (below the
+    floor it is a_floor * ln n, past it sqrt(ln n), ln ln n, a * ln n or 1).
     """
     pattern, schedule = config.pattern, config.schedule
     threshold = config.infrequency_threshold if infrequency_threshold is None else infrequency_threshold
@@ -123,25 +124,32 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     entries.append(HypothesisEntry("V_MOMENT", "PASS" if math.isfinite(mean_v) else "FAIL", mean_v, detail))
     entries.append(HypothesisEntry("ENVELOPE", "PASS", mean_v, "nonincreasing envelope with finite integral"))
 
+    def growth(n: int) -> float:  # a_n * ln n
+        return np.log(n) * schedule.value(n)
+
+    hit = least_index(lambda n: growth(n) >= _GROWTH_TARGET, 1, span)
+    if hit is not None:
+        growth_entry = HypothesisEntry(
+            "A_LN_N", "PASS", float(hit), f"a_n*ln n reaches {_GROWTH_TARGET} at n={hit}"
+        )
+    else:
+        growth_entry = HypothesisEntry(
+            "A_LN_N", "PASS" if schedule.form is ScheduleForm.CONSTANT else "FAIL", math.inf,
+            f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth(span):.6g} at horizon)",
+        )
+
     # an AUTO pattern built from another schedule keeps its own inserts
     own_alpha = pattern.mode is SparsityMode.AUTO and pattern.schedule == schedule
     alpha = None if own_alpha else pattern.alpha(horizon)
-    decade = max(horizon // 10, 1) - 1  # INFREQUENCY: a new max past this index counts
-    # carried across chunks: the first n with a_n*ln n at the target and
-    # a_n*ln n at the chunk's end (A_LN_N); the AUTO target, phi and the
-    # running max of phi_n / n**a_n at the chunk's end, and the running
-    # max at the decade index (INFREQUENCY)
-    hit = growth_last = target = running_max = decade_max = None
+    decade = max(horizon // 10, 1) - 1  # a new max past this index counts
+    # carried across chunks: the AUTO target and phi at the chunk's end, the
+    # max of phi_n / n**a_n so far and the max up to the decade index; the
+    # maxima propagate NaN
+    target = None
     phi_last = s0 = 0
-    for n, a in _exponent_chunks(schedule, span):
-        if hit is None:
-            growth = np.log(n)
-            growth *= a
-            reached = np.flatnonzero(growth >= _GROWTH_TARGET)
-            if reached.size:
-                hit = s0 + int(reached[0]) + 1
-            growth_last = growth[-1]
-        power = np.power(n, a, out=a)[:horizon - s0]  # s0 < horizon: span > horizon only below 3
+    sup = decade_max = -math.inf
+    for n, a in _exponent_chunks(schedule, horizon):
+        power = np.power(n, a, out=a)
         if own_alpha:
             chunk = np.empty(power.size, dtype=np.uint8)
             target = _auto_alpha(pattern.c, power, target, chunk)
@@ -150,26 +158,13 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
         phi = np.cumsum(chunk, dtype=np.int64)
         phi += phi_last
         phi_last = phi[-1]
-        running = phi / power
-        if running_max is not None:
-            # the step one accumulate over the whole horizon takes, NaN included
-            running[0] = np.maximum(running_max, running[0])
-        np.maximum.accumulate(running, out=running)
-        running_max = running[-1]
-        if s0 <= decade < s0 + running.size:
-            decade_max = running[decade - s0]
+        ratio = phi / power
+        if s0 <= decade < s0 + ratio.size:
+            decade_max = np.maximum(sup, ratio[:decade - s0 + 1].max())
+        sup = np.maximum(sup, ratio.max())
         s0 += n.size
-    if hit is not None:
-        growth_entry = HypothesisEntry(
-            "A_LN_N", "PASS", float(hit), f"a_n*ln n reaches {_GROWTH_TARGET} at n={hit}"
-        )
-    else:
-        growth_entry = HypothesisEntry(
-            "A_LN_N", "PASS" if schedule.form is ScheduleForm.CONSTANT else "FAIL", math.inf,
-            f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth_last:.6g} at horizon)",
-        )
-    sup_ratio = float(running_max)
-    new_max = bool(running_max > decade_max)
+    sup_ratio = float(sup)
+    new_max = bool(sup > decade_max)
     entries.append(
         HypothesisEntry(
             "INFREQUENCY", "PASS" if not new_max or sup_ratio <= threshold else "FAIL", sup_ratio,

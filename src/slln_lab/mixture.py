@@ -35,7 +35,7 @@ from .generators import DependenceMode, TailEnvelope, XFamily, draw_heavy, recip
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern
 
-MAX_HORIZON = 10 ** 7  # run_path holds a few float64 buffers of this length
+MAX_HORIZON = 10 ** 7  # a process holds one float64 buffer of this length, PathWorkspace.buf
 
 _TOP_LEVEL_KEYS = frozenset({
     "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",

@@ -15,6 +15,7 @@ exponent of the position it lands on.  Small indices clamp to the value at
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -121,6 +122,25 @@ def _exponent_chunks(schedule: MomentSchedule, horizon: int):
     for s0 in range(0, horizon, _CHUNK):
         n = np.arange(s0 + 1, min(s0 + _CHUNK, horizon) + 1, dtype=np.float64)
         yield n, schedule.value(n)
+
+
+def least_index(holds, lo: int, cap: int | None = None) -> int | None:
+    """The least n in [lo, cap] with ``holds(n)``, for a ``holds`` that
+    stays true once true; None when ``holds(cap)`` is false or cap < lo.
+    ``cap`` None sets no upper end; ``lo`` must be at least 1.
+
+    Doubles hi from lo, clipped to cap, until holds(hi), then bisects the
+    integers after the last hi that failed.
+    """
+    if cap is not None and cap < lo:
+        return None
+    start = hi = lo
+    while not holds(hi):
+        if hi == cap:
+            return None
+        start = hi + 1
+        hi = 2 * hi if cap is None else min(2 * hi, cap)
+    return start + bisect_left(range(start, hi), True, key=holds)
 
 
 class SparsityMode(Enum):

@@ -565,6 +565,16 @@ def test_block_schedule_search_cap():
         build_block_schedule(PARETO15, CONST_HALF, 3, search_cap=4)
 
 
+def test_block_schedule_finds_a_boundary_up_to_the_cap():
+    # the second boundary, 9, lies between the doubled 8 and the cap 12
+    assert build_block_schedule(EXP, CONST_HALF, 2, search_cap=12).boundaries == [3, 9]
+    with pytest.raises(SearchExhausted, match="block boundary 2"):
+        build_block_schedule(EXP, CONST_HALF, 2, search_cap=8)
+    # boundaries 3 and 4 leave only 5 > cap for the third
+    with pytest.raises(SearchExhausted, match="block boundary 3"):
+        build_block_schedule(EXP, MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.2), 3, search_cap=4)
+
+
 def test_block_schedule_rejects_exponent_one():
     with pytest.raises(ValueError):
         build_block_schedule(EXP, MomentSchedule(ScheduleForm.CONSTANT, constant_a=1.0), 2)

@@ -350,6 +350,22 @@ def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"name": "caf\xe9"}'.encode("latin-1"), "codec can't decode"),
+    (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    (b'{"seed": ' + b"1" * 5001 + b"}", "4300 digits"),
+], ids=["not_utf8", "nested_arrays", "int_digits"])
+def test_main_unreadable_config(tmp_path, capsys, text, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    code = cli.main(["run", str(cfg), "--subcommand", "hypotheses", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"{cfg}: ") and reason in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("form", ["inv_sqrt_log", "loglog_over_log", "inv_log"])
 @pytest.mark.parametrize("floor_index", [1, 2])
 def test_main_log_form_floor_below_3_names_floor_index(tmp_path, capsys, form, floor_index):

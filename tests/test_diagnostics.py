@@ -95,8 +95,10 @@ def test_verdict_all_zero_convergent():
     assert verdict(_report([0.0, 0.0, 0.0], 0.0), 0.05, 0.1) is Verdict.CONVERGENT
 
 
-def test_verdict_doubling_divergent():
-    assert verdict(_report([0.1, 0.2, 0.4], 1.0), 0.05, 0.1) is Verdict.DIVERGENT
+def test_verdict_doubling_inconclusive():
+    # no ensemble has a rising median (D never increases along a path), and
+    # only a non-finite final median reads DIVERGENT
+    assert verdict(_report([0.1, 0.2, 0.4], 1.0), 0.05, 0.1) is Verdict.INCONCLUSIVE
 
 
 def test_verdict_flat_nonzero_inconclusive():

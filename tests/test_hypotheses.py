@@ -215,8 +215,8 @@ def test_verify_hypotheses_flags_uncentered_family():
 
 @pytest.mark.parametrize("name", ["theorem.json", "pure-x.json"])
 def test_schedule_is_evaluated_once(name, monkeypatch):
-    # one pass of a_n over the 1e6 indices, in chunks, feeds A_LN_N, the AUTO
-    # pattern and the INFREQUENCY ratio
+    # one pass of a_n over the 1e6 indices, in chunks, feeds the AUTO pattern
+    # and the INFREQUENCY ratio; the A_LN_N search evaluates scalars
     spec = cli.load_config(name)
     points = []
     value = MomentSchedule.value

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slln_lab import cli
@@ -27,6 +27,7 @@ from slln_lab.schedules import (
     _least_integer_reaching,
     _search,
     _targets,
+    least_index,
     y_insertion_positions,
 )
 
@@ -199,6 +200,41 @@ def test_phi_stays_below_its_target(schedule, c, horizon):
     assert np.all(build_sparsity(schedule, c).phi(horizon) <= np.ceil(c * np.power(n, schedule.value(n))))
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 200), st.none() | st.integers(-2, 300), st.integers(1, 600) | st.just(math.inf))
+@example(lo=5, extra=7, threshold=3)  # holds at lo
+@example(lo=5, extra=0, threshold=9)  # cap = lo, never holds there
+@example(lo=5, extra=0, threshold=5)  # cap = lo, holds there
+@example(lo=1, extra=40, threshold=math.inf)  # never holds
+@example(lo=1, extra=None, threshold=1)  # no cap, holds at lo = 1
+@example(lo=5, extra=-1, threshold=1)  # cap below lo
+def test_least_index_is_a_linear_scan(lo, extra, threshold):
+    # a threshold predicate n >= threshold; extra None means no cap
+    if extra is None and threshold == math.inf:
+        return  # a search with no cap for what never holds has no end
+    cap = None if extra is None else lo + extra
+    asked = []
+
+    def holds(n):
+        asked.append(n)
+        return n >= threshold
+
+    expected = next((n for n in range(lo, lo + 700 if cap is None else cap + 1) if n >= threshold), None)
+    assert least_index(holds, lo, cap) == expected
+    assert all(lo <= n and (cap is None or n <= cap) for n in asked)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(schedules(), st.sampled_from([1, 2, 3, 4, 100, 10 ** 4, 10 ** 6]) | st.integers(5, 3 * 10 ** 4))
+def test_growth_hit_is_the_first_n_of_a_scan(schedule, horizon):
+    # A_LN_N searches, where a scan over [1, span] would take every n
+    span = max(horizon, 3)
+    n = np.arange(1, span + 1, dtype=np.float64)
+    reached = np.flatnonzero(np.log(n) * schedule.value(n) >= 3.0)
+    entry = _theorem_entry("A_LN_N", schedule=schedule, horizon=horizon)
+    assert entry.value == (reached[0] + 1 if reached.size else math.inf)
+
+
 def test_ratio_running_max_bounded_by_c_plus_one():
     for c in (0.3, 0.7, 1.0, 2.0, 5.0):
         entry = _theorem_entry("INFREQUENCY", pattern=build_sparsity(INV_SQRT_LOG, c), horizon=10 ** 5)
@@ -258,7 +294,9 @@ def test_auto_alpha_matches_the_whole_array_oracle(horizon, schedule, c):
     SparsityPattern(mode=SparsityMode.ALL_ONE),
     # the sup is reached in the first chunk, past the decade index, and must survive the later chunks
     SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1,) * 40_000 + (0,) * (3 * _CHUNK + 5 - 40_000)),
-], ids=["all_one", "front_loaded"])
+    # the one insert, and so the sup, at the first index past the decade index
+    SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(0,) * 19_661 + (1,) + (0,) * (3 * _CHUNK + 5 - 19_662)),
+], ids=["all_one", "front_loaded", "insert_past_the_decade"])
 def test_infrequency_across_chunks_matches_the_whole_array_oracle(pattern):
     horizon = 3 * _CHUNK + 5
     n = np.arange(1, horizon + 1, dtype=np.float64)
