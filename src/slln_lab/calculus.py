@@ -178,19 +178,34 @@ def _body_remainder(envelope: TailEnvelope, t: float, p: float) -> float:
 def _partial_sum(fill, truncation: int) -> float:
     """sum_{n=3}^{truncation} of the terms ``fill(n, dest)`` writes into ``dest``.
 
-    ``n`` runs over the float indices a chunk of ``_CHUNK`` at a time.  The
-    terms fill one array that is summed once, so the result is the float
-    ``np.sum`` gives over the whole-range expression (the same pairwise tree).
+    The float is the one ``np.sum`` gives over the whole-range terms, which
+    it adds by a pairwise tree; :func:`_tree_sum` follows that tree and
+    fills each leaf, a run of at most ``_CHUNK`` terms, into one reused
+    buffer, so no array grows with the truncation.
     """
     if truncation < 3:
         raise ValueError("truncation must be >= 3")
-    terms = np.empty(truncation - 2)
-    steps = np.arange(_CHUNK, dtype=np.float64)
-    n = np.empty(_CHUNK)
-    for s0 in range(0, terms.size, _CHUNK):
-        dest = terms[s0:s0 + _CHUNK]
-        fill(np.add(steps[:dest.size], s0 + 3, out=n[:dest.size]), dest)
-    return float(np.sum(terms))
+    size = min(_CHUNK, truncation - 2)
+    return _tree_sum(fill, 0, truncation - 2, np.empty(size), np.empty(size), np.arange(size, dtype=np.float64))
+
+
+def _tree_sum(fill, lo: int, count: int, terms: np.ndarray, n: np.ndarray, steps: np.ndarray) -> float:
+    """``np.sum`` of the ``count`` terms from term ``lo`` (n = lo + 3) on.
+
+    NumPy's pairwise sum splits a run of more than 128 values after
+    n2 = count // 2 rounded down to a multiple of 8 and adds the sums of
+    the two halves, so summing any run of at most ``_CHUNK`` whole is
+    summing that subtree.  ``terms`` and ``n`` are leaf buffers and
+    ``steps`` is 0, 1, 2, ...; a closure in their place would form a
+    reference cycle that keeps them alive until the garbage collector runs.
+    """
+    if count > _CHUNK:
+        half = count // 2
+        half -= half % 8
+        return (_tree_sum(fill, lo, half, terms, n, steps)
+                + _tree_sum(fill, lo + half, count - half, terms, n, steps))
+    fill(np.add(steps[:count], lo + 3, out=n[:count]), terms[:count])
+    return float(np.sum(terms[:count]))
 
 
 def series_bound_A(

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from .calculus import DEFAULT_PS, bound_suite
-from .diagnostics import ConvergenceReport, Verdict, run_ensemble
+from .diagnostics import MAX_THREADS, ConvergenceReport, Verdict, run_ensemble
 from .errors import BoundViolation, ConfigError, SllnLabError
 from .hypotheses import verify_hypotheses
 from .mixture import ExperimentSpec, _clip_checkpoints
@@ -175,6 +175,8 @@ def run(
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ConfigError(f"threads must be at most {MAX_THREADS}, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sections: dict = {}

@@ -17,6 +17,7 @@ import numpy as np
 
 DEFAULT_CHECKPOINTS = (10 ** 3, 10 ** 4, 10 ** 5, 5 * 10 ** 5, 10 ** 6)
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.02, 0.01)
+MAX_THREADS = 64  # worker processes an ensemble may start
 
 
 def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
@@ -25,7 +26,9 @@ def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray
     The checkpoints cut the buffer into segments; each segment's max is
     taken once, and a reverse running max over those few segment maxima
     gives checkpoint n the max over [n, N].  NaN propagates like a value
-    above every other.
+    above every other.  A buffer of one maximum per segment, with the
+    checkpoints 1..k naming the segments, gives the same D: that is how
+    :func:`~slln_lab.mixture.run_path` calls it.
     """
     buf = np.asarray(deviations, dtype=np.float64)
     if buf.ndim != 1 or buf.size == 0:
@@ -175,13 +178,16 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     :func:`_run_paths` runs them all in this process; otherwise each of
     ``workers = min(threads, n_paths)`` pool workers runs the share
     ``range(w, n_paths, workers)``.  Any path error propagates; partial
-    reports are never produced.  ``threads`` below 1 raises ``ValueError``
-    before any path runs.
+    reports are never produced.  ``threads`` below 1 or above
+    :data:`MAX_THREADS` raises ``ValueError`` before any path runs or any
+    worker starts.
     """
     if spec.n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
     workers = min(threads, spec.n_paths)
     if workers <= 1:
         summaries = _run_paths(spec, range(spec.n_paths))

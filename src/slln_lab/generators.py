@@ -19,12 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidExponent, as_float, as_int, as_object, keyed, known_keys, required
 from .rng import UniformStream
 from .schedules import _CHUNK, MomentSchedule, least_index
+
+
+_TABLE_BITS = 8  # parity tables of up to 2**8 codes x 255 values are kept, one per block_bits
 
 
 class XKind(Enum):
@@ -188,24 +192,89 @@ class XFamily:
         if 2 ** bits > n_blocks:  # fewer blocks than codes: build their rows directly
             out[:] = _parity_rows(codes, bits).reshape(-1)[:count]
             return out
-        table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+        table = _parity_table(bits) if bits <= _TABLE_BITS else _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
         full = count // length
         # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
-        np.take(table, codes[:full], axis=0, out=out[:full * length].reshape(full, length), mode="clip")
+        table.take(codes[:full], axis=0, out=out[:full * length].reshape(full, length), mode="clip")
         if full < n_blocks:
             out[full * length:] = table[codes[full], :count - full * length]
         return out
+
+
+@lru_cache(maxsize=_TABLE_BITS)
+def _parity_table(bits: int) -> np.ndarray:
+    """:func:`_parity_rows` of every code of ``bits`` sign bits, row c for
+    code c; read-only, as every caller shares it."""
+    table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+    table.flags.writeable = False
+    return table
 
 
 def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
     """Parity block values for each code: entry (b, mask - 1) is the product
     of the signs in ``mask``, 1 - 2*(popcount(code_b & mask) & 1)."""
     ones = codes[:, None] & np.arange(1, 2 ** bits, dtype=np.int64)
+    return _parity_signs(ones, bits, np.empty(ones.shape))
+
+
+def _parity_signs(ones: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
+    """1 - 2*(popcount(o) & 1) for each o of ``ones`` (below 2**bits), written
+    into ``out`` and returned; ``ones`` is overwritten."""
     shift = 1
     while shift < bits:  # fold the set bits down: bit 0 ends up holding their parity
         ones ^= ones >> shift
         shift *= 2
-    return 1.0 - 2.0 * (ones & 1)
+    ones &= 1
+    np.multiply(ones, -2.0, out=out)
+    out += 1.0
+    return out
+
+
+class XSampler:
+    """The X draws of one stream, written a slice at a time.
+
+    Successive :meth:`fill` calls give the values one
+    :meth:`XFamily.sample_block` call for all of them gives, from the same
+    uniforms in the same order.  A parity block that a slice cuts stays
+    open: what is kept is its sign code and how many of its values are
+    written, never the values, so the state is two integers however long
+    the block (up to 2**23 - 1 values).
+    """
+
+    def __init__(self, family: XFamily, stream: UniformStream) -> None:
+        self.family = family
+        self.stream = stream
+        self.code = 0    # sign code of the open parity block
+        self.offset = 0  # its values already written; 0 when no block is open
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """The next ``out.size`` draws, written into ``out`` (contiguous
+        float64) and returned."""
+        family, count = self.family, out.size
+        if family.kind is not XKind.PARITY_RADEMACHER:
+            return family.sample_block(count, self.stream, out=out)
+        bits, length = family.block_bits, family.block_length
+        head = min(count, (length - self.offset) % length)  # the rest of the open block
+        if head:
+            self._open_block_values(out[:head], bits, length)
+        full, tail = divmod(count - head, length)
+        family.sample_block(full * length, self.stream, out=out[head:head + full * length])
+        if tail:  # a new block, its sign bits drawn after those of the full blocks
+            negative = self.stream.below_half(bits).tolist()
+            self.code = sum(1 << i for i in range(bits) if negative[i])
+            self._open_block_values(out[count - tail:], bits, length)
+        return out
+
+    def _open_block_values(self, out: np.ndarray, bits: int, length: int) -> None:
+        # value j of a block is the parity of code & j, for the masks j = 1 .. length
+        first = self.offset + 1
+        if bits <= _TABLE_BITS:
+            out[:] = _parity_table(bits)[self.code, first - 1:first - 1 + out.size]
+        else:
+            ones = np.arange(first, first + out.size, dtype=np.int64)
+            ones &= self.code
+            _parity_signs(ones, bits, out)
+        self.offset = (self.offset + out.size) % length
 
 
 class EnvelopeKind(Enum):

@@ -7,13 +7,14 @@ alpha_n = 1 positions, and COMONOTONE paths take one SHARED uniform for all
 their heavy draws.  The exponent of an insert is the schedule value at its
 global position.
 
-:func:`run_path` is the one engine: it samples the whole horizon at once,
-splices the heavy draws into the well-behaved block and reduces one
-in-place buffer to the checkpoint statistics.  Its running sum is one
-``np.cumsum``, which adds strictly left to right in double precision.  What
+:func:`run_path` is the one engine: it makes a path one chunk of
+``_CHUNK`` indices at a time, splicing the chunk's heavy draws into its
+well-behaved values, and reduces each chunk in place to the checkpoint
+statistics before making the next.  Its running sum adds strictly left to
+right in double precision, as one whole-horizon ``np.cumsum`` would.  What
 is the same on every path of a spec in one process, the insert indices,
-1/a_n at them and the buffer, is a :class:`PathWorkspace`, built once; the
-spec itself holds no state.
+1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`, built
+once; the spec itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -25,17 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
 from .errors import ConfigError, FieldError, as_float, as_int, as_object, keyed, known_keys
-from .generators import DependenceMode, TailEnvelope, XFamily, draw_heavy, reciprocal_exponents
+from .generators import DependenceMode, TailEnvelope, XFamily, XSampler, draw_heavy, reciprocal_exponents
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern
 
-MAX_HORIZON = 10 ** 7  # a process holds one float64 buffer of this length, PathWorkspace.buf
+MAX_HORIZON = 10 ** 7  # bounds a path's run time; no array of a path grows with it
+MAX_PATHS = 10 ** 5  # bounds an ensemble's run time and its per-path summaries
 
 _TOP_LEVEL_KEYS = frozenset({
     "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",
@@ -159,8 +161,8 @@ class ExperimentSpec:
             raise ConfigError(
                 f"x.params.block_bits: parity blocks of 2**block_bits - 1 values may not exceed {MAX_HORIZON}"
             )
-        if self.n_paths < 2:
-            raise ConfigError("n_paths must be >= 2")
+        if not 2 <= self.n_paths <= MAX_PATHS:
+            raise ConfigError(f"n_paths must lie in [2, {MAX_PATHS}]")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         explicit = self.pattern.explicit
@@ -199,16 +201,21 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
 
 @dataclass(frozen=True)
 class PathWorkspace:
-    """What every path of one spec reuses in one process: the ``pattern``
-    and ``schedule`` it was built from; ``inserts``, the 0-based insert
-    indices, read-only; ``buf``, scratch space of horizon float64 values
-    that a path overwrites; and ``inv_exponents``, 1/a_n at the inserts."""
+    """What every path of one spec reuses in one process: the ``pattern``,
+    ``schedule`` and ``horizon`` it was built for; ``inserts``, the 0-based
+    insert indices, read-only; ``inv_exponents``, 1/a_n at the inserts; and
+    two scratch buffers of at most ``_CHUNK`` float64 values that a path
+    overwrites, ``chunk`` for one chunk of Z_n and ``heavy`` for the heavy
+    draws spliced into it.  Only the insert arrays grow with the horizon.
+    """
 
     pattern: SparsityPattern
     schedule: MomentSchedule
+    horizon: int
     inserts: np.ndarray
-    buf: np.ndarray
     inv_exponents: np.ndarray
+    chunk: np.ndarray
+    heavy: np.ndarray
 
 
 def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
@@ -219,63 +226,60 @@ def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
     inv_exponents = np.empty(inserts.size, dtype=np.float64)
     for s0 in range(0, inserts.size, _CHUNK):  # chunk-sized temporaries, however many inserts
         inv_exponents[s0:s0 + _CHUNK] = reciprocal_exponents(spec.schedule.value(inserts[s0:s0 + _CHUNK] + 1))
-    return PathWorkspace(spec.pattern, spec.schedule, inserts, np.empty(spec.horizon, dtype=np.float64),
-                         inv_exponents)
+    size = min(_CHUNK, spec.horizon)
+    return PathWorkspace(spec.pattern, spec.schedule, spec.horizon, inserts, inv_exponents,
+                         np.empty(size, dtype=np.float64), np.empty(min(size, inserts.size), dtype=np.float64))
 
 
-def _emit_values(config: ExperimentSpec, workspace: PathWorkspace) -> tuple[np.ndarray, int]:
-    """All horizon values of one path, in ``workspace.buf``, and its insert count.
+def _path_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray]]:
+    """The values Z_n of one path, a chunk of ``_CHUNK`` indices at a time.
 
-    When every index is an insert, the heavy draws are drawn straight into
-    the buffer.  Otherwise the X block is drawn into the front of the
-    buffer, spread right to the positions that are not inserts, and the
-    heavy draws are dropped into the gaps.
+    Yields ``(s0, z)``: ``z`` holds Z_{s0+1} .. Z_{s0+z.size} in
+    ``workspace.chunk``, which the next chunk overwrites.  A chunk of
+    inserts only gets its heavy draws straight into the buffer.  Otherwise
+    its X values are drawn into the front of the buffer, where the X
+    stream left off, and the chunk's heavy draws are spliced in.
     """
-    horizon, buf, inserts = config.horizon, workspace.buf, workspace.inserts
-    n_insert = inserts.size
+    horizon, inserts, inv_exponents = config.horizon, workspace.inserts, workspace.inv_exponents
 
     def stream(channel: Channel) -> UniformStream:
         return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
     shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
-    y = buf if n_insert == horizon else np.empty(n_insert, dtype=np.float64)
-    draw_heavy(config.envelope, config.dependence, workspace.inv_exponents, y,
-               stream=stream(Channel.Y), shared_u=shared_u)
-    if n_insert < horizon:
-        config.x_family.sample_block(horizon - n_insert, stream(Channel.X), out=buf[:horizon - n_insert])
-        _spread(buf, inserts)
-        buf[inserts] = y
-    return buf, n_insert
+    y_stream, x = stream(Channel.Y), XSampler(config.x_family, stream(Channel.X))
+    starts = range(0, horizon, _CHUNK)
+    before = np.searchsorted(inserts, [*starts, horizon]).tolist()
+    for j, s0 in enumerate(starts):
+        z, k0, k1 = workspace.chunk[:min(_CHUNK, horizon - s0)], before[j], before[j + 1]
+        if k1 - k0 == z.size:
+            draw_heavy(config.envelope, config.dependence, inv_exponents[k0:k1], z,
+                       stream=y_stream, shared_u=shared_u)
+        else:
+            x.fill(z[:z.size - (k1 - k0)])
+            if k1 > k0:
+                y = draw_heavy(config.envelope, config.dependence, inv_exponents[k0:k1],
+                               workspace.heavy[:k1 - k0], stream=y_stream, shared_u=shared_u)
+                _splice(z, inserts[k0:k1] - s0, y)
+        yield s0, z
 
 
-def _spread(buf: np.ndarray, inserts: np.ndarray) -> None:
-    """Move the values at the front of ``buf`` right, in order, onto the
-    positions that are not in ``inserts``.
+def _splice(z: np.ndarray, inserts: np.ndarray, y: np.ndarray) -> None:
+    """Move the X values at the front of ``z`` right, in order, onto the
+    positions that are not in ``inserts`` (sorted, nonempty), and put
+    ``y`` at the inserts.
 
     The value at a position p that is not an insert comes from p - k, k
-    the inserts before p.  Chunks go from the last, so the source of a
-    chunk, which lies at or before it, is still unmoved.  Within a chunk,
-    the values past its last insert and those before its first each shift
-    by one k, as one slice copy; only those between its first and last
-    insert need a mask.  The work is O(horizon) however many inserts
-    there are, with no Python step per insert.
+    the inserts before p.  The values past the last insert shift by all of
+    them, as one slice copy, and those before the first stay; only those
+    between the first and last insert need a mask.
     """
-    horizon = buf.size
-    starts = list(range(0, horizon, _CHUNK))
-    before = np.searchsorted(inserts, starts + [horizon]).tolist()
-    for j in reversed(range(len(starts))):
-        s0, s1, k0, k1 = starts[j], min(starts[j] + _CHUNK, horizon), before[j], before[j + 1]
-        if k1 == 0:  # no insert before s1: this chunk and those before it are in place
-            break
-        if k1 > k0:
-            first, last = int(inserts[k0]), int(inserts[k1 - 1])
-            # slice copies handle overlapping memory; a masked assignment does not
-            buf[last + 1:s1] = buf[last + 1 - k1:s1 - k1]
-            x_slot = np.ones(last - first, dtype=bool)  # positions first + 1 .. last
-            x_slot[inserts[k0 + 1:k1] - (first + 1)] = False
-            buf[first + 1:last + 1][x_slot] = buf[first - k0:last + 1 - k1].copy()
-            s1 = first
-        buf[s0:s1] = buf[s0 - k0:s1 - k0]
+    k, first, last = inserts.size, int(inserts[0]), int(inserts[-1])
+    # slice copies handle overlapping memory; a masked assignment does not
+    z[last + 1:] = z[last + 1 - k:z.size - k]
+    x_slot = np.ones(last - first, dtype=bool)  # positions first + 1 .. last
+    x_slot[inserts[1:] - (first + 1)] = False
+    z[first + 1:last + 1][x_slot] = z[first:last + 1 - k].copy()
+    z[inserts] = y
 
 
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
@@ -285,9 +289,15 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     ``workspace`` is the :func:`path_workspace` of any path of the same
     spec (one that shares its pattern and schedule objects, as
     :meth:`ExperimentSpec.with_path` does), so the paths of an ensemble can
-    share one; None builds one.  The
-    values are accumulated in place: its buffer holds Z_n, then S_n, then
-    S_n/n, then |S_n/n| for the suffix-sup reduction.
+    share one; None builds one.
+
+    Each chunk of :func:`_path_chunks` is reduced in place before the next
+    is made: its max, min and non-finite count; S_n by ``np.cumsum`` after
+    adding the S of the chunks before to its first value, which is the add
+    a whole-horizon cumsum makes there; S_n/n, read at the checkpoints;
+    then |S_n/n|, whose maximum over each part of a checkpoint segment
+    joins that segment's.  :func:`suffix_sup` turns the segment maxima into
+    D.  Every float is the one the whole-horizon reduction gives.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -297,31 +307,50 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         raise ValueError("checkpoints must lie in [1, horizon]")
     if workspace is None:
         workspace = path_workspace(config)
-    elif (workspace.buf.shape != (horizon,) or workspace.pattern is not config.pattern
+    elif (workspace.horizon != horizon or workspace.pattern is not config.pattern
           or workspace.schedule is not config.schedule):
         raise ValueError("workspace was built for another spec")
 
-    buf, insert_count = _emit_values(config, workspace)
-    # max(hi, -lo) is max |Z_n|; abs turns a -0.0 into 0.0, NaN propagates
-    max_abs_value = float(abs(np.maximum(buf.max(), -buf.min())))
-    # counted only on a path that has one: a finite path pays no extra pass
-    nonfinite = 0 if math.isfinite(max_abs_value) else horizon - int(np.count_nonzero(np.isfinite(buf)))
-    np.cumsum(buf, out=buf)
+    # segment i of |S_n/n| runs from index starts[i] up to the next start
+    starts, slot = np.unique(cps - 1, return_inverse=True)
+    segment_max = np.zeros(starts.size)  # |S_n/n| >= 0, so 0 stands for no value yet
+    running_avg = np.empty(cps.size)
+    bounds = [*range(0, horizon, _CHUNK), horizon]
+    cps_before = np.searchsorted(cps - 1, bounds).tolist()
+    starts_before = np.searchsorted(starts, bounds).tolist()
+    starts_upto = np.searchsorted(starts, bounds, side="right").tolist()
     n = np.arange(1, min(_CHUNK, horizon) + 1, dtype=np.float64)  # n in a chunk, less its offset
-    for s0 in range(0, horizon, _CHUNK):
-        chunk = buf[s0:s0 + _CHUNK]
-        chunk /= n[:chunk.size] + s0  # exact: n < 2**53
-    running_avg = buf[cps - 1]
-    final_avg = float(buf[-1])
-    np.abs(buf, out=buf)
+    n_at = np.empty_like(n)
+    highs, lows, nonfinite, total = [], [], 0, 0.0
+    for j, (s0, z) in enumerate(_path_chunks(config, workspace)):
+        highs.append(z.max())
+        lows.append(z.min())
+        if not (math.isfinite(highs[-1]) and math.isfinite(lows[-1])):  # a finite chunk pays no extra pass
+            nonfinite += z.size - int(np.count_nonzero(np.isfinite(z)))
+        if s0:  # not on the first chunk, so that a -0.0 Z_1 stays S_1
+            z[0] += total
+        z.cumsum(out=z)
+        total = z[-1]
+        z /= np.add(n[:z.size], s0, out=n_at[:z.size])  # exact: n < 2**53
+        c0, c1 = cps_before[j], cps_before[j + 1]
+        if c1 > c0:
+            running_avg[c0:c1] = z[cps[c0:c1] - 1 - s0]
+        final_avg = float(z[-1])
+        np.abs(z, out=z)
+        # the segment under way at s0 (if one is), then those that start in this chunk
+        first, last = max(starts_upto[j] - 1, 0), starts_before[j + 1]
+        if last > first:
+            seg = segment_max[first:last]
+            np.maximum(seg, np.maximum.reduceat(z, np.maximum(starts[first:last] - s0, 0)), out=seg)
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,
         checkpoints=cps,
         running_avg=running_avg,
-        deviation_sup=suffix_sup(buf, cps),
-        insert_count=insert_count,
-        max_abs_value=max_abs_value,
+        deviation_sup=suffix_sup(segment_max, slot + 1),
+        insert_count=workspace.inserts.size,
+        # max(max Z, -min Z) is max |Z_n|; abs turns -0.0 into 0.0, and NaN propagates
+        max_abs_value=float(abs(np.maximum(np.max(highs), -np.min(lows)))),
         final_avg=final_avg,
         nonfinite_values=nonfinite,
     )

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import math
+import os
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -200,6 +203,52 @@ def test_series_partial_sums_equal_the_whole_array_sums(monkeypatch, truncation)
 def test_series_partial_sums_equal_the_whole_array_sums_at_the_default_truncation():
     assert series_bound_A(PARETO15, 1.5).partial == reference_series_A(PARETO15, 1.5, 10 ** 6)
     assert series_bound_B(PARETO15).partial == reference_series_B(PARETO15, 10 ** 6)
+
+
+# NumPy's pairwise sum splits a run of more than 128 terms after n2 = n // 2
+# less n2 % 8.  T - 2 terms: 128 and 129 at T = 130 and 131; one leaf of
+# 2**16 and one past at 65538 and 65539; two leaves and one past at 131074
+# and 131075; a split where n // 2 is no multiple of 8 at 10**6 and 3e6 + 1
+@pytest.mark.parametrize("truncation", [3, 10, 130, 131, 65538, 65539, 131074, 131075, 10 ** 6, 3 * 10 ** 6 + 1])
+def test_partial_sums_follow_numpys_pairwise_tree(monkeypatch, truncation):
+    monkeypatch.setattr(BoundCheck, "enforce", lambda check: check)
+    for env in (EXP, PARETO15):
+        for p in (1.01, 10.0):
+            assert series_bound_A(env, p, truncation).partial == reference_series_A(env, p, truncation), (env, p)
+        assert series_bound_B(env, truncation).partial == reference_series_B(env, truncation), env
+
+
+@pytest.mark.parametrize("env", [EXP, PARETO15], ids=["exp", "pareto1.5"])
+def test_series_peak_memory_does_not_grow_with_the_truncation(env):
+    series_bound_A(env, 2.0, 10)  # the exp envelope loads scipy on first use
+    tracemalloc.start()
+    try:
+        series_bound_A(env, 1.01, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+def test_bound_suite_leaves_no_buffers_behind():
+    # with the collector off, buffers held by a reference cycle would pile up call after call
+    bound_suite()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _resident_bytes()
+        for _ in range(3):
+            bound_suite()
+        grown = _resident_bytes() - before
+    finally:
+        gc.enable()
+    assert grown < 2 ** 20
 
 
 @pytest.mark.parametrize("env", [EXP, PARETO15, PARETO2], ids=["exp", "pareto1.5", "pareto2"])

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,8 +12,10 @@ import numpy as np
 import pytest
 
 from slln_lab import cli, mixture
+from slln_lab.diagnostics import MAX_THREADS
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, EnvelopeKind, XKind
+from slln_lab.mixture import MAX_PATHS
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode
 
 
@@ -25,6 +30,19 @@ def test_bundled_theorem_fixture():
     assert spec.seed == 0
     assert spec.n_paths == 200
     assert spec.horizon == 10 ** 6
+
+
+FIXTURES = ("theorem.json", "pure-x.json", "violate-x-mean.json", "violate-sparsity.json")
+
+
+def test_import_and_fixture_loading_leave_scipy_unloaded():
+    # scipy takes about 0.3 s to import; only the exp envelope's power integral needs it
+    script = ("import sys; from slln_lab import cli; "
+              f"[cli.load_config(name) for name in {FIXTURES!r}]; print('scipy' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_bundled_violation_fixtures():
@@ -329,6 +347,10 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
     ({"y": {"envelope": {"kind": "pareto"}}}, "y.envelope.gamma: required key is missing"),
     ({"schedule": {"floor_index": 10 ** 400}}, "schedule.floor_index: floor_index must be at most 10**300"),
     ({"schedule": {"form": "loglog_over_log", "floor_index": 14}}, "schedule.floor_index:"),
+    ({"n_paths": 10 ** 30}, f"n_paths must lie in [2, {MAX_PATHS}]"),
+    ({"--paths": MAX_PATHS + 1}, f"n_paths must lie in [2, {MAX_PATHS}]"),
+    ({"--threads": MAX_THREADS + 1}, f"threads must be at most {MAX_THREADS}"),
+    ({"--threads": 10 ** 30}, f"threads must be at most {MAX_THREADS}"),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
@@ -340,9 +362,14 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
        "infrequency_threshold_bool", "name_number", "sparsity_number", "schedule_string", "x_string",
        "envelope_string", "params_key_typo", "schedule_key_typo", "sparsity_key_case", "y_key_typo",
        "verdict_key_typo", "gamma_on_exp", "alpha_on_all_one", "params_string", "family_missing",
-       "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak"])
+       "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak",
+       "n_paths_huge", "paths_flag_above_cap", "threads_above_cap",
+       "threads_huge"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
-    code, out = _main_on(tmp_path, {"horizon": 100, **data})
+    # a "--flag" key is passed on the command line, not in the config
+    flags = [str(part) for key, value in data.items() if key.startswith("--") for part in (key, value)]
+    config = {key: value for key, value in data.items() if not key.startswith("--")}
+    code, out = _main_on(tmp_path, {"horizon": 100, **config}, *flags)
     assert code == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert message.startswith(prefix)
@@ -426,7 +453,8 @@ def test_main_non_finite_run_is_divergent_and_strict(tmp_path):
     assert report["convergence"]["fractions_above"]["0.05"][-1] == 1.0
     spec = cli.load_config(tmp_path / "cfg.json")
     with np.errstate(over="ignore"):
-        counts = [np.count_nonzero(~np.isfinite(mixture._emit_values(path, mixture.path_workspace(path))[0]))
+        counts = [sum(np.count_nonzero(~np.isfinite(z))
+                      for _, z in mixture._path_chunks(path, mixture.path_workspace(path)))
                   for path in map(spec.with_path, range(spec.n_paths))]
     assert report["convergence"]["nonfinite_values"] == sum(counts)
     # an inf median at the end means at least 6 of the 10 paths are inf there

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import pickle
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from slln_lab import cli, diagnostics
 from slln_lab.diagnostics import (
+    MAX_THREADS,
     ConvergenceReport,
     Verdict,
     run_ensemble,
@@ -183,6 +185,19 @@ def test_ensemble_rejects_threads_below_one(monkeypatch, threads):
     with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
         run_ensemble(spec, threads=threads)
     assert ran == []
+
+
+def test_ensemble_rejects_threads_above_the_cap(monkeypatch):
+    spec = pure_x_config(XFamily.shifted_exp(1.0), 5000, n_paths=4, checkpoints=(5000,))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(diagnostics, "_run_paths", no_pool)
+    for threads in (MAX_THREADS + 1, 10 ** 30):
+        with pytest.raises(ValueError, match=f"^threads must be at most {MAX_THREADS}, got {threads}$"):
+            run_ensemble(spec, threads=threads)
 
 
 def test_ensemble_repeatable():

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slln_lab.errors import InvalidExponent
 from slln_lab.generators import (
@@ -12,6 +14,7 @@ from slln_lab.generators import (
     TailEnvelope,
     XFamily,
     XKind,
+    XSampler,
     draw_heavy,
     infinite_mean_onset,
     reciprocal_exponents,
@@ -85,6 +88,28 @@ def test_parity_matches_sign_products():
                     expected.append(math.prod(s for i, s in enumerate(signs) if mask >> i & 1))
             assert np.array_equal(values, expected[:count]), (bits, count)
     assert branches == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(family=st.sampled_from((XFamily.parity(1), XFamily.parity(2), XFamily.parity(4), XFamily.parity(6),
+                               XFamily.parity(9), XFamily.uniform(2.0), XFamily.pareto_centered(0.8))),
+       slices=st.lists(st.integers(0, 1200), min_size=1, max_size=8))
+def test_sampler_slices_equal_one_block(family, slices):
+    # a parity block cut by a slice end is resumed where it stopped, from its sign code;
+    # up to 8 bits its values are read off the cached table, from 9 bits on they are computed
+    sampler = XSampler(family, _stream(5))
+    parts = [sampler.fill(np.empty(size)) for size in slices]
+    assert np.array_equal(np.concatenate(parts), family.sample_block(sum(slices), _stream(5)))
+
+
+def test_sampler_resumes_a_long_block_without_holding_it():
+    # 2**20 - 1 values per block, written 1000 at a time: the sampler keeps the code, not the block
+    family, values = XFamily.parity(20), []
+    sampler = XSampler(family, _stream(6))
+    for _ in range(5):
+        values.append(sampler.fill(np.empty(1000)))
+    assert sampler.offset == 5000 and vars(sampler).keys() == {"family", "stream", "code", "offset"}
+    assert np.array_equal(np.concatenate(values), family.sample_block(5000, _stream(6)))
 
 
 def test_parity_pairwise_across_blocks():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from slln_lab import cli, mixture
 from slln_lab.diagnostics import PathSummary, run_ensemble
 from slln_lab.errors import ConfigError, InvalidExponent
-from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
+from slln_lab.generators import DependenceMode, TailEnvelope, XFamily, XKind
 from slln_lab.mixture import MAX_HORIZON, ExperimentSpec, run_path
 from slln_lab.rng import Channel, StreamKey, derive_stream
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern, build_sparsity
@@ -20,7 +20,8 @@ SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
 DENSE = MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.9)  # a quarter of 1e6 indices are inserts
 FAMILIES = (XFamily.uniform(1.5), XFamily.shifted_exp(2.0), XFamily.parity(1), XFamily.parity(4),
             XFamily.pareto_centered(2.5), XFamily.pareto_centered(0.8))
-LONG = 3 * mixture._CHUNK + 5  # the splice and the division by n cut it into 4 chunks
+CH = mixture._CHUNK
+LONG = 3 * CH + 5  # the engine cuts it into 4 chunks
 
 
 def make_config(pattern=None, x_family=None, dependence=DependenceMode.INDEPENDENT,
@@ -42,6 +43,29 @@ def _stream(config, channel):
     return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
 
+def emit_values(config):
+    """All horizon values of one path, the engine's chunks concatenated, and
+    its insert count."""
+    workspace = mixture.path_workspace(config)
+    chunks = [z.copy() for _, z in mixture._path_chunks(config, workspace)]  # each chunk reuses one buffer
+    return np.concatenate(chunks), workspace.inserts.size
+
+
+def reference_parity(bits, count, stream):
+    """The first ``count`` parity values by their definition: value j of a
+    block is the product of the signs i in j + 1, sign i being -1 when the
+    block's i-th uniform is below 1/2; blocks take ``bits`` uniforms each."""
+    length = 2 ** bits - 1
+    n_blocks = -(-count // length)
+    negative = stream.uniforms(n_blocks * bits).reshape(n_blocks, bits) < 0.5
+    k = np.arange(count)
+    block, mask = k // length, k % length + 1
+    values = np.ones(count)
+    for i in range(bits):
+        values[((mask >> i) & 1 == 1) & negative[block, i]] *= -1.0
+    return values
+
+
 def reference_values(config):
     """The path by its definition, independent of the engine's splice.
 
@@ -53,7 +77,11 @@ def reference_values(config):
     alpha = config.pattern.alpha(config.horizon).astype(bool)
     n = np.arange(1, config.horizon + 1)
     values = np.empty(config.horizon)
-    values[~alpha] = config.x_family.sample_block(int(np.sum(~alpha)), _stream(config, Channel.X))
+    x_stream, x_count = _stream(config, Channel.X), int(np.sum(~alpha))
+    if config.x_family.kind is XKind.PARITY_RADEMACHER:
+        values[~alpha] = reference_parity(config.x_family.block_bits, x_count, x_stream)
+    else:
+        values[~alpha] = config.x_family.sample_block(x_count, x_stream)
     if config.dependence is DependenceMode.COMONOTONE:
         u = _stream(config, Channel.SHARED).next()
     else:
@@ -62,29 +90,37 @@ def reference_values(config):
     return values
 
 
-def reference_summary(config, checkpoints):
-    """The PathSummary of one path, by brute force from its reference values."""
-    values = reference_values(config).tolist()
+def reference_summary(config, checkpoints, values=None):
+    """The PathSummary of one path, by brute force from its reference values
+    (or from ``values``); a NaN propagates through every maximum."""
+    values = (reference_values(config) if values is None else values).tolist()
     total, averages = 0.0, []
     for n, z in enumerate(values, start=1):
         total += z  # strict left to right
         averages.append(total / n)
+    deviations = np.abs(averages)
     return PathSummary(
         path_index=config.path_index,
         horizon=config.horizon,
         checkpoints=np.asarray(checkpoints),
         running_avg=np.array([averages[c - 1] for c in checkpoints]),
-        deviation_sup=np.array([max(abs(a) for a in averages[c - 1:]) for c in checkpoints]),
+        deviation_sup=np.array([np.max(deviations[c - 1:]) for c in checkpoints]),
         insert_count=int(np.sum(config.pattern.alpha(config.horizon))),
-        max_abs_value=max(abs(z) for z in values),
+        max_abs_value=float(np.max(np.abs(values))),
         final_avg=total / config.horizon,
         nonfinite_values=sum(not math.isfinite(z) for z in values),
     )
 
 
+def assert_same_summary(got, expected):
+    got, expected = dataclasses.asdict(got), dataclasses.asdict(expected)
+    for field, want in expected.items():
+        assert np.array_equal(got[field], want, equal_nan=True), field
+
+
 def test_all_zero_pattern_is_pure_x():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=1000)
-    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
+    values, insert_count = emit_values(config)
     direct = XFamily.uniform(1.0).sample_block(
         1000, derive_stream(StreamKey(9, 0, Channel.X))
     )
@@ -94,7 +130,7 @@ def test_all_zero_pattern_is_pure_x():
 
 def test_all_one_pattern_is_pure_y():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=200)
-    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
+    values, insert_count = emit_values(config)
     assert insert_count == values.size == 200
     assert np.all(values >= 1.0)  # heavy draws sit above the envelope support start
 
@@ -102,7 +138,7 @@ def test_all_one_pattern_is_pure_y():
 def test_explicit_pattern_unrolls():
     pattern = SparsityPattern(mode=SparsityMode.EXPLICIT, explicit=(1, 0, 0, 1))
     config = make_config(pattern=pattern, horizon=4)
-    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
+    values, insert_count = emit_values(config)
     assert insert_count == 2
     x_direct = XFamily.uniform(1.0).sample_block(2, derive_stream(StreamKey(9, 0, Channel.X)))
     assert values[1] == x_direct[0]  # first non-insert consumes the first draw
@@ -121,7 +157,7 @@ def test_run_path_matches_reference():
                     XFamily.pareto_centered(2.0)):
             for dep in (DependenceMode.INDEPENDENT, DependenceMode.COMONOTONE):
                 config = make_config(pattern=pattern, x_family=fam, dependence=dep, horizon=300)
-                vec_values, _ = mixture._emit_values(config, mixture.path_workspace(config))
+                vec_values, _ = emit_values(config)
                 assert np.array_equal(vec_values, reference_values(config))
                 expected = reference_summary(config, checkpoints)
                 got = dataclasses.asdict(run_path(config, checkpoints))
@@ -185,6 +221,90 @@ def test_run_path_matches_reference_on_random_specs(case):
         got = dataclasses.asdict(summary)
         for field, want in expected.items():
             assert np.array_equal(got[field], want), field
+
+
+def _edge_inserts(horizon):
+    """An EXPLICIT pattern with an insert at the first and the last index of
+    every chunk, and one every 997 indices from 5."""
+    chunk_starts = range(0, horizon, CH)
+    ones = {*chunk_starts, *(min(s0 + CH, horizon) - 1 for s0 in chunk_starts), *range(5, horizon, 997)}
+    return _explicit(horizon, ones)
+
+
+def _seam_checkpoints(horizon):
+    return sorted({c for c in (1, CH - 1, CH, CH + 1, 2 * CH, horizon) if c <= horizon})
+
+
+@pytest.mark.parametrize("horizon", [CH - 1, CH, CH + 1, 2 * CH - 1, 2 * CH, 2 * CH + 1])
+def test_run_path_matches_reference_at_chunk_seams(horizon):
+    config = make_config(pattern=_edge_inserts(horizon), x_family=XFamily.parity(4),
+                         dependence=DependenceMode.COMONOTONE, horizon=horizon)
+    checkpoints = _seam_checkpoints(horizon)
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+
+
+@pytest.mark.parametrize("dependence", DependenceMode)
+@pytest.mark.parametrize("block_bits", [1, 4, 17, 23])
+def test_parity_block_across_a_chunk_seam_matches_reference(block_bits, dependence):
+    # blocks of 1, 15, 131071 and 8388607 values: the last two span seams,
+    # the 15-value blocks straddle one wherever the X count before it is no multiple of 15
+    config = make_config(pattern=_edge_inserts(2 * CH + 1), x_family=XFamily.parity(block_bits),
+                         dependence=dependence, horizon=2 * CH + 1).with_path(1)
+    checkpoints = _seam_checkpoints(config.horizon)
+    values, _ = emit_values(config)
+    assert np.array_equal(values, reference_values(config))
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+
+
+@pytest.mark.parametrize("dependence", DependenceMode)
+@pytest.mark.parametrize("mode", [SparsityMode.ALL_ONE, SparsityMode.ALL_ZERO, SparsityMode.EXPLICIT])
+def test_patterns_across_chunk_seams_match_reference(mode, dependence):
+    horizon = 2 * CH + 3
+    pattern = _edge_inserts(horizon) if mode is SparsityMode.EXPLICIT else SparsityPattern(mode=mode)
+    config = make_config(pattern=pattern, x_family=XFamily.shifted_exp(2.0), dependence=dependence,
+                         horizon=horizon)
+    checkpoints = _seam_checkpoints(horizon)
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+
+
+def _planting(monkeypatch, planted):
+    """Make the engine's chunks carry ``planted`` (index: value) values."""
+    engine = mixture._path_chunks
+
+    def planting(config, workspace):
+        for s0, z in engine(config, workspace):
+            for i, v in planted.items():
+                if s0 <= i < s0 + z.size:
+                    z[i - s0] = v
+            yield s0, z
+
+    monkeypatch.setattr(mixture, "_path_chunks", planting)
+
+
+@pytest.mark.parametrize("planted", [
+    {CH + 5: math.inf, 2 * CH + 1: math.inf},
+    {10: math.inf, CH + 3: -math.inf},
+    {0: -math.inf, 2 * CH: math.nan},
+    {3 * CH + 2: math.nan},
+], ids=["inf_in_two_chunks", "inf_then_minus_inf", "minus_inf_then_nan", "nan_in_the_last_chunk"])
+def test_nonfinite_values_in_several_chunks_match_reference(monkeypatch, planted):
+    config, checkpoints = _long_case(build_sparsity(SCHED, 1.0))
+    values = reference_values(config)
+    values[list(planted)] = list(planted.values())
+    _planting(monkeypatch, planted)
+    with np.errstate(invalid="ignore"):
+        summary = run_path(config, checkpoints)
+    assert_same_summary(summary, reference_summary(config, checkpoints, values))
+    assert summary.nonfinite_values >= len(planted)
+
+
+def test_negative_zero_first_value_stays_the_first_sum(monkeypatch):
+    # a whole-horizon cumsum starts at S_1 = Z_1, so a -0.0 Z_1 gives S_1 = -0.0;
+    # adding the (zero) sum of no earlier chunk would give 0.0
+    config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=CH + 1)
+    _planting(monkeypatch, {0: -0.0})
+    summary = run_path(config, [1, CH + 1])
+    assert summary.running_avg[0] == 0.0 and np.signbit(summary.running_avg[0])
 
 
 @st.composite
@@ -255,9 +375,10 @@ def test_workspace_rejects_bad_exponent():
 
 @pytest.mark.parametrize("name", ["theorem.json", "violate-sparsity.json"])
 def test_workspace_peak_memory_is_what_it_keeps(name):
-    # the AUTO alpha and 1/a_n at the inserts take chunk-sized temporaries:
-    # theorem keeps its buffer and 42 inserts, violate-sparsity three arrays
-    # of 1e6 values
+    # theorem keeps two chunk buffers and 42 inserts, violate-sparsity two
+    # arrays of 1e6 values and two chunk buffers; on the way, the AUTO alpha
+    # takes one byte per index and its a_n pass at most seven chunk-sized
+    # float64 temporaries
     spec = dataclasses.replace(cli.load_config(name), horizon=10 ** 6, checkpoints=(10 ** 6,))
     tracemalloc.start()
     try:
@@ -265,8 +386,24 @@ def test_workspace_peak_memory_is_what_it_keeps(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = workspace.buf.nbytes + workspace.inserts.nbytes + workspace.inv_exponents.nbytes
-    assert peak < kept + 2 * 2 ** 20
+    kept = sum(a.nbytes for a in (workspace.inserts, workspace.inv_exponents, workspace.chunk, workspace.heavy))
+    assert workspace.chunk.size == mixture._CHUNK
+    assert peak < kept + spec.horizon + 7 * 8 * mixture._CHUNK
+
+
+@pytest.mark.parametrize("block_bits", [4, 23])
+def test_run_path_peak_memory_does_not_grow_with_the_horizon(block_bits):
+    # at block_bits 23 one parity block spans 128 chunks; none is held whole
+    spec = dataclasses.replace(cli.load_config("theorem.json"), horizon=3 * 10 ** 6,
+                               checkpoints=(1, 10 ** 6, 3 * 10 ** 6), x_family=XFamily.parity(block_bits))
+    workspace = mixture.path_workspace(spec)
+    tracemalloc.start()
+    try:
+        run_path(spec, spec.checkpoints, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_workspace_of_another_spec_is_rejected():
@@ -286,7 +423,7 @@ def test_nonfinite_values_counted():
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ONE), horizon=300,
                          schedule=MomentSchedule(ScheduleForm.CONSTANT, constant_a=0.001))
     with np.errstate(over="ignore"):
-        values, _ = mixture._emit_values(config, mixture.path_workspace(config))
+        values, _ = emit_values(config)
         summary = run_path(config, [300])
     assert summary.nonfinite_values == np.count_nonzero(~np.isfinite(values)) > 0
     assert run_path(make_config(horizon=300), [300]).nonfinite_values == 0
@@ -313,7 +450,7 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
 
 def test_resummation_zero_ulp():
     config = make_config(x_family=XFamily.shifted_exp(1.0), horizon=400)
-    values, _ = mixture._emit_values(config, mixture.path_workspace(config))
+    values, _ = emit_values(config)
     total = 0.0
     for v in values.tolist():
         total += v
@@ -323,7 +460,7 @@ def test_resummation_zero_ulp():
 
 def test_bookkeeping_counts():
     config = make_config(horizon=250)
-    values, insert_count = mixture._emit_values(config, mixture.path_workspace(config))
+    values, insert_count = emit_values(config)
     phi = config.pattern.phi(250)
     assert insert_count == phi[-1] == run_path(config, [250]).insert_count
     # heavy draws are >= 1 and the uniform X draws lie in [-1, 1)
@@ -375,7 +512,7 @@ def test_checkpoint_validation():
 def test_comonotone_draws_share_one_uniform():
     pattern = SparsityPattern(mode=SparsityMode.ALL_ONE)
     config = make_config(pattern=pattern, dependence=DependenceMode.COMONOTONE, horizon=50)
-    values, _ = mixture._emit_values(config, mixture.path_workspace(config))
+    values, _ = emit_values(config)
     shared = derive_stream(StreamKey(9, 0, Channel.SHARED)).next()
     exps = SCHED.value(np.arange(1, 51, dtype=float))
     v = TailEnvelope.pareto(2.0).sample_v(shared)
