@@ -19,6 +19,11 @@ class FieldError(ValueError):
         self.message = message
 
 
+def clipped(text: str, keep: int = 40) -> str:
+    """``text`` less all but its first and last ``keep`` characters: a message names a value, never echoes it whole."""
+    return text if len(text) <= 2 * keep + 5 else f"{text[:keep]} ... {text[-keep:]}"
+
+
 def as_int(value) -> int:
     """A JSON integer: an int, or a float with an integral value.
 
@@ -53,7 +58,7 @@ def known_keys(section: dict, keys) -> dict:
     :class:`FieldError` on the first other key."""
     for key in section:
         if key not in keys:
-            raise FieldError(str(key), f"unknown key; expected one of {', '.join(sorted(keys))}")
+            raise FieldError(clipped(str(key)), f"unknown key; expected one of {', '.join(sorted(keys))}")
     return section
 
 
@@ -73,7 +78,7 @@ def keyed(key: str, build, value):
     except FieldError as exc:
         raise FieldError(f"{key}.{exc.key}", exc.message) from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FieldError(key, str(exc)) from exc
+        raise FieldError(key, clipped(str(exc))) from exc
 
 
 class InvalidExponent(SllnLabError):

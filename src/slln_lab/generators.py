@@ -182,39 +182,48 @@ class XFamily:
 
     def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray) -> np.ndarray:
         # sign i of a block is -1 when its i-th uniform is below 1/2; the
-        # block's sign bits, folded into an integer code, select its row
+        # block's sign bits, folded into an integer code, select its values
         bits, length = self.block_bits, self.block_length
         n_blocks = -(-count // length)
         negative = stream.below_half(n_blocks * bits).reshape(n_blocks, bits)
         codes = np.zeros(n_blocks, dtype=np.int64)
         for i in range(bits):
             codes |= negative[:, i].astype(np.int64) << i
-        if 2 ** bits > n_blocks:  # fewer blocks than codes: build their rows directly
-            out[:] = _parity_rows(codes, bits).reshape(-1)[:count]
-            return out
-        table = _parity_table(bits) if bits <= _TABLE_BITS else _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
         full = count // length
-        # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
-        table.take(codes[:full], axis=0, out=out[:full * length].reshape(full, length), mode="clip")
+        rows = out[:full * length].reshape(full, length)
+        if bits <= _TABLE_BITS:
+            # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
+            _parity_table(bits).take(codes[:full], axis=0, out=rows, mode="clip")
+        else:
+            step = max(_CHUNK // length, 1)
+            for b0 in range(0, full, step):
+                ones = codes[b0:min(b0 + step, full), None] & np.arange(1, length + 1, dtype=np.int64)
+                _parity_signs(ones, bits, rows[b0:b0 + step])
         if full < n_blocks:
-            out[full * length:] = table[codes[full], :count - full * length]
+            _block_values(int(codes[full]), 1, bits, out[full * length:])
         return out
 
 
 @lru_cache(maxsize=_TABLE_BITS)
 def _parity_table(bits: int) -> np.ndarray:
-    """:func:`_parity_rows` of every code of ``bits`` sign bits, row c for
-    code c; read-only, as every caller shares it."""
-    table = _parity_rows(np.arange(2 ** bits, dtype=np.int64), bits)
+    """The values of the parity block of every code of ``bits`` sign bits,
+    row c for code c: entry (c, mask - 1) is the product of the signs in
+    ``mask``.  Read-only, as every caller shares it."""
+    ones = np.arange(2 ** bits, dtype=np.int64)[:, None] & np.arange(1, 2 ** bits, dtype=np.int64)
+    table = _parity_signs(ones, bits, np.empty(ones.shape))
     table.flags.writeable = False
     return table
 
 
-def _parity_rows(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Parity block values for each code: entry (b, mask - 1) is the product
-    of the signs in ``mask``, 1 - 2*(popcount(code_b & mask) & 1)."""
-    ones = codes[:, None] & np.arange(1, 2 ** bits, dtype=np.int64)
-    return _parity_signs(ones, bits, np.empty(ones.shape))
+def _block_values(code: int, first: int, bits: int, out: np.ndarray) -> None:
+    """Values first .. first + out.size - 1 of the parity block with sign
+    code ``code``, written into ``out``: value j is the parity of code & j."""
+    if bits <= _TABLE_BITS:
+        out[:] = _parity_table(bits)[code, first - 1:first - 1 + out.size]
+    else:
+        ones = np.arange(first, first + out.size, dtype=np.int64)
+        ones &= code
+        _parity_signs(ones, bits, out)
 
 
 def _parity_signs(ones: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
@@ -256,25 +265,15 @@ class XSampler:
         bits, length = family.block_bits, family.block_length
         head = min(count, (length - self.offset) % length)  # the rest of the open block
         if head:
-            self._open_block_values(out[:head], bits, length)
+            _block_values(self.code, self.offset + 1, bits, out[:head])
         full, tail = divmod(count - head, length)
         family.sample_block(full * length, self.stream, out=out[head:head + full * length])
         if tail:  # a new block, its sign bits drawn after those of the full blocks
             negative = self.stream.below_half(bits).tolist()
             self.code = sum(1 << i for i in range(bits) if negative[i])
-            self._open_block_values(out[count - tail:], bits, length)
+            _block_values(self.code, 1, bits, out[count - tail:])
+        self.offset = tail or (self.offset + head) % length
         return out
-
-    def _open_block_values(self, out: np.ndarray, bits: int, length: int) -> None:
-        # value j of a block is the parity of code & j, for the masks j = 1 .. length
-        first = self.offset + 1
-        if bits <= _TABLE_BITS:
-            out[:] = _parity_table(bits)[self.code, first - 1:first - 1 + out.size]
-        else:
-            ones = np.arange(first, first + out.size, dtype=np.int64)
-            ones &= self.code
-            _parity_signs(ones, bits, out)
-        self.offset = (self.offset + out.size) % length
 
 
 class EnvelopeKind(Enum):

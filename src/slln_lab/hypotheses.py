@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergentIntegral
 from .generators import XFamily, infinite_mean_onset
-from .schedules import ScheduleForm, SparsityMode, _auto_alpha, _exponent_chunks, least_index
+from .schedules import ScheduleForm, least_index
 
 _GROWTH_TARGET = 3.0  # A_LN_N: the first n with a_n * ln n at least this witnesses the growth
 
@@ -77,8 +77,8 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
     ``infrequency_threshold`` defaults to the spec's own, then to 10 * c.
     The index-wise checks read the config horizon capped at 10**6, so a
     large simulation config can be vetted quickly.  INFREQUENCY reads one
-    pass of a_n over it, a chunk of indices at a time, so its temporaries
-    stay chunk-sized.  A_LN_N searches at least 3 indices for the first n
+    pass of :meth:`SparsityPattern.chunks` over it, which gives n**a_n too
+    for an AUTO pattern of the spec's schedule.  A_LN_N searches at least 3 indices for the first n
     with a_n * ln n at its target: a_n * ln n never decreases (below the
     floor it is a_floor * ln n, past it sqrt(ln n), ln ln n, a * ln n or 1).
     """
@@ -138,31 +138,21 @@ def verify_hypotheses(config, infrequency_threshold: float | None = None) -> Hyp
             f"a_n*ln n never reaches {_GROWTH_TARGET} on [1, {span}] (value {growth(span):.6g} at horizon)",
         )
 
-    # an AUTO pattern built from another schedule keeps its own inserts
-    own_alpha = pattern.mode is SparsityMode.AUTO and pattern.schedule == schedule
-    alpha = None if own_alpha else pattern.alpha(horizon)
     decade = max(horizon // 10, 1) - 1  # a new max past this index counts
-    # carried across chunks: the AUTO target and phi at the chunk's end, the
-    # max of phi_n / n**a_n so far and the max up to the decade index; the
-    # maxima propagate NaN
-    target = None
-    phi_last = s0 = 0
+    # carried across chunks: phi at the chunk's end, the max of phi_n / n**a_n
+    # so far and the max up to the decade index; the maxima propagate NaN
+    phi_last = 0
     sup = decade_max = -math.inf
-    for n, a in _exponent_chunks(schedule, horizon):
-        power = np.power(n, a, out=a)
-        if own_alpha:
-            chunk = np.empty(power.size, dtype=np.uint8)
-            target = _auto_alpha(pattern.c, power, target, chunk)
-        else:
-            chunk = alpha[s0:s0 + power.size]
-        phi = np.cumsum(chunk, dtype=np.int64)
+    for s0, n, alpha, power in pattern.chunks(horizon):
+        if power is None or pattern.schedule != schedule:  # an AUTO pattern of another schedule keeps its inserts
+            power = np.power(n, schedule.value(n), out=n)
+        phi = np.cumsum(alpha, dtype=np.int64)
         phi += phi_last
         phi_last = phi[-1]
         ratio = phi / power
         if s0 <= decade < s0 + ratio.size:
             decade_max = np.maximum(sup, ratio[:decade - s0 + 1].max())
         sup = np.maximum(sup, ratio.max())
-        s0 += n.size
     sup_ratio = float(sup)
     new_max = bool(sup > decade_max)
     entries.append(

@@ -12,9 +12,10 @@ global position.
 well-behaved values, and reduces each chunk in place to the checkpoint
 statistics before making the next.  Its running sum adds strictly left to
 right in double precision, as one whole-horizon ``np.cumsum`` would.  What
-is the same on every path of a spec in one process, the insert indices,
-1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`, built
-once; the spec itself holds no state.
+is the same on every path of a spec in one process, the insert offsets of
+each chunk, 1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`,
+built once from one pass of :meth:`SparsityPattern.chunks`; the spec
+itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -36,7 +37,7 @@ from .generators import DependenceMode, TailEnvelope, XFamily, XSampler, draw_he
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern
 
-MAX_HORIZON = 10 ** 7  # bounds a path's run time; no array of a path grows with it
+MAX_HORIZON = 10 ** 7  # bounds a path's run time; a path's workspace keeps 8 bytes of 1/a_n per insert
 MAX_PATHS = 10 ** 5  # bounds an ensemble's run time and its per-path summaries
 
 _TOP_LEVEL_KEYS = frozenset({
@@ -202,33 +203,39 @@ def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ..
 @dataclass(frozen=True)
 class PathWorkspace:
     """What every path of one spec reuses in one process: the ``pattern``,
-    ``schedule`` and ``horizon`` it was built for; ``inserts``, the 0-based
-    insert indices, read-only; ``inv_exponents``, 1/a_n at the inserts; and
-    two scratch buffers of at most ``_CHUNK`` float64 values that a path
-    overwrites, ``chunk`` for one chunk of Z_n and ``heavy`` for the heavy
-    draws spliced into it.  Only the insert arrays grow with the horizon.
+    ``schedule`` and ``horizon`` it was built for; ``layout``, one entry
+    ``(at, inv_exponents)`` per chunk of ``_CHUNK`` indices, the offsets of
+    its inserts (None when all its indices are) and 1/a_n at them;
+    ``insert_count``; and the scratch buffers a path overwrites, ``chunk``
+    for a chunk of Z_n and ``heavy`` for the draws spliced into one.  Only
+    the layout grows with the horizon: 8 bytes of 1/a_n per insert, and 8
+    of offset per insert in a chunk that is not all inserts.
     """
 
     pattern: SparsityPattern
     schedule: MomentSchedule
     horizon: int
-    inserts: np.ndarray
-    inv_exponents: np.ndarray
+    layout: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    insert_count: int
     chunk: np.ndarray
     heavy: np.ndarray
 
 
 def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
-    """The workspace of ``spec``; raises :class:`InvalidExponent` if an
-    insert's exponent lies outside (0, 1]."""
-    inserts = np.flatnonzero(spec.pattern.alpha(spec.horizon))
-    inserts.flags.writeable = False
-    inv_exponents = np.empty(inserts.size, dtype=np.float64)
-    for s0 in range(0, inserts.size, _CHUNK):  # chunk-sized temporaries, however many inserts
-        inv_exponents[s0:s0 + _CHUNK] = reciprocal_exponents(spec.schedule.value(inserts[s0:s0 + _CHUNK] + 1))
-    size = min(_CHUNK, spec.horizon)
-    return PathWorkspace(spec.pattern, spec.schedule, spec.horizon, inserts, inv_exponents,
-                         np.empty(size, dtype=np.float64), np.empty(min(size, inserts.size), dtype=np.float64))
+    """The workspace of ``spec``, from one pass of its pattern's chunks;
+    raises :class:`InvalidExponent` if an insert's exponent lies outside
+    (0, 1]."""
+    def entry(n: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        at = np.flatnonzero(alpha)
+        at = None if at.size == n.size else at  # all inserts: a_n needs no gather
+        return at, reciprocal_exponents(spec.schedule.value(n if at is None else n[at]))
+
+    # in a generator's scope, no name keeps the chunk buffers once the pass ends
+    layout = tuple(entry(n, alpha) for _, n, alpha, _ in spec.pattern.chunks(spec.horizon))
+    spliced = max((inv.size for at, inv in layout if at is not None), default=0)
+    return PathWorkspace(spec.pattern, spec.schedule, spec.horizon, layout,
+                         sum(inv.size for _, inv in layout), np.empty(min(_CHUNK, spec.horizon)),
+                         np.empty(spliced))
 
 
 def _path_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray]]:
@@ -240,26 +247,21 @@ def _path_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[t
     its X values are drawn into the front of the buffer, where the X
     stream left off, and the chunk's heavy draws are spliced in.
     """
-    horizon, inserts, inv_exponents = config.horizon, workspace.inserts, workspace.inv_exponents
-
     def stream(channel: Channel) -> UniformStream:
         return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
     shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
     y_stream, x = stream(Channel.Y), XSampler(config.x_family, stream(Channel.X))
-    starts = range(0, horizon, _CHUNK)
-    before = np.searchsorted(inserts, [*starts, horizon]).tolist()
-    for j, s0 in enumerate(starts):
-        z, k0, k1 = workspace.chunk[:min(_CHUNK, horizon - s0)], before[j], before[j + 1]
-        if k1 - k0 == z.size:
-            draw_heavy(config.envelope, config.dependence, inv_exponents[k0:k1], z,
-                       stream=y_stream, shared_u=shared_u)
+    for s0, (at, inv_exponents) in zip(range(0, config.horizon, _CHUNK), workspace.layout):
+        z = workspace.chunk[:min(_CHUNK, config.horizon - s0)]
+        if at is None:
+            draw_heavy(config.envelope, config.dependence, inv_exponents, z, stream=y_stream, shared_u=shared_u)
         else:
-            x.fill(z[:z.size - (k1 - k0)])
-            if k1 > k0:
-                y = draw_heavy(config.envelope, config.dependence, inv_exponents[k0:k1],
-                               workspace.heavy[:k1 - k0], stream=y_stream, shared_u=shared_u)
-                _splice(z, inserts[k0:k1] - s0, y)
+            x.fill(z[:z.size - at.size])
+            if at.size:
+                y = draw_heavy(config.envelope, config.dependence, inv_exponents,
+                               workspace.heavy[:at.size], stream=y_stream, shared_u=shared_u)
+                _splice(z, at, y)
         yield s0, z
 
 
@@ -348,7 +350,7 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         checkpoints=cps,
         running_avg=running_avg,
         deviation_sup=suffix_sup(segment_max, slot + 1),
-        insert_count=workspace.inserts.size,
+        insert_count=workspace.insert_count,
         # max(max Z, -min Z) is max |Z_n|; abs turns -0.0 into 0.0, and NaN propagates
         max_abs_value=float(abs(np.maximum(np.max(highs), -np.min(lows)))),
         final_avg=final_avg,

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -79,20 +80,22 @@ class MomentSchedule:
     def floor(self) -> int:
         return self.floor_index if self.floor_index is not None else _DEFAULT_FLOOR[self.form]
 
-    def value(self, n):
-        """a_n for scalar or array ``n`` (n >= 1); clamped below ``floor``."""
+    def value(self, n, out: np.ndarray | None = None):
+        """a_n for scalar or array ``n`` (n >= 1); clamped below ``floor``.
+        ``out`` (which may be ``n`` itself) receives an array's values."""
         scalar = np.isscalar(n)
-        idx = np.maximum(np.asarray(n, dtype=np.float64), float(self.floor))
+        n = np.asarray(n, dtype=np.float64)
+        idx = np.maximum(n, float(self.floor), out=np.empty_like(n) if out is None else out)
         if self.form is ScheduleForm.CONSTANT:
-            out = np.full_like(idx, self.constant_a)
+            idx.fill(self.constant_a)
         elif self.form is ScheduleForm.INV_SQRT_LOG:
-            out = 1.0 / np.sqrt(np.log(idx))
+            np.divide(1.0, np.sqrt(np.log(idx, out=idx), out=idx), out=idx)
         elif self.form is ScheduleForm.LOGLOG_OVER_LOG:
-            ln = np.log(idx)
-            out = np.log(ln) / ln
+            ln = np.log(idx, out=idx)
+            np.divide(np.log(ln), ln, out=idx)
         else:  # INV_LOG
-            out = 1.0 / np.log(idx)
-        return float(out) if scalar else out
+            np.divide(1.0, np.log(idx, out=idx), out=idx)
+        return float(idx) if scalar else idx
 
     def to_dict(self) -> dict:
         out: dict = {"form": self.form.value}
@@ -114,14 +117,6 @@ class MomentSchedule:
 def validate_schedule(schedule: MomentSchedule, horizon: int) -> None:
     # the benchmark under bench/ calls this; the constructor checks a schedule
     pass
-
-
-def _exponent_chunks(schedule: MomentSchedule, horizon: int):
-    """(n, a_n) over n = 1..horizon as float64 arrays of ``_CHUNK`` indices
-    at a time, the last one shorter.  The caller may overwrite both."""
-    for s0 in range(0, horizon, _CHUNK):
-        n = np.arange(s0 + 1, min(s0 + _CHUNK, horizon) + 1, dtype=np.float64)
-        yield n, schedule.value(n)
 
 
 def least_index(holds, lo: int, cap: int | None = None) -> int | None:
@@ -155,28 +150,10 @@ def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
 
     np.power, not exp(a*ln n): pow(x, 1.0) is exact, so integer targets (the
     a=1 boundary case) land on integers.  The pattern (through
-    :func:`_auto_alpha`) and the insert-position search both evaluate this
-    one expression.
+    :meth:`SparsityPattern.chunks`) and the insert-position search both
+    evaluate this one expression.
     """
     return np.ceil(c * np.power(n, schedule.value(n)))
-
-
-def _auto_alpha(c: float, power: np.ndarray, last: float | None, out: np.ndarray) -> float:
-    """Write the AUTO pattern's alpha over one chunk of indices into
-    ``out``, from ``power`` = n**a_n over the chunk as ``np.power``
-    computes it: an insert wherever the target ceil(c * n**a_n)
-    increments.  ``last`` is the target at the index before the chunk,
-    None for a chunk that starts at n = 1.  Returns the chunk's last
-    target."""
-    targets = c * power
-    np.ceil(targets, out=targets)
-    if last is None:
-        # first insert at n=1 only when c >= 1 (ceil(c) >= 1 holds for any c > 0)
-        out[0] = 1 if c >= 1.0 else 0
-    else:
-        out[0] = targets[0] > last
-    out[1:] = np.diff(targets) > 0
-    return float(targets[-1])
 
 
 @dataclass(frozen=True)
@@ -185,9 +162,11 @@ class SparsityPattern:
 
     AUTO mode fires an insert exactly when ceil(c * n**a_n) increments, so
     phi_n tracks ceil(c * n**a_n) and the sup of phi_n / n**a_n stays below
-    c + 1.  The pattern is a plain value: alpha is built anew on each
-    call, and what the paths of a simulation reuse (the insert indices)
-    is kept in their :class:`~slln_lab.mixture.PathWorkspace`.
+    c + 1.  The pattern is a plain value.  :meth:`chunks` is its one pass
+    over the indices, which :meth:`alpha`, the path workspace and the
+    INFREQUENCY hypothesis all read; what the paths of a simulation reuse
+    (the insert offsets and 1/a_n at them) is kept in their
+    :class:`~slln_lab.mixture.PathWorkspace`.
     """
 
     mode: SparsityMode
@@ -207,24 +186,48 @@ class SparsityPattern:
             if any(v not in (0, 1) for v in self.explicit):
                 raise FieldError("alpha", "explicit alpha entries must be 0 or 1")
 
-    def alpha(self, horizon: int) -> np.ndarray:
-        """alpha_1..alpha_horizon as a uint8 array."""
+    def chunks(self, horizon: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
+        """The pattern over indices 1..horizon, ``_CHUNK`` indices at a time.
+
+        Yields ``(s0, n, alpha, power)`` for the chunk of indices s0 + 1 ..
+        s0 + n.size: ``n`` holds them as float64, ``alpha`` their alpha_n
+        as uint8, and ``power`` n**a_n as ``np.power`` gives it for an AUTO
+        pattern (None for the other modes).  The arrays are buffers the
+        next chunk overwrites, and the caller may overwrite them too.
+
+        An AUTO insert falls wherever the target ceil(c * n**a_n)
+        increments, the target carried across chunk seams; at n = 1 there
+        is one only when c >= 1 (ceil(c) >= 1 holds for any c > 0).
+        """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.mode is SparsityMode.ALL_ZERO:
-            return np.zeros(horizon, dtype=np.uint8)
-        if self.mode is SparsityMode.ALL_ONE:
-            return np.ones(horizon, dtype=np.uint8)
-        if self.mode is SparsityMode.EXPLICIT:
-            if len(self.explicit) < horizon:
-                raise ValueError("explicit alpha list shorter than horizon")
-            return np.asarray(self.explicit[:horizon], dtype=np.uint8)
-        alpha = np.empty(horizon, dtype=np.uint8)
-        s0, last = 0, None
-        for n, a in _exponent_chunks(self.schedule, horizon):
-            last = _auto_alpha(self.c, np.power(n, a, out=n), last, alpha[s0:s0 + n.size])
-            s0 += n.size
-        return alpha
+        if self.mode is SparsityMode.EXPLICIT and len(self.explicit) < horizon:
+            raise ValueError("explicit alpha list shorter than horizon")
+        size, auto = min(_CHUNK, horizon), self.mode is SparsityMode.AUTO
+        # n less its offset, n, and for AUTO n**a_n and the target, in one block: freeing it lifts glibc's
+        # trim threshold above what a path allocates, so a path's buffers are not faulted in on every path
+        ones, n_buf, *auto_buf = np.empty((4 if auto else 2, size))
+        np.cumsum(np.broadcast_to(1.0, size), out=ones)  # 1 .. size, exact, with no temporary
+        (power_buf, targets_buf), alpha_buf = auto_buf or (None, None), np.empty(size, dtype=np.uint8)
+        last, power = None, None
+        for s0 in range(0, horizon, _CHUNK):
+            m = min(_CHUNK, horizon - s0)
+            n, alpha = np.add(ones[:m], s0, out=n_buf[:m]), alpha_buf[:m]  # exact: n < 2**53
+            if self.mode is SparsityMode.EXPLICIT:
+                alpha[:] = self.explicit[s0:s0 + m]
+            elif not auto:
+                alpha.fill(self.mode is SparsityMode.ALL_ONE)
+            else:
+                power = np.power(n, self.schedule.value(n, out=power_buf[:m]), out=power_buf[:m])
+                targets = np.ceil(np.multiply(power, self.c, out=targets_buf[:m]), out=targets_buf[:m])
+                alpha[0] = self.c >= 1.0 if last is None else targets[0] > last
+                np.greater(targets[1:], targets[:-1], out=alpha[1:])
+                last = float(targets[-1])
+            yield s0, n, alpha, power
+
+    def alpha(self, horizon: int) -> np.ndarray:
+        """alpha_1..alpha_horizon as a uint8 array."""
+        return np.concatenate([alpha.copy() for _, _, alpha, _ in self.chunks(horizon)])
 
     def phi(self, horizon: int) -> np.ndarray:
         """Running insert count phi_1..phi_horizon."""

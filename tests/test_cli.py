@@ -232,10 +232,10 @@ def test_main_evaluates_the_schedule_only_for_the_hypotheses(tmp_path, monkeypat
     counted = []
     value = MomentSchedule.value
 
-    def counting(self, n):
+    def counting(self, n, out=None):
         if not np.isscalar(n):
             counted.append(np.size(n))
-        return value(self, n)
+        return value(self, n, out=out)
 
     monkeypatch.setattr(MomentSchedule, "value", counting)
     args = ["run", "theorem.json", "--subcommand", "hypotheses", "--out", str(tmp_path / "out"), *flags]
@@ -351,6 +351,10 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
     ({"--paths": MAX_PATHS + 1}, f"n_paths must lie in [2, {MAX_PATHS}]"),
     ({"--threads": MAX_THREADS + 1}, f"threads must be at most {MAX_THREADS}"),
     ({"--threads": 10 ** 30}, f"threads must be at most {MAX_THREADS}"),
+    ({"y": {"envelope": {"kind": json.loads("[" * 300 + '"exp"' + "]" * 300)}}},
+     "y.envelope.kind: " + "[" * 40 + " ... " + "]" * 12 + " is not a valid EnvelopeKind"),
+    ({"schedule": {"form": "x" * 10 ** 4}}, "schedule.form: '" + "x" * 39 + " ... "),
+    ({"schedule": {"y" * 10 ** 4: 20}}, "schedule." + "y" * 40 + " ... "),
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
@@ -364,7 +368,7 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
        "verdict_key_typo", "gamma_on_exp", "alpha_on_all_one", "params_string", "family_missing",
        "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak",
        "n_paths_huge", "paths_flag_above_cap", "threads_above_cap",
-       "threads_huge"])
+       "threads_huge", "kind_nested_deeply", "form_string_huge", "schedule_key_huge"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
     # a "--flag" key is passed on the command line, not in the config
     flags = [str(part) for key, value in data.items() if key.startswith("--") for part in (key, value)]

@@ -48,7 +48,7 @@ def emit_values(config):
     its insert count."""
     workspace = mixture.path_workspace(config)
     chunks = [z.copy() for _, z in mixture._path_chunks(config, workspace)]  # each chunk reuses one buffer
-    return np.concatenate(chunks), workspace.inserts.size
+    return np.concatenate(chunks), workspace.insert_count
 
 
 def reference_parity(bits, count, stream):
@@ -267,6 +267,28 @@ def test_patterns_across_chunk_seams_match_reference(mode, dependence):
     assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
 
 
+@pytest.mark.parametrize("dependence", DependenceMode)
+def test_chunks_of_every_layout_match_reference(dependence):
+    # chunk 0 is all inserts (no offsets), chunk 1 mixed, chunk 2 has none
+    horizon = 3 * CH
+    mixed = range(CH, 2 * CH, 7)
+    config = make_config(pattern=_explicit(horizon, [*range(CH), *mixed]), x_family=XFamily.parity(4),
+                         dependence=dependence, horizon=horizon)
+    workspace = mixture.path_workspace(config)
+    assert [None if at is None else at.size for at, _ in workspace.layout] == [None, len(mixed), 0]
+    checkpoints = _seam_checkpoints(horizon)
+    assert_same_summary(run_path(config, checkpoints, workspace), reference_summary(config, checkpoints))
+
+
+def test_auto_pattern_of_another_schedule_matches_reference():
+    # the inserts follow the pattern's schedule, and their exponents the spec's
+    config = make_config(pattern=build_sparsity(DENSE, 1.0), x_family=XFamily.parity(4), horizon=2 * CH + 3)
+    checkpoints = _seam_checkpoints(config.horizon)
+    values, _ = emit_values(config)
+    assert np.array_equal(values, reference_values(config))
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+
+
 def _planting(monkeypatch, planted):
     """Make the engine's chunks carry ``planted`` (index: value) values."""
     engine = mixture._path_chunks
@@ -356,8 +378,8 @@ class _SteepSchedule(MomentSchedule):
     constructor checks the form, not an overridden ``value``, so only the
     sampler's own check on 1/a_n can refuse it."""
 
-    def value(self, n):
-        return 2.0 * super().value(n)
+    def value(self, n, out=None):
+        return 2.0 * super().value(n, out=out)
 
 
 def test_workspace_rejects_bad_exponent():
@@ -375,10 +397,10 @@ def test_workspace_rejects_bad_exponent():
 
 @pytest.mark.parametrize("name", ["theorem.json", "violate-sparsity.json"])
 def test_workspace_peak_memory_is_what_it_keeps(name):
-    # theorem keeps two chunk buffers and 42 inserts, violate-sparsity two
-    # arrays of 1e6 values and two chunk buffers; on the way, the AUTO alpha
-    # takes one byte per index and its a_n pass at most seven chunk-sized
-    # float64 temporaries
+    # theorem keeps a chunk buffer and 42 inserts with their offsets and a
+    # splice buffer, violate-sparsity 1/a_n at 1e6 inserts and a chunk buffer;
+    # on the way, the pattern's chunks reuse four chunk-sized float64 buffers
+    # (n, its offsets, n**a_n and the AUTO target) and one of alpha
     spec = dataclasses.replace(cli.load_config(name), horizon=10 ** 6, checkpoints=(10 ** 6,))
     tracemalloc.start()
     try:
@@ -386,9 +408,10 @@ def test_workspace_peak_memory_is_what_it_keeps(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (workspace.inserts, workspace.inv_exponents, workspace.chunk, workspace.heavy))
+    kept = workspace.chunk.nbytes + workspace.heavy.nbytes
+    kept += sum(inv.nbytes + (0 if at is None else at.nbytes) for at, inv in workspace.layout)
     assert workspace.chunk.size == mixture._CHUNK
-    assert peak < kept + spec.horizon + 7 * 8 * mixture._CHUNK
+    assert peak < kept + 4 * 8 * mixture._CHUNK
 
 
 @pytest.mark.parametrize("block_bits", [4, 23])
@@ -404,6 +427,20 @@ def test_run_path_peak_memory_does_not_grow_with_the_horizon(block_bits):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("block_bits, count", [(20, 1), (12, 5 * 10 ** 6)])
+def test_parity_sample_block_peak_memory_is_its_output(block_bits, count):
+    # one value of a 2**20 - 1 value block, and 1221 whole 4095-value blocks
+    # and a cut one: neither the whole cut block nor a table of 2**bits rows is built
+    tracemalloc.start()
+    try:
+        values = XFamily.parity(block_bits).sample_block(count, _stream(make_config(), Channel.X))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + 2 * 2 ** 20
+    assert np.array_equal(values, reference_parity(block_bits, count, _stream(make_config(), Channel.X)))
 
 
 def test_workspace_of_another_spec_is_rejected():
@@ -433,9 +470,9 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
     points = []
     value = MomentSchedule.value
 
-    def counted(self, n):
+    def counted(self, n, out=None):
         points.append(np.size(n))
-        return value(self, n)
+        return value(self, n, out=out)
 
     monkeypatch.setattr(MomentSchedule, "value", counted)
     for pattern in (build_sparsity(SCHED, 1.0), SparsityPattern(mode=SparsityMode.ALL_ZERO),
@@ -445,7 +482,7 @@ def test_schedule_evaluated_at_inserts_only(monkeypatch):
         points.clear()
         summary = run_path(config, [10 ** 5], workspace)
         assert sum(points) == 0
-        assert workspace.inv_exponents.size == summary.insert_count
+        assert workspace.insert_count == summary.insert_count
 
 
 def test_resummation_zero_ulp():

@@ -23,7 +23,6 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    _exponent_chunks,
     _least_integer_reaching,
     _search,
     _targets,
@@ -98,7 +97,8 @@ def test_least_floor_keeps_a_n_in_range_and_nonincreasing(form):
     # infinite_mean_onset's bisection
     schedule = MomentSchedule(form, floor_index=LEAST_FLOOR[form])
     last = 1.0
-    for _, a in _exponent_chunks(schedule, MAX_HORIZON):
+    for s0 in range(0, MAX_HORIZON, _CHUNK):
+        a = schedule.value(np.arange(s0 + 1, min(s0 + _CHUNK, MAX_HORIZON) + 1, dtype=np.float64))
         assert np.all(a > 0.0) and a[0] <= last and np.all(np.diff(a) <= 0.0)
         last = a[-1]
     far = schedule.value(np.array([10 ** 9 - 1, 10 ** 9], dtype=np.float64))
