@@ -181,7 +181,6 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     sections: dict = {}
     status: dict[str, str] = {}
-    failures: list[str] = []
 
     want = (
         {"hypotheses", "calculus", "simulate"} if subcommand == "all" else {subcommand}
@@ -190,10 +189,7 @@ def run(
     if "hypotheses" in want:
         report = verify_hypotheses(spec)
         sections["hypotheses"] = report.to_dict()
-        ok = report.all_pass()
-        status["hypotheses"] = "PASS" if ok else "FAIL"
-        if not ok:
-            failures.append("hypotheses")
+        status["hypotheses"] = "PASS" if report.all_pass() else "FAIL"
 
     if "calculus" in want:
         try:
@@ -204,18 +200,16 @@ def run(
         except BoundViolation as exc:
             sections["calculus"] = {"all_hold": False, "error": str(exc)}
             status["calculus"] = "FAIL"
-            failures.append("calculus")
 
     if "simulate" in want:
         report = run_ensemble(spec, threads=threads)
         sections["convergence"] = report.to_dict()
         status["convergence"] = report.verdict.value
-        if report.verdict is not Verdict.CONVERGENT:
-            failures.append("convergence")
         write_deviations_csv(report, out / "deviations.csv")
         if plot:
             (out / "plot.svg").write_text(plot_svg(report))
 
+    failures = [name for name, value in status.items() if value not in ("PASS", Verdict.CONVERGENT.value)]
     exit_code = 0 if not failures else 1
     payload = {
         "artifact": {"name": "slln-lab", "version": __version__},

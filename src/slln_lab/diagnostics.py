@@ -26,9 +26,10 @@ def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray
     The checkpoints cut the buffer into segments; each segment's max is
     taken once, and a reverse running max over those few segment maxima
     gives checkpoint n the max over [n, N].  NaN propagates like a value
-    above every other.  A buffer of one maximum per segment, with the
-    checkpoints 1..k naming the segments, gives the same D: that is how
-    :func:`~slln_lab.mixture.run_path` calls it.
+    above every other.  Any buffer whose max from a checkpoint's position
+    on is D there gives the same D: :func:`~slln_lab.mixture.run_path`
+    passes a short list of chunk and rest-of-chunk maxima, each checkpoint
+    naming its own entry.
     """
     buf = np.asarray(deviations, dtype=np.float64)
     if buf.ndim != 1 or buf.size == 0:

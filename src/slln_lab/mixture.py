@@ -206,10 +206,12 @@ class PathWorkspace:
     ``schedule`` and ``horizon`` it was built for; ``layout``, one entry
     ``(at, inv_exponents)`` per chunk of ``_CHUNK`` indices, the offsets of
     its inserts (None when all its indices are) and 1/a_n at them;
-    ``insert_count``; and the scratch buffers a path overwrites, ``chunk``
-    for a chunk of Z_n and ``heavy`` for the draws spliced into one.  Only
-    the layout grows with the horizon: 8 bytes of 1/a_n per insert, and 8
-    of offset per insert in a chunk that is not all inserts.
+    ``insert_count``; ``ones``, 1.0 up to the chunk length, the n of a chunk
+    less its offset; and the scratch buffers a path overwrites, ``chunk``
+    for a chunk of Z_n, ``heavy`` for the draws spliced into one and
+    ``divisor`` for the n of one.  Only the layout grows with the horizon:
+    8 bytes of 1/a_n per insert, and 8 of offset per insert in a chunk that
+    is not all inserts.
     """
 
     pattern: SparsityPattern
@@ -219,6 +221,8 @@ class PathWorkspace:
     insert_count: int
     chunk: np.ndarray
     heavy: np.ndarray
+    ones: np.ndarray
+    divisor: np.ndarray
 
 
 def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
@@ -233,9 +237,10 @@ def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
     # in a generator's scope, no name keeps the chunk buffers once the pass ends
     layout = tuple(entry(n, alpha) for _, n, alpha, _ in spec.pattern.chunks(spec.horizon))
     spliced = max((inv.size for at, inv in layout if at is not None), default=0)
+    size = min(_CHUNK, spec.horizon)
     return PathWorkspace(spec.pattern, spec.schedule, spec.horizon, layout,
-                         sum(inv.size for _, inv in layout), np.empty(min(_CHUNK, spec.horizon)),
-                         np.empty(spliced))
+                         sum(inv.size for _, inv in layout), np.empty(size), np.empty(spliced),
+                         np.arange(1, size + 1, dtype=np.float64), np.empty(size))
 
 
 def _path_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray]]:
@@ -297,9 +302,12 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     is made: its max, min and non-finite count; S_n by ``np.cumsum`` after
     adding the S of the chunks before to its first value, which is the add
     a whole-horizon cumsum makes there; S_n/n, read at the checkpoints;
-    then |S_n/n|, whose maximum over each part of a checkpoint segment
-    joins that segment's.  :func:`suffix_sup` turns the segment maxima into
-    D.  Every float is the one the whole-horizon reduction gives.
+    then |S_n/n|.  Its max over the chunk joins a list of maxima, followed
+    by one entry per checkpoint in the chunk, the max from that checkpoint
+    to the chunk's end.  The max of the list from a checkpoint's entry on
+    is then the rest of its chunk and every later chunk, which is D there;
+    :func:`suffix_sup` takes it.  Every float is the one the whole-horizon
+    reduction gives.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -313,18 +321,10 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
           or workspace.schedule is not config.schedule):
         raise ValueError("workspace was built for another spec")
 
-    # segment i of |S_n/n| runs from index starts[i] up to the next start
-    starts, slot = np.unique(cps - 1, return_inverse=True)
-    segment_max = np.zeros(starts.size)  # |S_n/n| >= 0, so 0 stands for no value yet
     running_avg = np.empty(cps.size)
-    bounds = [*range(0, horizon, _CHUNK), horizon]
-    cps_before = np.searchsorted(cps - 1, bounds).tolist()
-    starts_before = np.searchsorted(starts, bounds).tolist()
-    starts_upto = np.searchsorted(starts, bounds, side="right").tolist()
-    n = np.arange(1, min(_CHUNK, horizon) + 1, dtype=np.float64)  # n in a chunk, less its offset
-    n_at = np.empty_like(n)
+    maxima, entries = [], []  # D at a checkpoint is the max of maxima from its entry on
     highs, lows, nonfinite, total = [], [], 0, 0.0
-    for j, (s0, z) in enumerate(_path_chunks(config, workspace)):
+    for s0, z in _path_chunks(config, workspace):
         highs.append(z.max())
         lows.append(z.min())
         if not (math.isfinite(highs[-1]) and math.isfinite(lows[-1])):  # a finite chunk pays no extra pass
@@ -333,26 +333,25 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
             z[0] += total
         z.cumsum(out=z)
         total = z[-1]
-        z /= np.add(n[:z.size], s0, out=n_at[:z.size])  # exact: n < 2**53
-        c0, c1 = cps_before[j], cps_before[j + 1]
-        if c1 > c0:
-            running_avg[c0:c1] = z[cps[c0:c1] - 1 - s0]
-        final_avg = float(z[-1])
+        z /= np.add(workspace.ones[:z.size], s0, out=workspace.divisor[:z.size])  # n, exact: n < 2**53
+        c0, c1 = np.searchsorted(cps, (s0, s0 + z.size), side="right")
+        at = cps[c0:c1] - 1 - s0
+        running_avg[c0:c1] = z[at]
         np.abs(z, out=z)
-        # the segment under way at s0 (if one is), then those that start in this chunk
-        first, last = max(starts_upto[j] - 1, 0), starts_before[j + 1]
-        if last > first:
-            seg = segment_max[first:last]
-            np.maximum(seg, np.maximum.reduceat(z, np.maximum(starts[first:last] - s0, 0)), out=seg)
+        # the chunk's max goes before its checkpoints' entries, so no entry reaches back into its chunk
+        maxima.append(z.max())
+        for i in at.tolist():
+            maxima.append(z[i:].max())
+            entries.append(len(maxima))
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,
         checkpoints=cps,
         running_avg=running_avg,
-        deviation_sup=suffix_sup(segment_max, slot + 1),
+        deviation_sup=suffix_sup(np.array(maxima), entries),
         insert_count=workspace.insert_count,
         # max(max Z, -min Z) is max |Z_n|; abs turns -0.0 into 0.0, and NaN propagates
         max_abs_value=float(abs(np.maximum(np.max(highs), -np.min(lows)))),
-        final_avg=final_avg,
+        final_avg=float(total / horizon),
         nonfinite_values=nonfinite,
     )

@@ -149,9 +149,10 @@ def _targets(schedule: MomentSchedule, c: float, n: np.ndarray) -> np.ndarray:
     """ceil(c * n**a_n) on a float64 array ``n``: the AUTO pattern's target.
 
     np.power, not exp(a*ln n): pow(x, 1.0) is exact, so integer targets (the
-    a=1 boundary case) land on integers.  The pattern (through
-    :meth:`SparsityPattern.chunks`) and the insert-position search both
-    evaluate this one expression.
+    a=1 boundary case) land on integers.  The insert-position search
+    evaluates it; :meth:`SparsityPattern.chunks` writes the same ufuncs in
+    the same order itself, into its reused buffers, so the two give the
+    same targets.
     """
     return np.ceil(c * np.power(n, schedule.value(n)))
 

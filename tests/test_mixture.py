@@ -198,10 +198,11 @@ def path_cases(draw, modes=tuple(SparsityMode), dependences=tuple(DependenceMode
     return config.with_path(draw(st.integers(0, 5))), checkpoints
 
 
-def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=DependenceMode.COMONOTONE):
+def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=DependenceMode.COMONOTONE,
+               checkpoints=(1, CH, 2 * CH + 1, LONG)):
     config = make_config(pattern=pattern, x_family=x_family, dependence=dependence, horizon=LONG,
                          schedule=schedule)
-    return config.with_path(2), [1, mixture._CHUNK, 2 * mixture._CHUNK + 1, LONG]
+    return config.with_path(2), list(checkpoints)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -211,9 +212,12 @@ def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=D
 @example(_long_case(build_sparsity(SCHED, 1.0)))
 @example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ZERO), x_family=XFamily.shifted_exp(2.0)))
 @example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ONE), dependence=DependenceMode.INDEPENDENT))
+# unsorted and repeated checkpoints on seams: run_path sorts them, and each repeat is a D of its own
+@example(_long_case(_explicit(LONG, _chunk_edges(LONG)), checkpoints=(LONG - 1, 5, 5, CH, CH + 1, 1)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(CH, CH, CH)))
 def test_run_path_matches_reference_on_random_specs(case):
     config, checkpoints = case
-    expected = dataclasses.asdict(reference_summary(config, checkpoints))
+    expected = dataclasses.asdict(reference_summary(config, sorted(checkpoints)))
     workspace = mixture.path_workspace(config)
     # path j, then path i, on one workspace: j leaves its values in the buffer
     run_path(config.with_path(config.path_index + 1), checkpoints, workspace)
@@ -397,8 +401,9 @@ def test_workspace_rejects_bad_exponent():
 
 @pytest.mark.parametrize("name", ["theorem.json", "violate-sparsity.json"])
 def test_workspace_peak_memory_is_what_it_keeps(name):
-    # theorem keeps a chunk buffer and 42 inserts with their offsets and a
-    # splice buffer, violate-sparsity 1/a_n at 1e6 inserts and a chunk buffer;
+    # both keep three chunk-sized buffers (the chunk, n less its offset and
+    # the divisor); theorem keeps 42 inserts with their offsets and a splice
+    # buffer, violate-sparsity 1/a_n at 1e6 inserts;
     # on the way, the pattern's chunks reuse four chunk-sized float64 buffers
     # (n, its offsets, n**a_n and the AUTO target) and one of alpha
     spec = dataclasses.replace(cli.load_config(name), horizon=10 ** 6, checkpoints=(10 ** 6,))
@@ -408,7 +413,7 @@ def test_workspace_peak_memory_is_what_it_keeps(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = workspace.chunk.nbytes + workspace.heavy.nbytes
+    kept = workspace.chunk.nbytes + workspace.heavy.nbytes + workspace.ones.nbytes + workspace.divisor.nbytes
     kept += sum(inv.nbytes + (0 if at is None else at.nbytes) for at, inv in workspace.layout)
     assert workspace.chunk.size == mixture._CHUNK
     assert peak < kept + 4 * 8 * mixture._CHUNK
@@ -426,7 +431,7 @@ def test_run_path_peak_memory_does_not_grow_with_the_horizon(block_bits):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2 ** 20
+    assert peak < 1.25 * 2 ** 20
 
 
 @pytest.mark.parametrize("block_bits, count", [(20, 1), (12, 5 * 10 ** 6)])
