@@ -248,13 +248,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         spec = load_config(args.config)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.paths is not None:
-            spec = replace(spec, n_paths=args.paths)
+        overrides = {"seed": args.seed, "n_paths": args.paths, "horizon": args.horizon}
         if args.horizon is not None:
-            spec = replace(spec, horizon=args.horizon, checkpoints=_clip_checkpoints(spec.checkpoints, args.horizon))
-        spec.validate()  # the overrides too
+            overrides["checkpoints"] = _clip_checkpoints(spec.checkpoints, args.horizon)
+        # one replace, so the spec's checks see the overrides together
+        spec = replace(spec, **{key: value for key, value in overrides.items() if value is not None})
         return run(spec, subcommand=args.subcommand, out_dir=args.out, threads=args.threads, plot=args.plot)
     except Exception as exc:  # one JSON line on stderr instead of a traceback
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -179,12 +179,10 @@ def run_ensemble(spec, threads: int = 1) -> ConvergenceReport:
     :func:`_run_paths` runs them all in this process; otherwise each of
     ``workers = min(threads, n_paths)`` pool workers runs the share
     ``range(w, n_paths, workers)``.  Any path error propagates; partial
-    reports are never produced.  ``threads`` below 1 or above
-    :data:`MAX_THREADS` raises ``ValueError`` before any path runs or any
-    worker starts.
+    reports are never produced.  The spec checked its ``n_paths`` when built;
+    ``threads`` below 1 or above :data:`MAX_THREADS` raises ``ValueError``
+    before any path runs or any worker starts.
     """
-    if spec.n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > MAX_THREADS:

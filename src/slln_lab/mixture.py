@@ -19,13 +19,14 @@ itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
-decodes to, and every entry point (``run_path``, ``run_ensemble``,
-``verify_hypotheses``, the CLI) takes it as is.
+decodes to, it checks itself whenever it is built, and every entry point
+(``run_path``, ``run_ensemble``, ``verify_hypotheses``, the CLI) takes it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -39,6 +40,7 @@ from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern
 
 MAX_HORIZON = 10 ** 7  # bounds a path's run time; a path's workspace keeps 8 bytes of 1/a_n per insert
 MAX_PATHS = 10 ** 5  # bounds an ensemble's run time and its per-path summaries
+MAX_PATH_CHECKPOINTS = 10 ** 7  # bounds n_paths * len(checkpoints): the summaries' arrays and the D matrix
 
 _TOP_LEVEL_KEYS = frozenset({
     "name", "seed", "horizon", "n_paths", "x", "y", "schedule", "sparsity",
@@ -53,7 +55,8 @@ class ExperimentSpec:
     Round-trips losslessly through JSON.  ``path_index`` is not part of the
     JSON: it picks one path of the ensemble (see :meth:`with_path`).  An
     AUTO ``pattern`` follows the schedule it was built with, so replace the
-    two together.
+    two together.  Every construction, by ``replace`` or :meth:`with_path`
+    too, runs the checks of ``__post_init__``, which every entry point trusts.
     """
 
     x_family: XFamily
@@ -62,11 +65,11 @@ class ExperimentSpec:
     schedule: MomentSchedule
     pattern: SparsityPattern
     horizon: int
+    checkpoints: tuple[int, ...]
     seed: int = 0
     path_index: int = 0
     name: str = "experiment"
     n_paths: int = 100
-    checkpoints: tuple[int, ...] = ()
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
     epsilon_target: float = 0.05
     fraction_target: float = 0.10
@@ -102,8 +105,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Parse and validate; missing keys take their defaults, unknown
-        keys are rejected in every section."""
+        """Parse; missing keys take their defaults, unknown keys are rejected in every
+        section, an ``epsilon_target`` not in ``epsilons`` joins them, and the constructor checks."""
         try:
             known_keys(data, _TOP_LEVEL_KEYS)
             schedule = keyed("schedule", lambda d: MomentSchedule.from_dict(as_object(d)), data.get("schedule", {}))
@@ -129,7 +132,7 @@ class ExperimentSpec:
             name = data.get("name", cls.name)
             if not isinstance(name, str):
                 raise ConfigError(f"name: expected a string, got {type(name).__name__}")
-            spec = cls(
+            return cls(
                 x_family=x_family,
                 envelope=envelope,
                 dependence=dependence,
@@ -150,10 +153,8 @@ class ExperimentSpec:
             )
         except FieldError as exc:
             raise ConfigError(str(exc)) from exc
-        spec.validate()
-        return spec
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise :class:`ConfigError`, naming the field, if one is out of range."""
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must lie in [1, {MAX_HORIZON}]")
@@ -166,21 +167,30 @@ class ExperimentSpec:
             raise ConfigError(f"n_paths must lie in [2, {MAX_PATHS}]")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if not 0 <= self.path_index:
+            raise ConfigError("path_index must be nonnegative")
         explicit = self.pattern.explicit
         if self.pattern.mode is SparsityMode.EXPLICIT and len(explicit) < self.horizon:
             raise ConfigError(
                 f"sparsity.alpha has {len(explicit)} entries, fewer than the horizon {self.horizon}"
             )
-        if list(self.checkpoints) != sorted(set(self.checkpoints)):
+        cps = self.checkpoints  # one pass over them: with_path re-runs these checks on every path
+        if not all(map(operator.lt, cps, cps[1:])):
             raise ConfigError("checkpoints must be sorted and unique")
-        if not self.checkpoints or self.checkpoints[0] < 1 or self.checkpoints[-1] > self.horizon:
+        if not (cps and 1 <= cps[0] and cps[-1] <= self.horizon):  # a NaN fails too
             raise ConfigError("checkpoints must lie in [1, horizon]")
+        if self.n_paths * len(cps) > MAX_PATH_CHECKPOINTS:
+            raise ConfigError(f"n_paths * len(checkpoints) must be at most {MAX_PATH_CHECKPOINTS}")
         if not all(0 < e for e in self.epsilons):
             raise ConfigError("epsilons must be positive")
+        if self.epsilon_target not in self.epsilons:
+            raise ConfigError("verdict.epsilon_target must be one of epsilons")
         if not 0 < self.fraction_target <= 1:
             raise ConfigError("fraction_target must lie in (0, 1]")
         if self.infrequency_threshold is not None and not 0 < self.infrequency_threshold < math.inf:
             raise ConfigError("infrequency_threshold: must be positive and finite")
+
+    validate = __post_init__  # the benchmark under bench/ calls it
 
 
 def _list_of(convert):
@@ -303,11 +313,12 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     adding the S of the chunks before to its first value, which is the add
     a whole-horizon cumsum makes there; S_n/n, read at the checkpoints;
     then |S_n/n|.  Its max over the chunk joins a list of maxima, followed
-    by one entry per checkpoint in the chunk, the max from that checkpoint
-    to the chunk's end.  The max of the list from a checkpoint's entry on
-    is then the rest of its chunk and every later chunk, which is D there;
-    :func:`suffix_sup` takes it.  Every float is the one the whole-horizon
-    reduction gives.
+    by one ``np.maximum.reduceat`` entry per checkpoint in the chunk, the
+    max from it to the next one (the last one's to the chunk's end).  The
+    max of the list from a checkpoint's entry on, the reverse max that
+    :func:`suffix_sup` takes, is then D there.  Every float is the one the
+    whole-horizon reduction gives.  The checkpoints, which need not be the
+    spec's, may repeat or come unsorted, and are checked here.
     """
     horizon = config.horizon
     cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
@@ -340,9 +351,8 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         np.abs(z, out=z)
         # the chunk's max goes before its checkpoints' entries, so no entry reaches back into its chunk
         maxima.append(z.max())
-        for i in at.tolist():
-            maxima.append(z[i:].max())
-            entries.append(len(maxima))
+        entries.extend(range(len(maxima) + 1, len(maxima) + 1 + at.size))
+        maxima.extend(np.maximum.reduceat(z, at).tolist())
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,

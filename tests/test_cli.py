@@ -15,7 +15,7 @@ from slln_lab import cli, mixture
 from slln_lab.diagnostics import MAX_THREADS
 from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, EnvelopeKind, XKind
-from slln_lab.mixture import MAX_PATHS
+from slln_lab.mixture import MAX_PATH_CHECKPOINTS, MAX_PATHS
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode
 
 
@@ -249,6 +249,16 @@ def test_main_paths_override_is_validated(tmp_path, capsys):
     assert "n_paths" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_main_overrides_are_checked_together(tmp_path):
+    # --paths alone would pass the n_paths * len(checkpoints) cap on these 2,000
+    # checkpoints; with --horizon clipping them to 100 the spec is within it
+    data = {"horizon": 2000, "checkpoints": list(range(1, 2001)), "n_paths": 2}
+    code, out = _main_on(tmp_path, data, "--paths", "10000", "--horizon", "100", "--subcommand", "hypotheses")
+    assert code in (0, 1)  # run, not refused
+    spec = json.loads((out / "report.json").read_text())["spec"]
+    assert (spec["n_paths"], spec["horizon"], spec["checkpoints"]) == (10000, 100, list(range(1, 101)))
+
+
 def test_main_explicit_alpha_shorter_than_horizon(tmp_path, capsys):
     data = {"horizon": 100, "sparsity": {"mode": "explicit_list", "alpha": [1, 0, 1]}}
     code, out = _main_on(tmp_path, data)
@@ -349,6 +359,10 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
     ({"schedule": {"form": "loglog_over_log", "floor_index": 14}}, "schedule.floor_index:"),
     ({"n_paths": 10 ** 30}, f"n_paths must lie in [2, {MAX_PATHS}]"),
     ({"--paths": MAX_PATHS + 1}, f"n_paths must lie in [2, {MAX_PATHS}]"),
+    ({"n_paths": 50_001, "horizon": 200, "checkpoints": list(range(1, 201))},
+     f"n_paths * len(checkpoints) must be at most {MAX_PATH_CHECKPOINTS}"),
+    ({"horizon": 200, "checkpoints": list(range(1, 201)), "--paths": 50_001},
+     f"n_paths * len(checkpoints) must be at most {MAX_PATH_CHECKPOINTS}"),
     ({"--threads": MAX_THREADS + 1}, f"threads must be at most {MAX_THREADS}"),
     ({"--threads": 10 ** 30}, f"threads must be at most {MAX_THREADS}"),
     ({"y": {"envelope": {"kind": json.loads("[" * 300 + '"exp"' + "]" * 300)}}},
@@ -367,7 +381,8 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
        "envelope_string", "params_key_typo", "schedule_key_typo", "sparsity_key_case", "y_key_typo",
        "verdict_key_typo", "gamma_on_exp", "alpha_on_all_one", "params_string", "family_missing",
        "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak",
-       "n_paths_huge", "paths_flag_above_cap", "threads_above_cap",
+       "n_paths_huge", "paths_flag_above_cap", "path_checkpoints_above_cap",
+       "paths_flag_path_checkpoints_above_cap", "threads_above_cap",
        "threads_huge", "kind_nested_deeply", "form_string_huge", "schedule_key_huge"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
     # a "--flag" key is passed on the command line, not in the config

@@ -16,6 +16,7 @@ from slln_lab.diagnostics import (
     suffix_sup,
     verdict,
 )
+from slln_lab.errors import ConfigError
 from slln_lab.generators import DependenceMode, TailEnvelope, XFamily
 from slln_lab.mixture import ExperimentSpec, run_path
 from slln_lab.schedules import MomentSchedule, ScheduleForm, SparsityMode, SparsityPattern
@@ -67,7 +68,8 @@ def test_suffix_sup_matches_brute_force(data):
 
 
 def test_deviation_sup_nonincreasing_on_real_path():
-    summary = run_path(pure_x_config(XFamily.uniform(1.0), 5000), [10, 100, 1000, 5000])
+    checkpoints = (10, 100, 1000, 5000)
+    summary = run_path(pure_x_config(XFamily.uniform(1.0), 5000, checkpoints=checkpoints), checkpoints)
     assert np.all(np.diff(summary.deviation_sup) <= 0)
     assert abs(summary.final_avg) <= summary.deviation_sup[0]
 
@@ -130,8 +132,8 @@ def test_smallest_ensemble_order_statistics():
     # nearest-rank quantiles of two values: median is the smaller, q90 the larger
     assert np.array_equal(report.median, np.min(d, axis=0))
     assert np.array_equal(report.q90, np.max(d, axis=0))
-    with pytest.raises(ValueError):
-        run_ensemble(dataclasses.replace(config, n_paths=1))
+    with pytest.raises(ConfigError, match="n_paths"):  # refused when built, before any path runs
+        dataclasses.replace(config, n_paths=1)
 
 
 def test_ensemble_uniform_median_small():

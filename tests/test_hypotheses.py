@@ -25,8 +25,12 @@ SCHED = MomentSchedule(ScheduleForm.INV_SQRT_LOG)
 
 
 def _theorem_entry(entry_id, **changes):
-    """One hypothesis entry of theorem.json with ``changes`` to its spec."""
-    return verify_hypotheses(replace(cli.load_config("theorem.json"), **changes)).entry(entry_id)
+    """One hypothesis entry of theorem.json with ``changes`` to its spec; a
+    new horizon clips the checkpoints, as ``slln run --horizon`` does."""
+    spec = cli.load_config("theorem.json")
+    if "horizon" in changes:
+        changes.setdefault("checkpoints", cli._clip_checkpoints(spec.checkpoints, changes["horizon"]))
+    return verify_hypotheses(replace(spec, **changes)).entry(entry_id)
 
 
 # --- quadrature engine (no caller in the package; the benchmark trace wraps it) ----

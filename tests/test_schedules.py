@@ -132,8 +132,12 @@ def test_floor_index_rejects_bools(flag):
 
 
 def _theorem_entry(entry_id, **changes):
-    """One hypothesis entry of theorem.json (AUTO on inv_sqrt_log at c = 1) with ``changes`` to its spec."""
-    return verify_hypotheses(replace(cli.load_config("theorem.json"), **changes)).entry(entry_id)
+    """One hypothesis entry of theorem.json (AUTO on inv_sqrt_log at c = 1) with ``changes`` to its spec;
+    a new horizon clips the checkpoints, as ``slln run --horizon`` does."""
+    spec = cli.load_config("theorem.json")
+    if "horizon" in changes:
+        changes.setdefault("checkpoints", cli._clip_checkpoints(spec.checkpoints, changes["horizon"]))
+    return verify_hypotheses(replace(spec, **changes)).entry(entry_id)
 
 
 def test_growth_first_index():
