@@ -94,6 +94,8 @@ def envelope_power_integral(envelope: TailEnvelope, n, p: float, out: np.ndarray
         import scipy.special as sp  # local import: it takes about 0.3 s to load, and only EXP needs it
 
         scale = sp.gamma(p + 1.0)
+        if not math.isfinite(scale):
+            raise ValueError(f"p must be at most about 170.62 on the exp envelope: Gamma(p+1) overflows, got {p}")
         cutoff = _gammainc_cutoff(p)
         if lowest < cutoff:
             low = x < cutoff
@@ -449,6 +451,10 @@ def weighted_y_series_ensemble(
     draws its base variables independently from its own derived stream.
     The exponents, and the weights they give, are the same on every path.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     positions = np.asarray(y_insertion_positions(schedule, c, k_max), dtype=np.float64)
     inv_exponents = reciprocal_exponents(schedule.value(positions))
     weights = _series_weights(inv_exponents)

@@ -21,15 +21,12 @@ MAX_THREADS = 64  # worker processes an ensemble may start
 
 
 def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray:
-    """D at each checkpoint from a complete |S_m/m| buffer (m = 1..N).
-
-    The checkpoints cut the buffer into segments; each segment's max is
-    taken once, and a reverse running max over those few segment maxima
-    gives checkpoint n the max over [n, N].  NaN propagates like a value
-    above every other.  Any buffer whose max from a checkpoint's position
-    on is D there gives the same D: :func:`~slln_lab.mixture.run_path`
-    passes a short list of chunk and rest-of-chunk maxima, each checkpoint
-    naming its own entry.
+    """D at each checkpoint from a complete |S_m/m| buffer (m = 1..N): the
+    buffer's reverse running max, read at the checkpoints, which may come in
+    any order, repeat or be none.  NaN propagates like a value above every
+    other.  Any buffer whose max from a checkpoint's position on is D there
+    gives the same D: :func:`~slln_lab.mixture.run_path` passes a short list
+    of chunk and rest-of-chunk maxima, each checkpoint naming its own entry.
     """
     buf = np.asarray(deviations, dtype=np.float64)
     if buf.ndim != 1 or buf.size == 0:
@@ -37,10 +34,7 @@ def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray
     cps = np.asarray(checkpoints, dtype=np.int64)
     if np.any(cps < 1) or np.any(cps > buf.size):
         raise ValueError("checkpoints must lie in [1, len(buffer)]")
-    starts, slot = np.unique(cps - 1, return_inverse=True)
-    segment_max = np.maximum.reduceat(buf, starts)
-    tail_max = np.maximum.accumulate(segment_max[::-1])[::-1]
-    return tail_max[slot.reshape(cps.shape)]
+    return np.maximum.accumulate(buf[::-1])[::-1][cps - 1]
 
 
 @dataclass

@@ -26,7 +26,6 @@ decodes to, it checks itself whenever it is built, and every entry point
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -55,8 +54,8 @@ class ExperimentSpec:
     Round-trips losslessly through JSON.  ``path_index`` is not part of the
     JSON: it picks one path of the ensemble (see :meth:`with_path`).  An
     AUTO ``pattern`` follows the schedule it was built with, so replace the
-    two together.  Every construction, by ``replace`` or :meth:`with_path`
-    too, runs the checks of ``__post_init__``, which every entry point trusts.
+    two together.  Every construction, by ``replace`` or :meth:`with_path` too, runs
+    ``__post_init__``, whose checkpoint rule is :func:`run_path`'s; every entry point trusts it.
     """
 
     x_family: XFamily
@@ -127,7 +126,7 @@ class ExperimentSpec:
             epsilon_target = keyed("verdict.epsilon_target", as_float,
                                    verdict_cfg.get("epsilon_target", cls.epsilon_target))
             if epsilon_target not in epsilons:
-                epsilons = tuple(sorted(set(epsilons) | {epsilon_target}, reverse=True))
+                epsilons = tuple(sorted((*epsilons, epsilon_target), reverse=True))  # a repeat stays, to be refused
             threshold = data.get("infrequency_threshold", cls.infrequency_threshold)
             name = data.get("name", cls.name)
             if not isinstance(name, str):
@@ -174,15 +173,12 @@ class ExperimentSpec:
             raise ConfigError(
                 f"sparsity.alpha has {len(explicit)} entries, fewer than the horizon {self.horizon}"
             )
-        cps = self.checkpoints  # one pass over them: with_path re-runs these checks on every path
-        if not all(map(operator.lt, cps, cps[1:])):
-            raise ConfigError("checkpoints must be sorted and unique")
-        if not (cps and 1 <= cps[0] and cps[-1] <= self.horizon):  # a NaN fails too
-            raise ConfigError("checkpoints must lie in [1, horizon]")
-        if self.n_paths * len(cps) > MAX_PATH_CHECKPOINTS:
+        if self.n_paths * _checkpoint_array(self.checkpoints, self.horizon).size > MAX_PATH_CHECKPOINTS:
             raise ConfigError(f"n_paths * len(checkpoints) must be at most {MAX_PATH_CHECKPOINTS}")
         if not all(0 < e for e in self.epsilons):
             raise ConfigError("epsilons must be positive")
+        if len({f"{e:g}" for e in self.epsilons}) < len(self.epsilons):  # as deviations.csv names their columns
+            raise ConfigError("epsilons must be unique")
         if self.epsilon_target not in self.epsilons:
             raise ConfigError("verdict.epsilon_target must be one of epsilons")
         if not 0 < self.fraction_target <= 1:
@@ -200,6 +196,21 @@ def _list_of(convert):
             raise TypeError(f"expected a list, got {type(values).__name__}")
         return tuple(convert(v) for v in values)
     return parse
+
+
+def _checkpoint_array(checkpoints: Sequence[int], horizon: int) -> np.ndarray:
+    """``checkpoints`` as int64 if ints (JSON's: no bool, float, NumPy int), sorted, unique and in [1, horizon]."""
+    if not {int}.issuperset(map(type, checkpoints)):
+        raise ConfigError("checkpoints must be integers")
+    try:
+        cps = np.fromiter(checkpoints, np.int64, len(checkpoints))
+    except OverflowError:  # past int64, so past the horizon
+        raise ConfigError("checkpoints must lie in [1, horizon]") from None
+    if not np.all(cps[1:] > cps[:-1]):
+        raise ConfigError("checkpoints must be sorted and unique")
+    if not (cps.size and 1 <= cps[0] and cps[-1] <= horizon):
+        raise ConfigError("checkpoints must lie in [1, horizon]")
+    return cps
 
 
 def _clip_checkpoints(checkpoints: Sequence[int], horizon: int) -> tuple[int, ...]:
@@ -318,14 +329,10 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     max of the list from a checkpoint's entry on, the reverse max that
     :func:`suffix_sup` takes, is then D there.  Every float is the one the
     whole-horizon reduction gives.  The checkpoints, which need not be the
-    spec's, may repeat or come unsorted, and are checked here.
+    spec's, follow the spec's rule, :func:`_checkpoint_array`.
     """
     horizon = config.horizon
-    cps = np.asarray(sorted(int(c) for c in checkpoints), dtype=np.int64)
-    if cps.size == 0:
-        raise ValueError("at least one checkpoint is required")
-    if cps[0] < 1 or cps[-1] > horizon:
-        raise ValueError("checkpoints must lie in [1, horizon]")
+    cps = _checkpoint_array(checkpoints, horizon)
     if workspace is None:
         workspace = path_workspace(config)
     elif (workspace.horizon != horizon or workspace.pattern is not config.pattern

@@ -304,6 +304,8 @@ def y_insertion_positions(schedule: MomentSchedule, c: float, count: int) -> lis
     """
     if not 0.0 < c <= 1.0:
         raise ValueError("insert positions require 0 < c <= 1")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     # phi_n >= k  <=>  target_n >= k + 1 - [c = 1]
     need = np.arange(1, count + 1, dtype=np.float64) + (0.0 if c >= 1.0 else 1.0)
     # Python ints in object arrays: positions pass int64 long before the cap;

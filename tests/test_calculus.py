@@ -113,6 +113,25 @@ def test_envelope_power_integral_vectorized_matches_mpmath():
                 assert mine[i] == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [170.7, 400.0])
+def test_exp_power_integral_refuses_p_past_the_gamma_overflow(p):
+    # Gamma(p+1) is inf past about p = 170.62: a finite value read inf, series A raised
+    # BoundViolation on NaN and the truncated moment OverflowError; warnings are errors here
+    for evaluate in (lambda: envelope_power_integral(EXP, 5.0, p), lambda: series_bound_A(EXP, p, 10 ** 4),
+                     lambda: truncated_power_moment(EXP, 50.0, p)):
+        with pytest.raises(ValueError, match="p must be at most about 170.62 on the exp envelope"):
+            evaluate()
+
+
+def test_exp_power_integral_below_the_gamma_overflow_is_unchanged():
+    p = 170.6
+    x = np.array([5.0, 50.0, 170.0, 10.0 ** 4])  # the last past the gammainc cutoff
+    expected = np.where(x < calculus._gammainc_cutoff(p), sp.gamma(p + 1.0) * sp.gammainc(p, x), sp.gamma(p + 1.0))
+    assert np.array_equal(envelope_power_integral(EXP, x, p), expected)
+    exact = p * mpmath.gammainc(p, 0, 50) + mpmath.mpf(50) ** p * mpmath.exp(-50)
+    assert truncated_power_moment(EXP, 50.0, p) == pytest.approx(float(exact), rel=1e-9)
+
+
 # --- series bounds ----------------------------------------------------------------------
 
 def _oracle_series_A_exp_p2() -> float:
@@ -479,13 +498,19 @@ def test_bound_violation_detected_for_inconsistent_envelope():
         series_bound_A(LyingEnvelope(), 2.0)
 
 
-def test_nan_value_violates_its_bound():
-    # Gamma(401) overflows, so the exp integral at p = 400 is inf or 0 * inf and series A is NaN
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=400\.0\]: value nan \(partial sum nan"):
-            series_bound_A(EXP, 400.0, 10 ** 4)
-        with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=400\.0\]: value nan"):
-            bound_suite(ps=(2.0, 400.0), truncation=10 ** 4)
+def test_nan_value_violates_its_bound(monkeypatch):
+    # a NaN series is a violation, not a pass: NaN <= bound is false
+    def nan_integral(envelope, n, p, out=None):
+        if out is None:
+            return math.nan
+        out.fill(math.nan)
+        return out
+
+    monkeypatch.setattr(calculus, "envelope_power_integral", nan_integral)
+    with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=2\.0\]: value nan \(partial sum nan"):
+        series_bound_A(EXP, 2.0, 10 ** 4)
+    with pytest.raises(BoundViolation, match=r"^series_A\[exp, p=2\.0\]: value nan"):
+        bound_suite(ps=(2.0, 3.0), truncation=10 ** 4)
 
 
 def test_first_violation_is_the_first_series_A(monkeypatch):
@@ -669,6 +694,12 @@ def test_weighted_series_simulated_ensemble():
         y = draw_heavy(PARETO2, DependenceMode.INDEPENDENT, reciprocal_exponents(exponents), np.empty(300),
                        stream=stream)
         assert small.increments[i] == weighted_y_series(y, exponents).last_decade_increment
+
+
+@pytest.mark.parametrize("k_max, n_paths, message", [(0, 3, "k_max must be >= 1"), (10, 0, "n_paths must be >= 1")])
+def test_weighted_series_ensemble_checks_its_arguments(k_max, n_paths, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        weighted_y_series_ensemble(PARETO2, MomentSchedule(ScheduleForm.INV_SQRT_LOG), 1.0, k_max, n_paths)
 
 
 # --- series-to-average conversion --------------------------------------------------------------

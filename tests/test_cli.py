@@ -369,6 +369,9 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
      "y.envelope.kind: " + "[" * 40 + " ... " + "]" * 12 + " is not a valid EnvelopeKind"),
     ({"schedule": {"form": "x" * 10 ** 4}}, "schedule.form: '" + "x" * 39 + " ... "),
     ({"schedule": {"y" * 10 ** 4: 20}}, "schedule." + "y" * 40 + " ... "),
+    ({"epsilons": [0.2, 0.1, 0.1, 0.05]}, "epsilons must be unique"),
+    ({"epsilons": [0.2, 0.1, 0.1]}, "epsilons must be unique"),  # epsilon_target 0.05 joins them
+    ({"epsilons": [0.2, 0.1, 0.1000001, 0.05]}, "epsilons must be unique"),  # both columns frac_gt_0.1
 ], ids=["seed", "n_paths", "checkpoint_item", "checkpoints_scalar", "epsilons_string",
        "epsilon_target", "infrequency_threshold", "verdict_list", "verdict_pairs", "y_string",
        "gamma_nan", "half_width_nan", "sparsity_c_nan", "floor_index_nan", "floor_index_fraction",
@@ -383,7 +386,8 @@ def test_main_threads_below_one_exits_2(tmp_path, capsys, threads):
        "gamma_missing", "floor_index_overflow", "floor_index_below_loglog_peak",
        "n_paths_huge", "paths_flag_above_cap", "path_checkpoints_above_cap",
        "paths_flag_path_checkpoints_above_cap", "threads_above_cap",
-       "threads_huge", "kind_nested_deeply", "form_string_huge", "schedule_key_huge"])
+       "threads_huge", "kind_nested_deeply", "form_string_huge", "schedule_key_huge",
+       "epsilons_repeated", "epsilons_repeated_target_joined", "epsilons_same_column"])
 def test_main_malformed_scalar_field(tmp_path, capsys, data, prefix):
     # a "--flag" key is passed on the command line, not in the config
     flags = [str(part) for key, value in data.items() if key.startswith("--") for part in (key, value)]

@@ -215,12 +215,9 @@ def _long_case(pattern, schedule=SCHED, x_family=XFamily.parity(4), dependence=D
 @example(_long_case(build_sparsity(SCHED, 1.0)))
 @example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ZERO), x_family=XFamily.shifted_exp(2.0)))
 @example(_long_case(SparsityPattern(mode=SparsityMode.ALL_ONE), dependence=DependenceMode.INDEPENDENT))
-# unsorted and repeated checkpoints on seams: run_path sorts them, and each repeat is a D of its own
-@example(_long_case(_explicit(LONG, _chunk_edges(LONG)), checkpoints=(LONG - 1, 5, 5, CH, CH + 1, 1)))
-@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(CH, CH, CH)))
 def test_run_path_matches_reference_on_random_specs(case):
     config, checkpoints = case
-    expected = dataclasses.asdict(reference_summary(config, sorted(checkpoints)))
+    expected = dataclasses.asdict(reference_summary(config, checkpoints))
     workspace = mixture.path_workspace(config)
     # path j, then path i, on one workspace: j leaves its values in the buffer
     run_path(config.with_path(config.path_index + 1), checkpoints, workspace)
@@ -228,6 +225,60 @@ def test_run_path_matches_reference_on_random_specs(case):
         got = dataclasses.asdict(summary)
         for field, want in expected.items():
             assert np.array_equal(got[field], want), field
+
+
+def _follows_the_checkpoint_rule(checkpoints, horizon):
+    """The rule, restated: Python ints (no bool), sorted, unique and in [1, horizon]."""
+    return (all(type(c) is int for c in checkpoints) and list(checkpoints) == sorted(set(checkpoints))
+            and len(checkpoints) > 0 and 1 <= checkpoints[0] and checkpoints[-1] <= horizon)
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A valid one-path spec and a checkpoint list of any kind the rule
+    decides: sorted and unique, unsorted, repeated, empty, or with one item
+    that is 0, above the horizon, NaN, 1.5, True, a NumPy int or past int64."""
+    config, _ = draw(path_cases())
+    h = config.horizon
+    ok = st.lists(st.integers(1, h), min_size=1, max_size=5, unique=True).map(sorted)
+    odd = st.sampled_from([0, h + 1, math.nan, 1.5, True, np.int64(1), 2 ** 63, -2 ** 63 - 1])
+    checkpoints = draw(st.one_of(
+        ok,
+        ok.map(lambda c: c[::-1]),
+        ok.map(lambda c: c + c[-1:]),
+        st.just([]),
+        st.tuples(ok, st.integers(0, 5), odd).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1]:]),
+    ))
+    return config, checkpoints
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(checkpoint_cases())
+# unsorted and repeated checkpoints on chunk seams
+@example(_long_case(_explicit(LONG, _chunk_edges(LONG)), checkpoints=(LONG - 1, 5, 5, CH, CH + 1, 1)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(CH, CH, CH)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(1, CH, CH + 1, LONG)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=()))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(0, LONG)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(1, LONG + 1)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(1, math.nan)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(1.5, LONG)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(True, LONG)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(np.int64(1), LONG)))
+@example(_long_case(build_sparsity(SCHED, 1.0), checkpoints=(1, 2 ** 64)))
+def test_spec_and_run_path_share_one_checkpoint_rule(case):
+    # the constructor and run_path refuse the same lists with the same message,
+    # and a list both accept gives the reference summary
+    config, checkpoints = case
+    try:
+        dataclasses.replace(config, checkpoints=tuple(checkpoints))
+    except ConfigError as exc:
+        assert not _follows_the_checkpoint_rule(checkpoints, config.horizon)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            run_path(config, checkpoints)
+        return
+    assert _follows_the_checkpoint_rule(checkpoints, config.horizon)
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
 
 
 def _edge_inserts(horizon):
@@ -537,11 +588,13 @@ def test_horizon_overflow():
     (dict(path_index=-1), "path_index must be nonnegative"),
     (dict(epsilons=(0.1,)), "verdict.epsilon_target must be one of epsilons"),
     (dict(n_paths=MAX_PATHS, checkpoints=tuple(range(1, 102))), "n_paths * len(checkpoints) must be at most"),
-    (dict(checkpoints=(math.nan,)), "checkpoints must lie in [1, horizon]"),
-    (dict(checkpoints=(1, math.nan)), "checkpoints must be sorted and unique"),
+    (dict(checkpoints=(math.nan,)), "checkpoints must be integers"),
+    (dict(checkpoints=(1, math.nan)), "checkpoints must be integers"),
     (dict(checkpoints=(5, 5)), "checkpoints must be sorted and unique"),
+    (dict(epsilons=(0.1, 0.05, 0.05)), "epsilons must be unique"),
+    (dict(epsilons=(0.1, 0.05, 0.05000001)), "epsilons must be unique"),  # both columns frac_gt_0.05
 ], ids=["path_index", "epsilon_target", "path_checkpoints_cap", "checkpoint_nan", "checkpoints_nan",
-        "checkpoints_repeated"])
+        "checkpoints_repeated", "epsilons_repeated", "epsilons_same_column"])
 def test_spec_is_checked_when_built(changes, message):
     config = make_config(horizon=500, n_paths=4)
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -629,12 +682,9 @@ def test_uniform_pure_x_average_small():
 
 def test_checkpoint_validation():
     config = make_config(horizon=100)
-    with pytest.raises(ValueError):
-        run_path(config, [0])
-    with pytest.raises(ValueError):
-        run_path(config, [101])
-    with pytest.raises(ValueError):
-        run_path(config, [])
+    for checkpoints in ([0], [101], []):
+        with pytest.raises(ConfigError, match=re.escape("checkpoints must lie in [1, horizon]")):
+            run_path(config, checkpoints)
 
 
 def test_comonotone_draws_share_one_uniform():

@@ -383,6 +383,11 @@ def test_insertion_positions_cap():
     assert y_insertion_positions(INV_SQRT_LOG, 1.0, 0) == []
 
 
+def test_insertion_positions_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        y_insertion_positions(INV_SQRT_LOG, 1.0, -1)
+
+
 def test_insertion_positions_cap_only_from_the_final_start():
     # pos_2 ~ 4.8e279: grown by 4 from 2 it is missed (2 * 4**464 ~ 4.5e279,
     # then past the cap), but from pos_1 ~ 2.4e279 it is found; pos_3 is not
