@@ -348,15 +348,87 @@ def _estimates(schedule: MomentSchedule, c: float, need: np.ndarray) -> np.ndarr
         ge = _targets(schedule, c, mid.view(np.float64)) >= need
         hi = np.where(ge, mid, hi)
         lo = np.where(ge | ~open_, lo, mid + 1)
-    return np.array([_least_integer_reaching(f) for f in lo.view(np.float64).tolist()], dtype=object)
+    return _least_integers_reaching(lo.view(np.float64))
 
 
-def _least_integer_reaching(f: float) -> int:
-    """The least integer m with float(m) >= f, for a float f >= 1."""
-    if f <= 2.0 ** 53:
-        return math.ceil(f)
-    m = int(f) - int(f - math.nextafter(f, 0.0)) // 2  # midway to the float below
-    return m if float(m) >= f else m + 1  # a tie rounds to the even significand
+def _reaching(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least integers m with float(m) >= f, for a float64 array f >= 1,
+    as m = a * 2**t + b: uint64 a < 2**55, int t >= 0 and bool b.
+
+    Up to 2**53 m is ceil(f).  Past it a * 2**t is the integer midway to
+    the float below f, which rounds to f when f's significand is even (a
+    tie goes to the even significand) and to the float below when it is
+    odd; then b adds 1.
+    """
+    above = f > 2.0 ** 53
+    t = np.where(above, np.frexp(f - np.nextafter(f, 0.0))[1] - 2, 0)  # 2**t is half the gap below f
+    a = np.ceil(np.ldexp(f, -t)).astype(np.uint64) - above
+    return a, t, np.ldexp(a.astype(np.float64), t) < f
+
+
+def _least_integers_reaching(f: np.ndarray) -> np.ndarray:
+    """:func:`_reaching` as Python ints in an object array."""
+    a, t, b = _reaching(f)
+    return (a.astype(object) << t.astype(object)) + b.astype(object)
+
+
+def _least_limbs_reaching(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_reaching` as limbs, for f below 2**128."""
+    a, t, b = _reaching(f)
+    low = t < 64
+    t_low = np.minimum(t, 63).astype(np.uint64)
+    high = np.where(low, (a >> 1) >> (63 - t_low), a << (np.maximum(t, 64) - 64).astype(np.uint64))
+    return high, np.where(low, a << t_low, 0) + b  # bit 0 of a << t is clear unless t = 0, where a < 2**55
+
+
+# The limb search holds lo, hi and mid as two uint64 limbs, high and low,
+# each below _LIMB_CEILING, so that lo + hi stays below 2**128; a row whose
+# hi * 4 would reach the ceiling finishes on Python ints.
+_LIMB_CEILING = 2 ** 127
+_GROWTH_LIMIT = np.uint64(_LIMB_CEILING >> 66)  # the high limb of a hi whose hi * 4 reaches the ceiling
+
+
+def _split(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An object array of ints in [0, 2**128) as its high and low limbs."""
+    return (n >> 64).astype(np.uint64), (n & (2 ** 64 - 1)).astype(np.uint64)
+
+
+def _join(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    return (high.astype(object) << 64) | low.astype(object)
+
+
+def _limbs_float(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """float(high * 2**64 + low), rounded as Python's float(int) rounds it.
+
+    Drops the low s bits, s the bit length of the high limb, and keeps the
+    top 64 with a sticky bit in bit 0 for any dropped bit that is set: they
+    round to 53 bits as the whole integer does, so their cast, to nearest
+    with ties to even, scaled by 2**s is the float.  frexp gives s, or
+    s + 1 where float(high) rounded up to a power of two, which keeps 63
+    bits, still more than rounding reads; 65 is clipped to 64, as shifts
+    of 64 or more are not portable.  A high limb of 0 is the cast of the
+    low one.
+    """
+    s = np.minimum(np.maximum(np.frexp(high.astype(np.float64))[1], 1), 64)
+    shift = s.astype(np.uint64)
+    top = (high << (64 - shift)) | ((low >> (shift - 1)) >> 1) | ((low << (64 - shift)) != 0)
+    return np.where(high == 0, low.astype(np.float64), np.ldexp(top.astype(np.float64), s))
+
+
+def _midpoint(lo_high, lo_low, hi_high, hi_low) -> tuple[np.ndarray, np.ndarray]:
+    """(lo + hi) // 2 on limbs, for lo + hi below 2**128."""
+    low = lo_low + hi_low
+    high = lo_high + hi_high + (low < lo_low)  # the carry
+    return high >> 1, (low >> 1) | (high << 63)
+
+
+def _plus_one(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    low = low + 1
+    return high + (low == 0), low
+
+
+def _less(a_high, a_low, b_high, b_low) -> np.ndarray:
+    return (a_high < b_high) | ((a_high == b_high) & (a_low < b_low))
 
 
 def _search(schedule: MomentSchedule, c: float, need: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -378,22 +450,77 @@ def _search(schedule: MomentSchedule, c: float, need: np.ndarray, lo: np.ndarray
     bits at the end) this cuts the target evaluations of all search rounds
     from 1.43 M to 0.77 M, and moves no position.
 
-    Runs ``_SEARCH_BLOCK`` searches at a time: each holds three or four
-    Python ints, so a block of 1024 keeps them near 0.2 MiB.  For the same
-    positions, best of 5 on a shared 2-core Xeon, y_insertion_positions
-    takes 0.21-0.31 s in blocks of 1024 and 0.21-0.23 s in one block of
-    1e4, within the host's noise of each other.
+    A search whose lo is below ``_LIMB_CEILING`` runs on two uint64 limbs
+    per integer (:func:`_midpoint`, :func:`_plus_one`, :func:`_less` and
+    :func:`_limbs_float`: the multiple-precision add, shift and compare of
+    Knuth, TAOCP vol. 2, 4.3.1) until its hi would grow to the ceiling;
+    from there, and from an lo at or past it, the search runs on Python
+    ints in object arrays (:func:`_search_ints`).  Both take the same steps.
+
+    Runs ``_SEARCH_BLOCK`` searches at a time, which bounds the arrays a
+    step allocates.  For the inv_sqrt_log positions at c = 1 and k_max =
+    1e4, the weighted-series benchmark on a shared 2-core Xeon peaks at
+    42.5 MiB RSS in blocks of 1024 and at 44.7 MiB in one block of 1e4;
+    the one block would save about a sixth of its 0.15 s.
     """
     if lo.size > _SEARCH_BLOCK:
         blocks = range(0, lo.size, _SEARCH_BLOCK)
         return np.concatenate([_search(schedule, c, need[s:s + _SEARCH_BLOCK], lo[s:s + _SEARCH_BLOCK])
                                for s in blocks])
 
+    def unreached(f: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return ~(_targets(schedule, c, f) >= need[i])
+
+    found, hi = lo.copy(), np.maximum(lo, 2)
+    rows = np.flatnonzero(lo < _LIMB_CEILING)
+    lo_high, lo_low = _split(lo[rows])
+    hi_high, hi_low = _split(hi[rows])
+    fhi = _limbs_float(hi_high, hi_low)
+    i = np.flatnonzero(unreached(fhi, rows))
+    crossing = np.zeros(rows.size, dtype=bool)
+    while i.size:
+        ceiling = hi_high[i] >= _GROWTH_LIMIT
+        crossing[i[ceiling]] = True
+        i = i[~ceiling]
+        hi_high[i] = (hi_high[i] << 2) | (hi_low[i] >> 62)
+        hi_low[i] <<= 2
+        fhi[i] = _limbs_float(hi_high[i], hi_low[i])
+        i = i[unreached(fhi[i], rows[i])]
+    # the searches still bisecting, with their bounds and need, compacted as they finish
+    i = np.flatnonzero(~crossing & _less(lo_high, lo_low, hi_high, hi_low))
+    lh, ll, hh, hl, fh, nd = (a[i] for a in (lo_high, lo_low, hi_high, hi_low, fhi, need[rows]))
+    fl = _limbs_float(lh, ll)
+    while i.size:
+        mid_high, mid_low = _midpoint(lh, ll, hh, hl)
+        fmid = _limbs_float(mid_high, mid_low)
+        ge = _targets(schedule, c, fmid) >= nd
+        next_high, next_low = _plus_one(mid_high, mid_low)
+        hh, hl, fh = np.where(ge, mid_high, hh), np.where(ge, mid_low, hl), np.where(ge, fmid, fh)
+        lh, ll, fl = np.where(ge, lh, next_high), np.where(ge, ll, next_low), np.where(ge, fl, fmid)
+        done = ~_less(lh, ll, hh, hl)
+        cells = ~done & (np.nextafter(fl, np.inf) >= fh)
+        if cells.any():
+            lh[cells], ll[cells] = _least_limbs_reaching(fh[cells])
+            done |= cells
+        if done.any():
+            lo_high[i[done]], lo_low[i[done]] = lh[done], ll[done]
+            keep = ~done
+            i, lh, ll, hh, hl, fl, fh, nd = (a[keep] for a in (i, lh, ll, hh, hl, fl, fh, nd))
+    found[rows] = _join(lo_high, lo_low)
+    hi[rows[crossing]] = _join(hi_high[crossing], hi_low[crossing])
+    wide = np.concatenate([np.flatnonzero(lo >= _LIMB_CEILING), rows[crossing]])
+    found[wide] = _search_ints(schedule, c, need[wide], lo[wide], hi[wide])
+    return found
+
+
+def _search_ints(schedule: MomentSchedule, c: float, need: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """:func:`_search` on Python ints in object arrays, from hi, which is
+    max(lo, 2) or an unreached hi the limb search grew to its ceiling."""
     def reached(n: np.ndarray, i: np.ndarray) -> np.ndarray:
         return _targets(schedule, c, n.astype(np.float64)) >= need[i]
 
-    lo = lo.copy()
-    hi = np.maximum(lo, 2)
+    lo, hi = lo.copy(), hi.copy()
     i = np.flatnonzero(~reached(hi, np.arange(lo.size)))
     while i.size:
         hi[i] *= 4
@@ -417,7 +544,6 @@ def _search(schedule: MomentSchedule, c: float, need: np.ndarray, lo: np.ndarray
         i = i[lo[i] < hi[i]]
         cells = np.nextafter(flo[i], np.inf) >= fhi[i]
         if cells.any():
-            for j in i[cells].tolist():
-                lo[j] = _least_integer_reaching(float(fhi[j]))
+            lo[i[cells]] = _least_integers_reaching(fhi[i[cells]])
             i = i[~cells]
     return lo

@@ -23,8 +23,16 @@ from slln_lab.schedules import (
     SparsityMode,
     SparsityPattern,
     build_sparsity,
-    _least_integer_reaching,
+    _LIMB_CEILING,
+    _join,
+    _least_integers_reaching,
+    _least_limbs_reaching,
+    _less,
+    _limbs_float,
+    _midpoint,
+    _plus_one,
     _search,
+    _split,
     _targets,
     least_index,
     y_insertion_positions,
@@ -446,17 +454,72 @@ def test_estimates_do_not_change_the_positions(monkeypatch, bad):
 
 def test_least_integer_reaching_rounds_up_to_the_float():
     # past 2**53 a tie at the midpoint to the float below rounds to the
-    # even significand: 2**53 + 1 goes down, 2**53 + 3 goes up
-    for f in (1.0, 2.5, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 + 4, 2.0 ** 54, 2.0 ** 54 + 4,
-              3.0e20, 1.0e279):
-        m = _least_integer_reaching(f)
+    # even significand: 2**53 + 1 goes down, 2**53 + 3 goes up; the floats
+    # around 2**64 and 2**126 check the limbs across their border and near
+    # their ceiling
+    floats = [1.0, 2.5, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 + 4, 2.0 ** 54, 2.0 ** 54 + 4,
+              3.0e20, 1.0e279]
+    for k in (64, 126):
+        below = math.nextafter(2.0 ** k, 0.0)
+        floats += [math.nextafter(below, 0.0), below, 2.0 ** k, math.nextafter(2.0 ** k, math.inf),
+                   math.nextafter(math.nextafter(2.0 ** k, math.inf), math.inf), 3 * 2.0 ** k]
+    ints = _least_integers_reaching(np.array(floats)).tolist()
+    for m, f in zip(ints, floats):
         assert type(m) is int and float(m) >= f > float(m - 1)
+    limbs = [f < 2.0 ** 128 for f in floats]
+    assert _join(*_least_limbs_reaching(np.array(floats)[limbs])).tolist() == np.array(ints)[limbs].tolist()
+
+
+# a few integers of every bit length up to 128
+limb_ints = st.integers(0, 128).flatmap(lambda bits: st.integers(0, 2 ** bits - 1))
+LIMB_FLOAT_CASES = [
+    0, 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+    # ties within the low limb alone, the cast rounds them: to the even significand below, then above
+    2 ** 63 + 2 ** 10, 2 ** 63 + 3 * 2 ** 10,
+    # k * 2**64 - 1 and + 1
+    *(k * 2 ** 64 + d for k in (1, 2, 3, 2 ** 53 - 1, 2 ** 53, 2 ** 63, 2 ** 64 - 1) for d in (-1, 1)),
+    # ties at both significand parities, and the same with a set bit below the
+    # top 64 that only the sticky bit carries
+    *(2 ** e + m * 2 ** (e - 53) + d for e in (64, 100, 127) for m in (1, 3) for d in (0, 1)),
+    # high limbs whose float rounds up to a power of two
+    (2 ** 64 - 1) * 2 ** 64, (2 ** 64 - 1) * 2 ** 64 + 2 ** 64 - 1, (2 ** 54 - 1) * 2 ** 64 + 12345,
+    2 ** 128 - 1,
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(limb_ints, min_size=1, max_size=64))
+@example(LIMB_FLOAT_CASES)
+def test_limbs_float_rounds_as_float_of_an_int(values):
+    limbs = _split(np.array(values, dtype=object))
+    assert _join(*limbs).tolist() == values
+    assert _limbs_float(*limbs).tolist() == [float(n) for n in values]
+
+
+LIMB_ARITHMETIC_CASES = [(2 ** 64 - 1, 2 ** 64 + 1), (2 ** 64 - 1, 2 ** 64 - 1), (3 * 2 ** 64 - 1, 5 * 2 ** 64 - 1),
+                         (2 ** 127 - 1, 2 ** 127 - 1), (2 ** 127 - 2, 2 ** 127 - 1), (0, 0), (0, 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(limb_ints, limb_ints).map(sorted), min_size=1, max_size=32)
+       .filter(lambda pairs: max(hi for _, hi in pairs) < _LIMB_CEILING))
+@example(LIMB_ARITHMETIC_CASES)
+def test_limb_arithmetic_matches_python_ints(pairs):
+    # what the limb search computes of lo <= hi < _LIMB_CEILING: (lo + hi) // 2,
+    # mid + 1 and lo < hi; 2**64 - 1 + 1 and 3 * 2**64 - 1 + 1 carry
+    lo, hi = (np.array(side, dtype=object) for side in zip(*pairs))
+    (lo_high, lo_low), (hi_high, hi_low) = _split(lo), _split(hi)
+    assert _join(*_midpoint(lo_high, lo_low, hi_high, hi_low)).tolist() == ((lo + hi) // 2).tolist()
+    assert _join(*_plus_one(hi_high, hi_low)).tolist() == (hi + 1).tolist()
+    assert _less(lo_high, lo_low, hi_high, hi_low).tolist() == (lo < hi).tolist()
+    assert not _less(hi_high, hi_low, lo_high, lo_low).any()
 
 
 def reference_search(schedule, c, need, lo):
     """One search of ``_search`` by the plain integer bisection, with no
     finish: the first n found from ``lo`` with target_n >= ``need``, or 0
-    past the cap.  Also says how ``_search`` finishes it, at the first step
+    past the cap, and the hi the search grew to (past the cap, the first hi
+    beyond it).  Also says how ``_search`` finishes it, at the first step
     where its lower bound flo on float(lo) is float(hi) or the float below:
     one cell or two cells with reached(lo) end at lo, two cells without it
     at hi's cell."""
@@ -467,8 +530,8 @@ def reference_search(schedule, c, need, lo):
     while not reached(hi):
         hi *= 4
         if hi > _POSITION_SEARCH_CAP:
-            return 0, None
-    flo, finish = float(lo), None
+            return 0, None, hi
+    grown, flo, finish = hi, float(lo), None
     while lo < hi:
         mid = (lo + hi) // 2
         if reached(mid):
@@ -477,7 +540,14 @@ def reference_search(schedule, c, need, lo):
             lo, flo = mid + 1, float(mid)
         if finish is None and lo < hi and math.nextafter(flo, math.inf) >= float(hi):
             finish = "one cell" if float(lo) == float(hi) else "at lo" if reached(lo) else "hi's cell"
-    return lo, finish
+    return lo, finish, grown
+
+
+def search_kind(lo, grown):
+    """Where ``_search`` runs a search from ``lo`` that grows hi to ``grown``."""
+    if lo >= _LIMB_CEILING:
+        return "Python ints"
+    return "limbs" if grown < _LIMB_CEILING else "crosses to Python ints"
 
 
 def test_search_finish_matches_the_plain_bisection():
@@ -490,7 +560,10 @@ def test_search_finish_matches_the_plain_bisection():
     # inv_log at c = 2/e puts c * n**a_n at 2 give or take rounding, so its
     # target is not monotone.  No finish sees two cells with reached(lo):
     # lo = mid + 1 with mid not reached, so a reached lo is a cell above
-    # flo = float(mid).
+    # flo = float(mid).  A band of lo in [2**119, 2**127), just under the
+    # limb ceiling, and one need no target reaches put rows of every kind in
+    # each call: searches that stay in limbs, ones whose hi crosses the
+    # ceiling as it grows, ones that start past it, and ones past the cap.
     rng = random.Random(0)
     finishes = set()
     for schedule, c in [
@@ -502,13 +575,19 @@ def test_search_finish_matches_the_plain_bisection():
         (MomentSchedule(ScheduleForm.INV_LOG), 2 / math.e),
     ]:
         bits = rng.choices(range(61, 201), k=100) + rng.choices(range(54, 61), k=50)
+        bits += rng.choices(range(120, 128), k=60)
         lo = [2 ** (b - 1) + rng.getrandbits(b - 1) for b in bits]
         need = [float(_targets(schedule, c, np.float64(n))) + rng.randint(0, 3) for n in lo]
+        lo, need = lo + [2 ** 100], need + [1e300]
         found = _search(schedule, c, np.array(need), np.array(lo, dtype=object))
         expected = [reference_search(schedule, c, k, n) for k, n in zip(need, lo)]
-        assert found.tolist() == [n for n, _ in expected]
-        finishes.update(finish for _, finish in expected)
+        assert found.tolist() == [n for n, _, _ in expected]
+        finishes.update(finish for _, finish, _ in expected)
+        assert {search_kind(n, grown) for n, (_, _, grown) in zip(lo, expected)} == {
+            "limbs", "crosses to Python ints", "Python ints"}
+        assert 0 in found.tolist()
     assert finishes == {None, "one cell", "hi's cell"}
+
 
 def outcome(search, schedule, c, count):
     try:
