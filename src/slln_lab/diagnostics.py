@@ -25,7 +25,7 @@ def suffix_sup(deviations: np.ndarray, checkpoints: Sequence[int]) -> np.ndarray
     buffer's reverse running max, read at the checkpoints, which may come in
     any order, repeat or be none.  NaN propagates like a value above every
     other.  Any buffer whose max from a checkpoint's position on is D there
-    gives the same D: :func:`~slln_lab.mixture.run_path` passes a short list
+    gives the same D: :func:`~slln_lab.mixture.run_path` passes a short array
     of chunk and rest-of-chunk maxima, each checkpoint naming its own entry.
     """
     buf = np.asarray(deviations, dtype=np.float64)

@@ -144,7 +144,14 @@ class XFamily:
 
     # ---- sampling -----------------------------------------------------------
 
-    def sample_block(self, count: int, stream: UniformStream, out: np.ndarray | None = None) -> np.ndarray:
+    @property
+    def sums_by_table(self) -> bool:
+        """Whether the running sums of its draws come from a table: the
+        parity family with ``block_bits <= _TABLE_BITS``."""
+        return self.kind is XKind.PARITY_RADEMACHER and self.block_bits <= _TABLE_BITS
+
+    def sample_block(self, count: int, stream: UniformStream, out: np.ndarray | None = None, *,
+                     sums_from: float | None = None) -> np.ndarray:
         """Next ``count`` draws, written into ``out`` and returned.
 
         ``out`` is a contiguous float64 array of ``count`` values; None
@@ -152,9 +159,17 @@ class XFamily:
         per block of 2**block_bits - 1 emitted values; a trailing partial
         block is truncated (pairwise independence survives truncation).
         Other kinds consume exactly one uniform per value.
+
+        With ``sums_from`` r, a family :attr:`sums_by_table` writes the
+        running sums r + X_1, r + X_1 + X_2, ... instead, from the same
+        uniforms, as :meth:`XSampler.fill_sums` asks; each is exact while r
+        is an integer and they stay below 2**53 in magnitude.  Any other
+        family raises ``ValueError``.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
+        if sums_from is not None and not self.sums_by_table:
+            raise ValueError("running sums need a parity family with a table")
         if out is None:
             out = np.empty(count, dtype=np.float64)
         elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -162,7 +177,7 @@ class XFamily:
         if count == 0:
             return out
         if self.kind is XKind.PARITY_RADEMACHER:
-            return self._sample_parity(count, stream, out)
+            return self._sample_parity(count, stream, out, sums_from)
         u = stream.uniforms(count)
         if self.kind is XKind.IID_UNIFORM:  # half_width * (2u - 1)
             u *= 2.0
@@ -180,17 +195,31 @@ class XFamily:
             return np.subtract(u, self.pareto_shift, out=out)
         return np.exp(u, out=out)
 
-    def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray) -> np.ndarray:
+    def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray,
+                       sums_from: float | None) -> np.ndarray:
         # sign i of a block is -1 when its i-th uniform is below 1/2; the
         # block's sign bits, folded into an integer code, select its values
         bits, length = self.block_bits, self.block_length
         n_blocks = -(-count // length)
         negative = stream.below_half(n_blocks * bits).reshape(n_blocks, bits)
-        codes = np.zeros(n_blocks, dtype=np.int64)
-        for i in range(bits):
-            codes |= negative[:, i].astype(np.int64) << i
+        # bit i of a code is sign i; codes that fit in a byte are built on the bools' own bytes
+        signs = negative.view(np.uint8) if bits <= _TABLE_BITS else negative.astype(np.int64)
+        codes = signs[:, 0].copy()
+        for i in range(1, bits):
+            codes |= signs[:, i] << i
         full = count // length
         rows = out[:full * length].reshape(full, length)
+        if sums_from is not None:
+            # each block's prefix row plus its offset: r and the totals of the blocks before it
+            _parity_prefix_table(bits).take(codes[:full], axis=0, out=rows, mode="clip")
+            offsets = np.empty(full)
+            offsets[:1] = sums_from
+            offsets[1:] = rows[:-1, -1]
+            rows += np.cumsum(offsets, out=offsets)[:, None]
+            if full < n_blocks:
+                _block_values(int(codes[full]), 1, bits, out[full * length:])
+                _running_sums(out[full * length:], rows[-1, -1] if full else sums_from)
+            return out
         if bits <= _TABLE_BITS:
             # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
             _parity_table(bits).take(codes[:full], axis=0, out=rows, mode="clip")
@@ -215,6 +244,15 @@ def _parity_table(bits: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=_TABLE_BITS)
+def _parity_prefix_table(bits: int) -> np.ndarray:
+    """Row c holds the running sums of row c of :func:`_parity_table`,
+    exact small integers.  Read-only, as every caller shares it."""
+    table = np.cumsum(_parity_table(bits), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _block_values(code: int, first: int, bits: int, out: np.ndarray) -> None:
     """Values first .. first + out.size - 1 of the parity block with sign
     code ``code``, written into ``out``: value j is the parity of code & j."""
@@ -224,6 +262,13 @@ def _block_values(code: int, first: int, bits: int, out: np.ndarray) -> None:
         ones = np.arange(first, first + out.size, dtype=np.int64)
         ones &= code
         _parity_signs(ones, bits, out)
+
+
+def _running_sums(values: np.ndarray, start: float) -> None:
+    """``values``, ±1 and fewer than a block of them, turned in place into
+    their running sums from ``start``, an integer: exact integers."""
+    values.cumsum(out=values)
+    values += start
 
 
 def _parity_signs(ones: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
@@ -244,10 +289,11 @@ class XSampler:
 
     Successive :meth:`fill` calls give the values one
     :meth:`XFamily.sample_block` call for all of them gives, from the same
-    uniforms in the same order.  A parity block that a slice cuts stays
-    open: what is kept is its sign code and how many of its values are
-    written, never the values, so the state is two integers however long
-    the block (up to 2**23 - 1 values).
+    uniforms in the same order; a :meth:`fill_sums` call in between takes
+    the place of the :meth:`fill` of as many values.  A parity block that a
+    slice cuts stays open: what is kept is its sign code and how many of its
+    values are written, never the values, so the state is two integers
+    however long the block (up to 2**23 - 1 values).
     """
 
     def __init__(self, family: XFamily, stream: UniformStream) -> None:
@@ -259,19 +305,37 @@ class XSampler:
     def fill(self, out: np.ndarray) -> np.ndarray:
         """The next ``out.size`` draws, written into ``out`` (contiguous
         float64) and returned."""
+        return self._fill(out, sums=False)
+
+    def fill_sums(self, out: np.ndarray) -> np.ndarray:
+        """The running sums X_1, X_1 + X_2, ... of the next ``out.size``
+        draws, exact integers, written into ``out`` and returned: the
+        uniforms :meth:`fill` would take, and the state it would leave.  A
+        family that is not :attr:`XFamily.sums_by_table` raises
+        ``ValueError``, as :meth:`XFamily.sample_block` does, and is left
+        as it was."""
+        return self._fill(out, sums=True)
+
+    def _fill(self, out: np.ndarray, sums: bool) -> np.ndarray:
         family, count = self.family, out.size
+        start = 0.0 if sums else None  # the running sum before the next value
         if family.kind is not XKind.PARITY_RADEMACHER:
-            return family.sample_block(count, self.stream, out=out)
+            return family.sample_block(count, self.stream, out=out, sums_from=start)
         bits, length = family.block_bits, family.block_length
         head = min(count, (length - self.offset) % length)  # the rest of the open block
         if head:
             _block_values(self.code, self.offset + 1, bits, out[:head])
+            if sums:
+                _running_sums(out[:head], start)
+                start = float(out[head - 1])
         full, tail = divmod(count - head, length)
-        family.sample_block(full * length, self.stream, out=out[head:head + full * length])
+        family.sample_block(full * length, self.stream, out=out[head:head + full * length], sums_from=start)
         if tail:  # a new block, its sign bits drawn after those of the full blocks
             negative = self.stream.below_half(bits).tolist()
             self.code = sum(1 << i for i in range(bits) if negative[i])
             _block_values(self.code, 1, bits, out[count - tail:])
+            if sums:
+                _running_sums(out[count - tail:], float(out[count - tail - 1]) if count > tail else 0.0)
         self.offset = tail or (self.offset + head) % length
         return out
 

@@ -8,14 +8,19 @@ their heavy draws.  The exponent of an insert is the schedule value at its
 global position.
 
 :func:`run_path` is the one engine: it makes a path one chunk of
-``_CHUNK`` indices at a time, splicing the chunk's heavy draws into its
-well-behaved values, and reduces each chunk in place to the checkpoint
-statistics before making the next.  Its running sum adds strictly left to
-right in double precision, as one whole-horizon ``np.cumsum`` would.  What
-is the same on every path of a spec in one process, the insert offsets of
-each chunk, 1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`,
-built once from one pass of :meth:`SparsityPattern.chunks`; the spec
-itself holds no state.
+``_CHUNK`` indices at a time and reduces each chunk in place to the
+checkpoint statistics before making the next.  Its running sum S_n is, bit
+for bit, what adding Z_1, Z_2, ... strictly left to right in double
+precision gives, as one whole-horizon ``np.cumsum`` would.  When the X
+values are parity signs read off a table and a chunk has few inserts, each
+run of them between two inserts is summed from exact integer running sums,
+which the table gives a block at a time (:func:`_run_sums` says when that
+is the sequential add); otherwise the chunk's heavy draws are spliced into
+its X values and the chunk is summed by ``np.cumsum``.  What is the same
+on every path of a spec in one process, the insert offsets of each chunk,
+1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`, built
+once from one pass of :meth:`SparsityPattern.chunks`; the spec itself
+holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -264,31 +269,52 @@ def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
                          np.arange(1, size + 1, dtype=np.float64), np.empty(size))
 
 
-def _path_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray]]:
-    """The values Z_n of one path, a chunk of ``_CHUNK`` indices at a time.
-
-    Yields ``(s0, z)``: ``z`` holds Z_{s0+1} .. Z_{s0+z.size} in
-    ``workspace.chunk``, which the next chunk overwrites.  A chunk of
-    inserts only gets its heavy draws straight into the buffer.  Otherwise
-    its X values are drawn into the front of the buffer, where the X
-    stream left off, and the chunk's heavy draws are spliced in.
-    """
+def _samplers(config: ExperimentSpec):
+    """The X sampler of one path, and ``heavy(inv_exponents, out)``, its
+    next heavy draws, written into ``out`` and returned."""
     def stream(channel: Channel) -> UniformStream:
         return derive_stream(StreamKey(config.seed, config.path_index, channel))
 
     shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
-    y_stream, x = stream(Channel.Y), XSampler(config.x_family, stream(Channel.X))
+    y_stream = stream(Channel.Y)
+
+    def heavy(inv_exponents: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return draw_heavy(config.envelope, config.dependence, inv_exponents, out, stream=y_stream, shared_u=shared_u)
+
+    return XSampler(config.x_family, stream(Channel.X)), heavy
+
+
+def _path_chunks(config: ExperimentSpec,
+                 workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray, XSampler]]:
+    """The draws of one path, a chunk of ``_CHUNK`` indices at a time.
+
+    Yields ``(s0, z, at, y, x)`` for Z_{s0+1} .. Z_{s0+z.size}: ``z`` is
+    ``workspace.chunk``, which the next chunk overwrites.  A chunk of
+    inserts only has its heavy draws in ``z`` and ``at`` None.  Otherwise
+    ``y`` holds the heavy draws at the offsets ``at``, and its
+    z.size - at.size X values are the next ones of the sampler ``x``,
+    drawn before the next chunk: as values, by :func:`_values`, or as
+    running sums.
+    """
+    x, heavy = _samplers(config)
     for s0, (at, inv_exponents) in zip(range(0, config.horizon, _CHUNK), workspace.layout):
         z = workspace.chunk[:min(_CHUNK, config.horizon - s0)]
         if at is None:
-            draw_heavy(config.envelope, config.dependence, inv_exponents, z, stream=y_stream, shared_u=shared_u)
+            y = heavy(inv_exponents, z)
         else:
-            x.fill(z[:z.size - at.size])
-            if at.size:
-                y = draw_heavy(config.envelope, config.dependence, inv_exponents,
-                               workspace.heavy[:at.size], stream=y_stream, shared_u=shared_u)
-                _splice(z, at, y)
-        yield s0, z
+            y = heavy(inv_exponents, workspace.heavy[:at.size]) if at.size else workspace.heavy[:0]
+        yield s0, z, at, y, x
+
+
+def _values(z: np.ndarray, at: np.ndarray | None, y: np.ndarray, x: XSampler) -> np.ndarray:
+    """The values of a chunk of :func:`_path_chunks`, written into ``z``
+    and returned: its X values drawn into the front of it, where the X
+    stream left off, and its heavy draws spliced in."""
+    if at is not None:
+        x.fill(z[:z.size - at.size])
+        if at.size:
+            _splice(z, at, y)
+    return z
 
 
 def _splice(z: np.ndarray, inserts: np.ndarray, y: np.ndarray) -> None:
@@ -310,6 +336,129 @@ def _splice(z: np.ndarray, inserts: np.ndarray, y: np.ndarray) -> None:
     z[inserts] = y
 
 
+def _peak(values: np.ndarray) -> tuple[float, int]:
+    """max |v| over ``values`` (its sign may be lost on a zero; NaN
+    propagates), and how many of them are not finite."""
+    peak = np.maximum(values.max(), -values.min())
+    return peak, 0 if math.isfinite(peak) else values.size - int(np.count_nonzero(np.isfinite(values)))
+
+
+def _cumsum(z: np.ndarray, total: float) -> None:
+    """S over the chunk of values ``z``, in place, after the S ``total``
+    of the chunks before: adding ``total`` to its first value is the add a
+    whole-horizon cumsum makes there."""
+    z[0] += total
+    z.cumsum(out=z)
+
+
+# Block sums take a Python step per insert, some microseconds, where a
+# splice and a cumsum take some nanoseconds per value.  On a 2-core Xeon the
+# two cost the same at about 64 random inserts in a chunk of 2**16; past this
+# many, a chunk is spliced and summed by np.cumsum.
+_BLOCK_SUM_INSERTS = 48
+
+
+def _sum_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray, float, int]]:
+    """S_n of one path, a chunk at a time: yields ``(s0, s, peak,
+    nonfinite)``, ``s`` holding S_{s0+1} .. in ``workspace.chunk`` and the
+    rest the :func:`_peak` of the chunk's values.
+
+    A chunk with X values of a family :attr:`~XFamily.sums_by_table` and
+    at most ``_BLOCK_SUM_INSERTS`` inserts is summed by :func:`_block_sums`;
+    any other chunk's values are summed by ``np.cumsum``.
+    """
+    by_blocks = config.x_family.sums_by_table
+    total = -0.0  # the identity of float addition, so that a -0.0 Z_1 stays S_1
+    for s0, z, at, y, x in _path_chunks(config, workspace):
+        if by_blocks and at is not None and at.size <= _BLOCK_SUM_INSERTS:
+            peak, nonfinite = _block_sums(x.fill_sums(workspace.divisor[:z.size - at.size]), at, y, total, z)
+        else:
+            peak, nonfinite = _peak(_values(z, at, y, x))
+            _cumsum(z, total)
+        total = float(z[-1])
+        yield s0, z, peak, nonfinite
+
+
+def _block_sums(running: np.ndarray, at: np.ndarray, y: np.ndarray, total: float, out: np.ndarray) -> tuple[float, int]:
+    """S over one chunk, written into ``out``, after the S ``total`` of the
+    chunks before, from ``running``, the running sums of its X values from
+    0, and its heavy draws ``y`` at the offsets ``at``.  Each insert is one
+    add, and each run of X values between inserts is summed by
+    :func:`_run_sums`.  Returns the :func:`_peak` of the chunk's values:
+    max(1, max |y|), and the heavy draws that are not finite.
+    """
+    peak, nonfinite = _peak(y) if y.size else (1.0, 0)
+    start, prev = 0, 0.0  # the first position of the run, and the running X sum before it
+    for k, (p, value) in enumerate(zip(at.tolist(), y.tolist())):
+        if p > start:
+            total = _run_sums(running[start - k:p - k], prev, total, out[start:p])
+            prev = running[p - k - 1]
+        total += value
+        out[p] = total
+        start = p + 1
+    if start < out.size:
+        _run_sums(running[start - at.size:], prev, total, out[start:])
+    return np.maximum(peak, 1.0), nonfinite
+
+
+_EXACT = 2.0 ** 53  # from here on, not every integer is a float
+
+
+def _exact_limit(total: float) -> float:
+    """2**(q + 53), q <= 0 the exponent of the lowest set bit of ``total``
+    (0 for an integer, ±0 included), finite and below 2**53 in magnitude.
+    A multiple of 2**q below it in magnitude is a float."""
+    if total.is_integer():
+        return _EXACT
+    mantissa, exponent = math.frexp(total)
+    digits = int(abs(mantissa) * _EXACT)  # total = ±digits * 2**(exponent - 53)
+    return math.ldexp(1.0, exponent + (digits & -digits).bit_length() - 1)
+
+
+def _run_sums(running: np.ndarray, prev: float, total: float, out: np.ndarray) -> float:
+    """S over one run of X values, written into ``out`` and the last returned.
+
+    ``running`` holds the running X sums to each value of the run and
+    ``prev`` the one before it, so the run's partial sums are d_j =
+    running[j] - prev, exact integers, and S_j is what adding its values
+    to ``total`` left to right gives.  While |total + d_j| stays below
+    :func:`_exact_limit` of ``total``, every add is exact and S_j = total
+    + d_j, one ``np.add``.  At the first j where the rounded sum reaches
+    the limit, it is the one rounding the sequential add makes there, and
+    the run starts again from it.  A total that is not finite or at least
+    2**53 in magnitude takes :func:`_sequential_sums` for the rest.
+    """
+    j = 0
+    while True:
+        if not abs(total) < _EXACT:  # NaN too
+            _sequential_sums(running[j:], prev, total, out[j:])
+            return float(out[-1])
+        limit, rest = _exact_limit(total), out[j:]
+        offset = total - prev
+        if abs(offset) < limit:  # a multiple of 2**q below the limit: exact
+            np.add(running[j:], offset, out=rest)
+        else:
+            np.subtract(running[j:], prev, out=rest)
+            rest += total
+        # X values are ±1, so |d_j| <= rest.size
+        if abs(total) + rest.size < limit or (rest.max() < limit and rest.min() > -limit):
+            return float(out[-1])
+        event = int(np.argmax(np.abs(rest) >= limit))
+        j += event + 1
+        total, prev = float(rest[event]), running[j - 1]
+        if j == out.size:
+            return total
+
+
+def _sequential_sums(running: np.ndarray, prev: float, total: float, out: np.ndarray) -> None:
+    """``out`` as :func:`_run_sums` writes it, by adding the run's values,
+    running[j] - running[j-1] (running[-1] = ``prev``), to ``total`` left
+    to right with ``np.cumsum``."""
+    out[0] = total + (running[0] - prev)
+    np.subtract(running[1:], running[:-1], out=out[1:])
+    out.cumsum(out=out)
+
+
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
              workspace: PathWorkspace | None = None) -> PathSummary:
     """Simulate one path to its horizon and summarize it at the checkpoints.
@@ -319,17 +468,15 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     :meth:`ExperimentSpec.with_path` does), so the paths of an ensemble can
     share one; None builds one.
 
-    Each chunk of :func:`_path_chunks` is reduced in place before the next
-    is made: its max, min and non-finite count; S_n by ``np.cumsum`` after
-    adding the S of the chunks before to its first value, which is the add
-    a whole-horizon cumsum makes there; S_n/n, read at the checkpoints;
-    then |S_n/n|.  Its max over the chunk joins a list of maxima, followed
-    by one ``np.maximum.reduceat`` entry per checkpoint in the chunk, the
-    max from it to the next one (the last one's to the chunk's end).  The
-    max of the list from a checkpoint's entry on, the reverse max that
-    :func:`suffix_sup` takes, is then D there.  Every float is the one the
-    whole-horizon reduction gives.  The checkpoints, which need not be the
-    spec's, follow the spec's rule, :func:`_checkpoint_array`.
+    Each chunk of S_n, from :func:`_sum_chunks`, is reduced in place
+    before the next is made: S_n/n, read at
+    the checkpoints; then |S_n/n|.  Its max over the chunk goes into
+    ``maxima``, followed by one ``np.maximum.reduceat`` entry per checkpoint
+    in the chunk, the max from it to the next one (the last one's to the
+    chunk's end).  The max of ``maxima`` from a checkpoint's entry on, the
+    reverse max that :func:`suffix_sup` takes, is then D there.  Every float
+    is the one the whole-horizon reduction gives.  The checkpoints, which
+    need not be the spec's, follow the spec's rule, :func:`_checkpoint_array`.
     """
     horizon = config.horizon
     cps = _checkpoint_array(checkpoints, horizon)
@@ -340,35 +487,31 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         raise ValueError("workspace was built for another spec")
 
     running_avg = np.empty(cps.size)
-    maxima, entries = [], []  # D at a checkpoint is the max of maxima from its entry on
-    highs, lows, nonfinite, total = [], [], 0, 0.0
-    for s0, z in _path_chunks(config, workspace):
-        highs.append(z.max())
-        lows.append(z.min())
-        if not (math.isfinite(highs[-1]) and math.isfinite(lows[-1])):  # a finite chunk pays no extra pass
-            nonfinite += z.size - int(np.count_nonzero(np.isfinite(z)))
-        if s0:  # not on the first chunk, so that a -0.0 Z_1 stays S_1
-            z[0] += total
-        z.cumsum(out=z)
-        total = z[-1]
+    chunk_of = (cps - 1) // _CHUNK
+    # per chunk, its max and then its checkpoints' entries, so no entry reaches back into its chunk
+    maxima = np.empty(len(workspace.layout) + cps.size)
+    entries = chunk_of + np.arange(2, cps.size + 2)  # 1-based: chunk m's max and i entries come before entry i
+    peaks, nonfinite = [], 0
+    for m, (s0, z, peak, chunk_nonfinite) in enumerate(_sum_chunks(config, workspace)):
+        peaks.append(peak)
+        nonfinite += chunk_nonfinite
         z /= np.add(workspace.ones[:z.size], s0, out=workspace.divisor[:z.size])  # n, exact: n < 2**53
+        final_avg = z[-1]
         c0, c1 = np.searchsorted(cps, (s0, s0 + z.size), side="right")
         at = cps[c0:c1] - 1 - s0
         running_avg[c0:c1] = z[at]
         np.abs(z, out=z)
-        # the chunk's max goes before its checkpoints' entries, so no entry reaches back into its chunk
-        maxima.append(z.max())
-        entries.extend(range(len(maxima) + 1, len(maxima) + 1 + at.size))
-        maxima.extend(np.maximum.reduceat(z, at).tolist())
+        maxima[m + c0] = z.max()
+        maxima[m + c0 + 1:m + c1 + 1] = np.maximum.reduceat(z, at)
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,
         checkpoints=cps,
         running_avg=running_avg,
-        deviation_sup=suffix_sup(np.array(maxima), entries),
+        deviation_sup=suffix_sup(maxima, entries),
         insert_count=workspace.insert_count,
-        # max(max Z, -min Z) is max |Z_n|; abs turns -0.0 into 0.0, and NaN propagates
-        max_abs_value=float(abs(np.maximum(np.max(highs), -np.min(lows)))),
-        final_avg=float(total / horizon),
+        # abs turns a -0.0 peak into 0.0, and NaN propagates
+        max_abs_value=float(abs(np.max(peaks))),
+        final_avg=float(final_avg),
         nonfinite_values=nonfinite,
     )

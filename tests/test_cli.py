@@ -476,8 +476,8 @@ def test_main_non_finite_run_is_divergent_and_strict(tmp_path):
     assert report["convergence"]["fractions_above"]["0.05"][-1] == 1.0
     spec = cli.load_config(tmp_path / "cfg.json")
     with np.errstate(over="ignore"):
-        counts = [sum(np.count_nonzero(~np.isfinite(z))
-                      for _, z in mixture._path_chunks(path, mixture.path_workspace(path)))
+        counts = [sum(np.count_nonzero(~np.isfinite(mixture._values(z, at, y, x)))
+                      for _, z, at, y, x in mixture._path_chunks(path, mixture.path_workspace(path)))
                   for path in map(spec.with_path, range(spec.n_paths))]
     assert report["convergence"]["nonfinite_values"] == sum(counts)
     # an inf median at the end means at least 6 of the 10 paths are inf there

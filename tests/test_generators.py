@@ -102,6 +102,38 @@ def test_sampler_slices_equal_one_block(family, slices):
     assert np.array_equal(np.concatenate(parts), family.sample_block(sum(slices), _stream(5)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bits=st.integers(1, 8), slices=st.lists(st.integers(0, 600), min_size=1, max_size=8),
+       start=st.integers(-2 ** 20, 2 ** 20))
+def test_sampler_running_sums_are_those_of_its_values(bits, slices, start):
+    # the same uniforms in the same order and the same state left; the running
+    # sums of a slice start from 0, and values and sums may alternate
+    family = XFamily.parity(bits)
+    plain, summed = XSampler(family, _stream(7)), XSampler(family, _stream(7))
+    for i, size in enumerate(slices):
+        values = plain.fill(np.empty(size))
+        got = summed.fill(np.empty(size)) if i % 2 else summed.fill_sums(np.empty(size))
+        assert np.array_equal(got, values if i % 2 else np.cumsum(values))
+        assert (summed.code, summed.offset) == (plain.code, plain.offset)
+    assert np.array_equal(summed.stream.uniforms(3), plain.stream.uniforms(3))
+    count = sum(slices)  # one call for all of them, a cut block at its end
+    assert np.array_equal(family.sample_block(count, _stream(8), sums_from=float(start)),
+                          start + np.cumsum(family.sample_block(count, _stream(8))))
+
+
+@pytest.mark.parametrize("family", [XFamily.parity(9), XFamily.uniform(1.0)])
+def test_running_sums_need_a_parity_table(family):
+    sampler, twin = XSampler(family, _stream()), XSampler(family, _stream())
+    sampler.fill(np.empty(5))
+    with pytest.raises(ValueError, match="running sums"):
+        sampler.fill_sums(np.empty(600))
+    with pytest.raises(ValueError, match="running sums"):
+        family.sample_block(5, _stream(), sums_from=0.0)
+    # the refused call took no uniform and left the open block as it was
+    assert np.array_equal(sampler.fill(np.empty(600)), twin.fill(np.empty(605))[5:])
+    assert not family.sums_by_table and XFamily.parity(8).sums_by_table
+
+
 def test_sampler_resumes_a_long_block_without_holding_it():
     # 2**20 - 1 values per block, written 1000 at a time: the sampler keeps the code, not the block
     family, values = XFamily.parity(20), []

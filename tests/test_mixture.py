@@ -50,7 +50,8 @@ def emit_values(config):
     """All horizon values of one path, the engine's chunks concatenated, and
     its insert count."""
     workspace = mixture.path_workspace(config)
-    chunks = [z.copy() for _, z in mixture._path_chunks(config, workspace)]  # each chunk reuses one buffer
+    # each chunk reuses one buffer
+    chunks = [mixture._values(z, at, y, x).copy() for _, z, at, y, x in mixture._path_chunks(config, workspace)]
     return np.concatenate(chunks), workspace.insert_count
 
 
@@ -97,7 +98,7 @@ def reference_summary(config, checkpoints, values=None):
     """The PathSummary of one path, by brute force from its reference values
     (or from ``values``); a NaN propagates through every maximum."""
     values = (reference_values(config) if values is None else values).tolist()
-    total, averages = 0.0, []
+    total, averages = -0.0, []  # the identity of float addition: S_1 = Z_1, a -0.0 too
     for n, z in enumerate(values, start=1):
         total += z  # strict left to right
         averages.append(total / n)
@@ -347,44 +348,220 @@ def test_auto_pattern_of_another_schedule_matches_reference():
     assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
 
 
-def _planting(monkeypatch, planted):
-    """Make the engine's chunks carry ``planted`` (index: value) values."""
-    engine = mixture._path_chunks
-
-    def planting(config, workspace):
-        for s0, z in engine(config, workspace):
-            for i, v in planted.items():
-                if s0 <= i < s0 + z.size:
-                    z[i - s0] = v
-            yield s0, z
-
-    monkeypatch.setattr(mixture, "_path_chunks", planting)
+def _planting(monkeypatch, config, planted):
+    """Make the draws at the indices ``planted`` (index: value) of
+    ``config`` carry their values, whichever engine sums them: the heavy
+    draws at its inserts, and elsewhere the X values, which must be drawn as
+    values, not as running sums."""
+    alpha = config.pattern.alpha(config.horizon).astype(bool)
+    before = {True: np.cumsum(alpha) - 1, False: np.cumsum(~alpha) - 1}  # the draws of its kind before an index
+    by_draw = {kind: {int(before[kind][i]): v for i, v in planted.items() if alpha[i] == kind} for kind in before}
+    monkeypatch.setattr(mixture, "draw_heavy", _planted(mixture.draw_heavy, by_draw[True]))
+    monkeypatch.setattr(mixture.XSampler, "fill", _planted(mixture.XSampler.fill, by_draw[False]))
 
 
-@pytest.mark.parametrize("planted", [
+def _planted(draw, by_draw):
+    """``draw``, whose draws number k of ``by_draw`` (k: value) carry their values."""
+    drawn = [0]
+
+    def planting(*args, **kwargs):
+        values = draw(*args, **kwargs)
+        for k, v in by_draw.items():
+            if drawn[0] <= k < drawn[0] + values.size:
+                values[k - drawn[0]] = v
+        drawn[0] += values.size
+        return values
+
+    return planting
+
+
+NONFINITE = pytest.mark.parametrize("planted", [
     {CH + 5: math.inf, 2 * CH + 1: math.inf},
     {10: math.inf, CH + 3: -math.inf},
     {0: -math.inf, 2 * CH: math.nan},
     {3 * CH + 2: math.nan},
 ], ids=["inf_in_two_chunks", "inf_then_minus_inf", "minus_inf_then_nan", "nan_in_the_last_chunk"])
+
+
+@NONFINITE
 def test_nonfinite_values_in_several_chunks_match_reference(monkeypatch, planted):
-    config, checkpoints = _long_case(build_sparsity(SCHED, 1.0))
+    # a family without running sums by table: its chunks are spliced and summed by np.cumsum
+    config, checkpoints = _long_case(build_sparsity(SCHED, 1.0), x_family=XFamily.uniform(1.5))
     values = reference_values(config)
     values[list(planted)] = list(planted.values())
-    _planting(monkeypatch, planted)
+    _planting(monkeypatch, config, planted)
     with np.errstate(invalid="ignore"):
         summary = run_path(config, checkpoints)
     assert_same_summary(summary, reference_summary(config, checkpoints, values))
     assert summary.nonfinite_values >= len(planted)
 
 
+@NONFINITE
+def test_nonfinite_heavy_draws_in_several_chunks_match_reference(monkeypatch, planted):
+    # parity X values are summed by blocks; the planted values are heavy draws, at inserts
+    config, checkpoints = _long_case(_explicit(LONG, {*_chunk_edges(LONG), *range(7, LONG, 5003), *planted}))
+    values = reference_values(config)
+    values[list(planted)] = list(planted.values())
+    _planting(monkeypatch, config, planted)
+    with np.errstate(invalid="ignore"):
+        summary = run_path(config, checkpoints)
+    assert_same_summary(summary, reference_summary(config, checkpoints, values))
+    assert summary.nonfinite_values == len(planted)
+
+
 def test_negative_zero_first_value_stays_the_first_sum(monkeypatch):
     # a whole-horizon cumsum starts at S_1 = Z_1, so a -0.0 Z_1 gives S_1 = -0.0;
     # adding the (zero) sum of no earlier chunk would give 0.0
     config = make_config(pattern=SparsityPattern(mode=SparsityMode.ALL_ZERO), horizon=CH + 1)
-    _planting(monkeypatch, {0: -0.0})
+    _planting(monkeypatch, config, {0: -0.0})
     summary = run_path(config, [1, CH + 1])
     assert summary.running_avg[0] == 0.0 and np.signbit(summary.running_avg[0])
+
+
+def test_negative_zero_first_heavy_draw_stays_the_first_sum(monkeypatch):
+    # the block sums start from -0.0 too, so a -0.0 heavy Z_1 gives S_1 = -0.0
+    config = make_config(pattern=_explicit(CH + 1, {0, CH}), x_family=XFamily.parity(4), horizon=CH + 1)
+    _planting(monkeypatch, config, {0: -0.0})
+    summary = run_path(config, [1, CH + 1])
+    assert summary.running_avg[0] == 0.0 and np.signbit(summary.running_avg[0])
+
+
+def _signs(values):
+    """The sign bits of ``values``, NaN's read as +: they tell -0.0 from 0.0."""
+    values = np.asarray(values)
+    return np.signbit(np.where(np.isnan(values), 0.0, values))
+
+
+def _left_to_right(total, steps):
+    sums = []
+    for x in steps:
+        total += x
+        sums.append(total)
+    return sums
+
+
+# ±(2**k - m 2**(k-53)): 2**k, and the floats just below it, the top of a binade
+BINADE_TOPS = st.builds(lambda k, m, sign: sign * (2.0 ** k - m * 2.0 ** (k - 53)),
+                        st.integers(-60, 60), st.integers(0, 3), st.sampled_from((1.0, -1.0)))
+BASES = st.one_of(
+    BINADE_TOPS,
+    st.sampled_from((2.0 ** 53 - 2, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 60, -2.0 ** 60, 5e-324,
+                     math.inf, -math.inf, math.nan, -0.0, 0.0)),
+    st.floats(),
+)
+
+
+@pytest.mark.parametrize("total, limit", [
+    (0.0, 2.0 ** 53), (-0.0, 2.0 ** 53), (3.0, 2.0 ** 53), (1 - 2.0 ** 53, 2.0 ** 53), (5.5, 2.0 ** 52),
+    (-0.75, 2.0 ** 51), (16 - 2.0 ** -49, 16.0), (1 + 2.0 ** -52, 2.0), (5e-324, 2.0 ** -1021),
+])
+def test_exact_limit_is_that_of_the_lowest_set_bit(total, limit):
+    assert mixture._exact_limit(total) == limit
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(BASES, st.integers(-CH, CH), st.lists(st.sampled_from((1.0, -1.0)), min_size=1, max_size=300))
+@example(16 - 2.0 ** -49, 0, [1.0, -1.0])  # 17 - 2**-49 rounds up to 17, and 16 follows, not 16 - 2**-49
+@example(16 - 3 * 2.0 ** -49, 3, [1.0, -1.0])  # 17 - 3 * 2**-49 rounds down
+@example(8 - 2.0 ** -49, -5, [1.0] * 40 + [-1.0] * 40)  # up past 16, 32 and 64 and back down
+@example(-(16 - 2.0 ** -49), 0, [-1.0, 1.0])
+@example(2.0 ** 53 - 2, 0, [1.0, 1.0, 1.0, -1.0])  # reaches 2**53 without a rounding, then goes past it
+@example(2.0 ** 53 - 1, 0, [1.0, 1.0, -1.0])
+@example(2.0 ** 60, 0, [1.0, -1.0])
+@example(-0.0, 0, [1.0, -1.0])
+@example(0.5 - 2.0 ** -54, 7, [1.0])  # an event at the run's only value
+def test_run_sums_add_left_to_right(total, prev, steps):
+    running = prev + np.cumsum(steps)
+    out = np.empty(len(steps))
+    with np.errstate(invalid="ignore"):
+        last = mixture._run_sums(running, float(prev), total, out)
+    expected = _left_to_right(total, steps)
+    assert np.array_equal(out, expected, equal_nan=True) and np.array_equal(_signs(out), _signs(expected))
+    assert np.array_equal(last, expected[-1], equal_nan=True)
+
+
+def _block_case(bits, horizon, inserts, planted, checkpoints, dependence=DependenceMode.INDEPENDENT, path=0,
+                most_inserts=CH):
+    config = make_config(pattern=_explicit(horizon, inserts), x_family=XFamily.parity(bits),
+                         dependence=dependence, horizon=horizon).with_path(path)
+    return config, planted, sorted({1, horizon, *checkpoints}), most_inserts
+
+
+@st.composite
+def block_cases(draw):
+    """A parity path, block_bits 1-9 (9 has no table and is summed by
+    np.cumsum), with heavy draws planted at inserts at index 0, at chunk
+    seams or anywhere, past one chunk maybe a chunk of one X value, and the
+    most inserts of a chunk summed by blocks: none, as many as the engine
+    sums so, or every chunk with an X value."""
+    horizon = draw(st.integers(1, 300) | st.sampled_from((CH, CH + 1, 2 * CH + 1)))
+    inserts = draw(st.sets(st.sampled_from(_chunk_edges(horizon)) | st.integers(0, horizon - 1), max_size=30))
+    if horizon > CH and draw(st.booleans()):
+        inserts |= set(range(CH)) - {draw(st.integers(0, CH - 1))}
+    planted = draw(st.dictionaries(st.sampled_from(sorted(inserts)), BASES, max_size=8)) if inserts else {}
+    return _block_case(draw(st.integers(1, 9)), horizon, inserts, planted,
+                       draw(st.sets(st.integers(1, horizon), max_size=4)),
+                       draw(st.sampled_from(DependenceMode)), draw(st.integers(0, 3)),
+                       draw(st.sampled_from((0, mixture._BLOCK_SUM_INSERTS, CH))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(block_cases())
+@example(_block_case(4, 300, {0, 150}, {0: 16 - 2.0 ** -49, 150: 2.0 ** 53 - 3}, [2, 3]))
+@example(_block_case(1, 300, {0}, {0: -0.0}, [2]))
+@example(_block_case(8, CH + 2, {0, CH - 1, CH, CH + 1}, {CH - 1: math.inf, CH: -math.inf}, [CH]))
+@example(_block_case(4, CH + 1, set(range(CH)) - {CH - 1}, {0: 0.5 - 2.0 ** -54, CH - 2: math.nan}, [CH]))
+@example(_block_case(9, CH + 1, {0, CH}, {0: 16 - 2.0 ** -49}, [CH]))
+def test_block_sums_match_the_left_to_right_reference(case):
+    config, planted, checkpoints, most_inserts = case
+    values = reference_values(config)
+    values[list(planted)] = list(planted.values())
+    with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(invalid="ignore"):
+        monkeypatch.setattr(mixture, "_BLOCK_SUM_INSERTS", most_inserts)
+        _planting(monkeypatch, config, planted)
+        got = run_path(config, checkpoints)
+        expected = reference_summary(config, checkpoints, values)
+    assert_same_summary(got, expected)
+    assert np.array_equal(_signs([*got.running_avg, got.final_avg]),
+                          _signs([*expected.running_avg, expected.final_avg]))
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of the ``mixture`` functions ``names``, in the dict returned."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(mixture, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(mixture, name, counted)
+    return calls
+
+
+def test_theorem_path_is_summed_by_blocks(monkeypatch):
+    # a full theorem path: no chunk is spliced and summed by np.cumsum, and no
+    # run of X values needs the sequential fallback, so a change that puts
+    # theorem back on the cumsum fails here, not only in the benchmark
+    calls = _counting(monkeypatch, ("_values", "_cumsum", "_block_sums", "_run_sums", "_sequential_sums"))
+    spec = cli.load_config("theorem.json")
+    workspace = mixture.path_workspace(spec)
+    # the runs of X values between the inserts, in each chunk
+    runs = sum(np.count_nonzero(np.diff([-1, *at, min(CH, spec.horizon - s0)]) > 1)
+               for s0, (at, _) in zip(range(0, spec.horizon, CH), workspace.layout))
+    run_path(spec, spec.checkpoints, workspace)
+    assert calls == {"_values": 0, "_cumsum": 0, "_block_sums": len(workspace.layout), "_run_sums": runs,
+                     "_sequential_sums": 0}
+    assert runs == 54
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
+def test_a_chunk_of_many_inserts_is_spliced_and_summed_by_cumsum(monkeypatch, extra):
+    # block sums take a Python step per insert; past _BLOCK_SUM_INSERTS of them
+    # in a chunk, np.cumsum over its spliced values is the faster
+    inserts = range(0, 2 * (mixture._BLOCK_SUM_INSERTS + extra), 2)
+    config = make_config(pattern=_explicit(CH + 7, inserts), x_family=XFamily.parity(4), horizon=CH + 7)
+    calls = _counting(monkeypatch, ("_values", "_block_sums"))
+    assert_same_summary(run_path(config, [1, CH, CH + 7]), reference_summary(config, [1, CH, CH + 7]))
+    assert calls == {"_values": extra, "_block_sums": 2 - extra}
 
 
 @st.composite
