@@ -161,15 +161,18 @@ class XFamily:
         Other kinds consume exactly one uniform per value.
 
         With ``sums_from`` r, a family :attr:`sums_by_table` writes the
-        running sums r + X_1, r + X_1 + X_2, ... instead, from the same
-        uniforms, as :meth:`XSampler.fill_sums` asks; each is exact while r
-        is an integer and they stay below 2**53 in magnitude.  Any other
-        family raises ``ValueError``.
+        running sums r + X_1, r + X_1 + X_2, ... of whole blocks instead,
+        from the same uniforms, as :meth:`XSampler.fill_sums` asks; each is
+        exact while r is an integer and they stay below 2**53 in magnitude.
+        Any other family, or a ``count`` that is not a whole number of
+        blocks, raises ``ValueError``.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
         if sums_from is not None and not self.sums_by_table:
             raise ValueError("running sums need a parity family with a table")
+        if sums_from is not None and count % self.block_length:
+            raise ValueError(f"running sums take whole blocks: count must be a multiple of {self.block_length}")
         if out is None:
             out = np.empty(count, dtype=np.float64)
         elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -216,9 +219,6 @@ class XFamily:
             offsets[:1] = sums_from
             offsets[1:] = rows[:-1, -1]
             rows += np.cumsum(offsets, out=offsets)[:, None]
-            if full < n_blocks:
-                _block_values(int(codes[full]), 1, bits, out[full * length:])
-                _running_sums(out[full * length:], rows[-1, -1] if full else sums_from)
             return out
         if bits <= _TABLE_BITS:
             # mode="clip" writes straight into out (codes are in range); "raise" would buffer it

@@ -12,15 +12,16 @@ global position.
 checkpoint statistics before making the next.  Its running sum S_n is, bit
 for bit, what adding Z_1, Z_2, ... strictly left to right in double
 precision gives, as one whole-horizon ``np.cumsum`` would.  When the X
-values are parity signs read off a table and a chunk has few inserts, each
-run of them between two inserts is summed from exact integer running sums,
-which the table gives a block at a time (:func:`_run_sums` says when that
-is the sequential add); otherwise the chunk's heavy draws are spliced into
-its X values and the chunk is summed by ``np.cumsum``.  What is the same
-on every path of a spec in one process, the insert offsets of each chunk,
-1/a_n at them and the chunk buffers, is a :class:`PathWorkspace`, built
-once from one pass of :meth:`SparsityPattern.chunks`; the spec itself
-holds no state.
+values are parity signs read off a table, and a chunk has few inserts and
+a sum bound below 2**52 (:func:`_sum_chunks` decides it before drawing
+them), each run of them between two inserts is summed from exact integer
+running sums, which the table gives a block at a time (:func:`_run_sums`
+says when that is the sequential add); otherwise the chunk's heavy draws
+are spliced into its X values and the chunk is summed by ``np.cumsum``.
+What is the same on every path of a spec in one process, the insert
+offsets of each chunk, 1/a_n at them and the chunk buffers, is a
+:class:`PathWorkspace`, built once from one pass of
+:meth:`SparsityPattern.chunks`; the spec itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -269,21 +270,6 @@ def path_workspace(spec: ExperimentSpec) -> PathWorkspace:
                          np.arange(1, size + 1, dtype=np.float64), np.empty(size))
 
 
-def _samplers(config: ExperimentSpec):
-    """The X sampler of one path, and ``heavy(inv_exponents, out)``, its
-    next heavy draws, written into ``out`` and returned."""
-    def stream(channel: Channel) -> UniformStream:
-        return derive_stream(StreamKey(config.seed, config.path_index, channel))
-
-    shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
-    y_stream = stream(Channel.Y)
-
-    def heavy(inv_exponents: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return draw_heavy(config.envelope, config.dependence, inv_exponents, out, stream=y_stream, shared_u=shared_u)
-
-    return XSampler(config.x_family, stream(Channel.X)), heavy
-
-
 def _path_chunks(config: ExperimentSpec,
                  workspace: PathWorkspace) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray, XSampler]]:
     """The draws of one path, a chunk of ``_CHUNK`` indices at a time.
@@ -296,13 +282,16 @@ def _path_chunks(config: ExperimentSpec,
     drawn before the next chunk: as values, by :func:`_values`, or as
     running sums.
     """
-    x, heavy = _samplers(config)
+    def stream(channel: Channel) -> UniformStream:
+        return derive_stream(StreamKey(config.seed, config.path_index, channel))
+
+    y_stream = stream(Channel.Y)
+    shared_u = stream(Channel.SHARED).next() if config.dependence is DependenceMode.COMONOTONE else None
+    x = XSampler(config.x_family, stream(Channel.X))
     for s0, (at, inv_exponents) in zip(range(0, config.horizon, _CHUNK), workspace.layout):
         z = workspace.chunk[:min(_CHUNK, config.horizon - s0)]
-        if at is None:
-            y = heavy(inv_exponents, z)
-        else:
-            y = heavy(inv_exponents, workspace.heavy[:at.size]) if at.size else workspace.heavy[:0]
+        y = draw_heavy(config.envelope, config.dependence, inv_exponents,
+                       z if at is None else workspace.heavy[:at.size], stream=y_stream, shared_u=shared_u)
         yield s0, z, at, y, x
 
 
@@ -363,15 +352,29 @@ def _sum_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tu
     nonfinite)``, ``s`` holding S_{s0+1} .. in ``workspace.chunk`` and the
     rest the :func:`_peak` of the chunk's values.
 
-    A chunk with X values of a family :attr:`~XFamily.sums_by_table` and
-    at most ``_BLOCK_SUM_INSERTS`` inserts is summed by :func:`_block_sums`;
-    any other chunk's values are summed by ``np.cumsum``.
+    A chunk is summed by :func:`_block_sums`, decided before its X values
+    are drawn, when they are of a family :attr:`~XFamily.sums_by_table`, it
+    has at most ``_BLOCK_SUM_INSERTS`` inserts, and |total| + (inserts) *
+    peak + (chunk length) < 2**52, ``total`` the S before it and ``peak``
+    max(1, max |y|) over its heavy draws (false for an inf or NaN).  Any
+    other chunk is drawn by :func:`_values` and summed by :func:`_cumsum`,
+    from the same uniforms and leaving the same sampler state.
+
+    The bound keeps every partial sum of a block-summed chunk, rounded or
+    not, finite and below 2**53, as :func:`_run_sums` needs: rounding to
+    nearest is monotone, so each |S_j| is at most the float sum, left to
+    right, of |total| and the magnitudes of the values up to j (X values
+    are ±1), and over at most 2**16 adds that exceeds the exact sum, below
+    2**52, by a factor of at most about 1 + 2**16 * 2**-53 (Higham's
+    gamma_n), which leaves room for the rounding of the bound too.
     """
     by_blocks = config.x_family.sums_by_table
     total = -0.0  # the identity of float addition, so that a -0.0 Z_1 stays S_1
     for s0, z, at, y, x in _path_chunks(config, workspace):
-        if by_blocks and at is not None and at.size <= _BLOCK_SUM_INSERTS:
-            peak, nonfinite = _block_sums(x.fill_sums(workspace.divisor[:z.size - at.size]), at, y, total, z)
+        if (by_blocks and at is not None and at.size <= _BLOCK_SUM_INSERTS
+                and abs(total) + at.size * (peak := np.abs(y).max(initial=1.0)) + z.size < 2.0 ** 52):
+            _block_sums(x.fill_sums(workspace.divisor[:z.size - at.size]), at, y, total, z)
+            nonfinite = 0
         else:
             peak, nonfinite = _peak(_values(z, at, y, x))
             _cumsum(z, total)
@@ -379,15 +382,13 @@ def _sum_chunks(config: ExperimentSpec, workspace: PathWorkspace) -> Iterator[tu
         yield s0, z, peak, nonfinite
 
 
-def _block_sums(running: np.ndarray, at: np.ndarray, y: np.ndarray, total: float, out: np.ndarray) -> tuple[float, int]:
+def _block_sums(running: np.ndarray, at: np.ndarray, y: np.ndarray, total: float, out: np.ndarray) -> None:
     """S over one chunk, written into ``out``, after the S ``total`` of the
     chunks before, from ``running``, the running sums of its X values from
     0, and its heavy draws ``y`` at the offsets ``at``.  Each insert is one
     add, and each run of X values between inserts is summed by
-    :func:`_run_sums`.  Returns the :func:`_peak` of the chunk's values:
-    max(1, max |y|), and the heavy draws that are not finite.
+    :func:`_run_sums`.
     """
-    peak, nonfinite = _peak(y) if y.size else (1.0, 0)
     start, prev = 0, 0.0  # the first position of the run, and the running X sum before it
     for k, (p, value) in enumerate(zip(at.tolist(), y.tolist())):
         if p > start:
@@ -398,7 +399,6 @@ def _block_sums(running: np.ndarray, at: np.ndarray, y: np.ndarray, total: float
         start = p + 1
     if start < out.size:
         _run_sums(running[start - at.size:], prev, total, out[start:])
-    return np.maximum(peak, 1.0), nonfinite
 
 
 _EXACT = 2.0 ** 53  # from here on, not every integer is a float
@@ -406,8 +406,9 @@ _EXACT = 2.0 ** 53  # from here on, not every integer is a float
 
 def _exact_limit(total: float) -> float:
     """2**(q + 53), q <= 0 the exponent of the lowest set bit of ``total``
-    (0 for an integer, ±0 included), finite and below 2**53 in magnitude.
-    A multiple of 2**q below it in magnitude is a float."""
+    (0 for an integer, ±0 included), for a ``total`` below 2**53 in
+    magnitude, as every S of a chunk :func:`_sum_chunks` sums by blocks is.
+    A multiple of 2**q below it in magnitude is a float, and so is ``total``."""
     if total.is_integer():
         return _EXACT
     mantissa, exponent = math.frexp(total)
@@ -425,14 +426,12 @@ def _run_sums(running: np.ndarray, prev: float, total: float, out: np.ndarray) -
     :func:`_exact_limit` of ``total``, every add is exact and S_j = total
     + d_j, one ``np.add``.  At the first j where the rounded sum reaches
     the limit, it is the one rounding the sequential add makes there, and
-    the run starts again from it.  A total that is not finite or at least
-    2**53 in magnitude takes :func:`_sequential_sums` for the rest.
+    the run starts again from it.  Every S stays finite and below 2**53 in
+    magnitude, as :func:`_sum_chunks` admits a chunk only then; a restart
+    at the run's end returns at once, as ``total`` is below its own limit.
     """
     j = 0
     while True:
-        if not abs(total) < _EXACT:  # NaN too
-            _sequential_sums(running[j:], prev, total, out[j:])
-            return float(out[-1])
         limit, rest = _exact_limit(total), out[j:]
         offset = total - prev
         if abs(offset) < limit:  # a multiple of 2**q below the limit: exact
@@ -446,17 +445,6 @@ def _run_sums(running: np.ndarray, prev: float, total: float, out: np.ndarray) -
         event = int(np.argmax(np.abs(rest) >= limit))
         j += event + 1
         total, prev = float(rest[event]), running[j - 1]
-        if j == out.size:
-            return total
-
-
-def _sequential_sums(running: np.ndarray, prev: float, total: float, out: np.ndarray) -> None:
-    """``out`` as :func:`_run_sums` writes it, by adding the run's values,
-    running[j] - running[j-1] (running[-1] = ``prev``), to ``total`` left
-    to right with ``np.cumsum``."""
-    out[0] = total + (running[0] - prev)
-    np.subtract(running[1:], running[:-1], out=out[1:])
-    out.cumsum(out=out)
 
 
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slln_lab.errors import InvalidExponent
@@ -105,6 +105,7 @@ def test_sampler_slices_equal_one_block(family, slices):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(bits=st.integers(1, 8), slices=st.lists(st.integers(0, 600), min_size=1, max_size=8),
        start=st.integers(-2 ** 20, 2 ** 20))
+@example(bits=4, slices=[16], start=3)  # a block and one value of the next
 def test_sampler_running_sums_are_those_of_its_values(bits, slices, start):
     # the same uniforms in the same order and the same state left; the running
     # sums of a slice start from 0, and values and sums may alternate
@@ -116,9 +117,16 @@ def test_sampler_running_sums_are_those_of_its_values(bits, slices, start):
         assert np.array_equal(got, values if i % 2 else np.cumsum(values))
         assert (summed.code, summed.offset) == (plain.code, plain.offset)
     assert np.array_equal(summed.stream.uniforms(3), plain.stream.uniforms(3))
-    count = sum(slices)  # one call for all of them, a cut block at its end
+    # one call for the whole blocks of them; a cut block is the sampler's to sum, as above,
+    # and sample_block refuses it by name, before taking a uniform
+    count = sum(slices) // family.block_length * family.block_length
     assert np.array_equal(family.sample_block(count, _stream(8), sums_from=float(start)),
                           start + np.cumsum(family.sample_block(count, _stream(8))))
+    if count < sum(slices):
+        stream = _stream(8)
+        with pytest.raises(ValueError, match="whole blocks"):
+            family.sample_block(sum(slices), stream, sums_from=float(start))
+        assert np.array_equal(stream.uniforms(3), _stream(8).uniforms(3))
 
 
 @pytest.mark.parametrize("family", [XFamily.parity(9), XFamily.uniform(1.0)])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -449,6 +450,13 @@ BASES = st.one_of(
                      math.inf, -math.inf, math.nan, -0.0, 0.0)),
     st.floats(),
 )
+# the domain _sum_chunks admits to _run_sums: finite, with every partial sum below 2**53
+RUN_BASES = st.one_of(
+    st.builds(lambda k, m, sign: sign * (2.0 ** k - m * 2.0 ** (k - 53)),
+              st.integers(-60, 52), st.integers(0, 3), st.sampled_from((1.0, -1.0))),
+    st.sampled_from((2.0 ** 53 - 301, 301 - 2.0 ** 53, 2.0 ** 52 + 1, 5e-324, -0.0, 0.0)),
+    st.floats(-2.0 ** 52, 2.0 ** 52),
+)
 
 
 @pytest.mark.parametrize("total, limit", [
@@ -460,24 +468,22 @@ def test_exact_limit_is_that_of_the_lowest_set_bit(total, limit):
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(BASES, st.integers(-CH, CH), st.lists(st.sampled_from((1.0, -1.0)), min_size=1, max_size=300))
+@given(RUN_BASES, st.integers(-CH, CH), st.lists(st.sampled_from((1.0, -1.0)), min_size=1, max_size=300))
 @example(16 - 2.0 ** -49, 0, [1.0, -1.0])  # 17 - 2**-49 rounds up to 17, and 16 follows, not 16 - 2**-49
 @example(16 - 3 * 2.0 ** -49, 3, [1.0, -1.0])  # 17 - 3 * 2**-49 rounds down
 @example(8 - 2.0 ** -49, -5, [1.0] * 40 + [-1.0] * 40)  # up past 16, 32 and 64 and back down
 @example(-(16 - 2.0 ** -49), 0, [-1.0, 1.0])
-@example(2.0 ** 53 - 2, 0, [1.0, 1.0, 1.0, -1.0])  # reaches 2**53 without a rounding, then goes past it
-@example(2.0 ** 53 - 1, 0, [1.0, 1.0, -1.0])
-@example(2.0 ** 60, 0, [1.0, -1.0])
+@example(2.0 ** 53 - 3, 0, [1.0, 1.0, -1.0])  # up to 2**53 - 1, the top of the domain, and back
 @example(-0.0, 0, [1.0, -1.0])
 @example(0.5 - 2.0 ** -54, 7, [1.0])  # an event at the run's only value
 def test_run_sums_add_left_to_right(total, prev, steps):
     running = prev + np.cumsum(steps)
     out = np.empty(len(steps))
-    with np.errstate(invalid="ignore"):
-        last = mixture._run_sums(running, float(prev), total, out)
+    last = mixture._run_sums(running, float(prev), total, out)
     expected = _left_to_right(total, steps)
-    assert np.array_equal(out, expected, equal_nan=True) and np.array_equal(_signs(out), _signs(expected))
-    assert np.array_equal(last, expected[-1], equal_nan=True)
+    assert all(abs(s) < 2.0 ** 53 for s in expected)  # the examples stay in the domain
+    assert np.array_equal(out, expected) and np.array_equal(_signs(out), _signs(expected))
+    assert last == expected[-1]
 
 
 def _block_case(bits, horizon, inserts, planted, checkpoints, dependence=DependenceMode.INDEPENDENT, path=0,
@@ -505,12 +511,40 @@ def block_cases(draw):
                        draw(st.sampled_from((0, mixture._BLOCK_SUM_INSERTS, CH))))
 
 
+def _chunks_summed_by_blocks(config, values, most_inserts):
+    """How many chunks the rule of ``_sum_chunks`` sums by blocks, read off
+    the path's ``values``: those with X values of a family with a table, at
+    most ``most_inserts`` inserts and |S before| + (inserts) * max(1,
+    max |y|) + (chunk length) below 2**52."""
+    if not config.x_family.sums_by_table:
+        return 0
+    alpha = config.pattern.alpha(config.horizon).astype(bool)
+    before = list(itertools.accumulate(values.tolist(), initial=-0.0))  # S before each index, left to right
+    count = 0
+    for s0 in range(0, config.horizon, CH):
+        heavy = values[s0:s0 + CH][alpha[s0:s0 + CH]]
+        size = min(CH, config.horizon - s0)
+        if heavy.size < size and heavy.size <= most_inserts:
+            count += bool(abs(before[s0]) + heavy.size * np.abs(heavy).max(initial=1.0) + size < 2.0 ** 52)
+    return count
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(block_cases())
+# planted draws whose chunk is summed by np.cumsum: a bound past 2**52 (up past 2**53 in the
+# chunk, and past 2**60), inf and -inf, NaN, and an inf S carried into a chunk of X values
 @example(_block_case(4, 300, {0, 150}, {0: 16 - 2.0 ** -49, 150: 2.0 ** 53 - 3}, [2, 3]))
-@example(_block_case(1, 300, {0}, {0: -0.0}, [2]))
+@example(_block_case(4, 300, {0, 5}, {5: 2.0 ** 53 - 2}, [6, 7, 8]))
+@example(_block_case(4, 300, {0}, {0: 2.0 ** 60}, [2]))
 @example(_block_case(8, CH + 2, {0, CH - 1, CH, CH + 1}, {CH - 1: math.inf, CH: -math.inf}, [CH]))
 @example(_block_case(4, CH + 1, set(range(CH)) - {CH - 1}, {0: 0.5 - 2.0 ** -54, CH - 2: math.nan}, [CH]))
+@example(_block_case(4, CH + 2, {CH - 1}, {CH - 1: math.inf}, [CH]))
+@example(_block_case(4, CH + 2, {CH - 1}, {CH - 1: math.nan}, [CH]))
+# the chunk's bound 0 + 1 * |y| + 300 just below 2**52, summed by blocks, and at it, by np.cumsum
+@example(_block_case(4, 300, {0}, {0: 2.0 ** 52 - 301}, [2]))
+@example(_block_case(4, 300, {0}, {0: 2.0 ** 52 - 300}, [2]))
+@example(_block_case(4, 300, {0}, {0: 301 - 2.0 ** 52}, [2]))
+@example(_block_case(1, 300, {0}, {0: -0.0}, [2]))
 @example(_block_case(9, CH + 1, {0, CH}, {0: 16 - 2.0 ** -49}, [CH]))
 def test_block_sums_match_the_left_to_right_reference(case):
     config, planted, checkpoints, most_inserts = case
@@ -519,11 +553,13 @@ def test_block_sums_match_the_left_to_right_reference(case):
     with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(invalid="ignore"):
         monkeypatch.setattr(mixture, "_BLOCK_SUM_INSERTS", most_inserts)
         _planting(monkeypatch, config, planted)
+        calls = _counting(monkeypatch, ("_block_sums",))
         got = run_path(config, checkpoints)
         expected = reference_summary(config, checkpoints, values)
     assert_same_summary(got, expected)
     assert np.array_equal(_signs([*got.running_avg, got.final_avg]),
                           _signs([*expected.running_avg, expected.final_avg]))
+    assert calls["_block_sums"] == _chunks_summed_by_blocks(config, values, most_inserts)
 
 
 def _counting(monkeypatch, names):
@@ -538,19 +574,23 @@ def _counting(monkeypatch, names):
 
 
 def test_theorem_path_is_summed_by_blocks(monkeypatch):
-    # a full theorem path: no chunk is spliced and summed by np.cumsum, and no
-    # run of X values needs the sequential fallback, so a change that puts
-    # theorem back on the cumsum fails here, not only in the benchmark
-    calls = _counting(monkeypatch, ("_values", "_cumsum", "_block_sums", "_run_sums", "_sequential_sums"))
-    spec = cli.load_config("theorem.json")
-    workspace = mixture.path_workspace(spec)
-    # the runs of X values between the inserts, in each chunk
-    runs = sum(np.count_nonzero(np.diff([-1, *at, min(CH, spec.horizon - s0)]) > 1)
-               for s0, (at, _) in zip(range(0, spec.horizon, CH), workspace.layout))
-    run_path(spec, spec.checkpoints, workspace)
-    assert calls == {"_values": 0, "_cumsum": 0, "_block_sums": len(workspace.layout), "_run_sums": runs,
-                     "_sequential_sums": 0}
-    assert runs == 54
+    # the paths of the bundled parity fixtures, theorem paths 0-49 and pure-x
+    # paths 0-19: no chunk is spliced and summed by np.cumsum, so a change that
+    # puts them back on the cumsum, or a rule that turns some of their chunks
+    # away, fails here, not only in the benchmark
+    for name, paths, runs_per_path in (("theorem", 50, 54), ("pure-x", 20, 16)):
+        calls = _counting(monkeypatch, ("_values", "_cumsum", "_block_sums", "_run_sums"))
+        spec = cli.load_config(f"{name}.json")
+        workspace = mixture.path_workspace(spec)
+        # the runs of X values between the inserts, in each chunk
+        runs = sum(np.count_nonzero(np.diff([-1, *at, min(CH, spec.horizon - s0)]) > 1)
+                   for s0, (at, _) in zip(range(0, spec.horizon, CH), workspace.layout))
+        for path in range(paths):
+            run_path(spec.with_path(path), spec.checkpoints, workspace)
+        assert calls == {"_values": 0, "_cumsum": 0, "_block_sums": paths * len(workspace.layout),
+                         "_run_sums": paths * runs}, name
+        assert runs == runs_per_path
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
