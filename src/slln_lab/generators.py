@@ -146,12 +146,13 @@ class XFamily:
 
     @property
     def sums_by_table(self) -> bool:
-        """Whether the running sums of its draws come from a table: the
-        parity family with ``block_bits <= _TABLE_BITS``."""
+        """Whether its draws are summed a block at a time from a table: the
+        parity family with ``block_bits <= _TABLE_BITS``, whose sign codes
+        :meth:`sample_block` gives with ``codes=True``."""
         return self.kind is XKind.PARITY_RADEMACHER and self.block_bits <= _TABLE_BITS
 
     def sample_block(self, count: int, stream: UniformStream, out: np.ndarray | None = None, *,
-                     sums_from: float | None = None) -> np.ndarray:
+                     codes: bool = False) -> np.ndarray:
         """Next ``count`` draws, written into ``out`` and returned.
 
         ``out`` is a contiguous float64 array of ``count`` values; None
@@ -160,27 +161,28 @@ class XFamily:
         block is truncated (pairwise independence survives truncation).
         Other kinds consume exactly one uniform per value.
 
-        With ``sums_from`` r, a family :attr:`sums_by_table` writes the
-        running sums r + X_1, r + X_1 + X_2, ... of whole blocks instead,
-        from the same uniforms, as :meth:`XSampler.fill_sums` asks; each is
-        exact while r is an integer and they stay below 2**53 in magnitude.
+        With ``codes``, a family :attr:`sums_by_table` gives the sign codes
+        of the ``count / block_length`` blocks instead, row c of
+        :func:`_parity_table` being the values of code c, from the same
+        uniforms; ``out``, if given, is a contiguous uint8 array of as many.
         Any other family, or a ``count`` that is not a whole number of
-        blocks, raises ``ValueError``.
+        blocks, raises ``ValueError`` before taking a uniform.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if sums_from is not None and not self.sums_by_table:
-            raise ValueError("running sums need a parity family with a table")
-        if sums_from is not None and count % self.block_length:
-            raise ValueError(f"running sums take whole blocks: count must be a multiple of {self.block_length}")
+        if codes and not self.sums_by_table:
+            raise ValueError("sign codes need a parity family with a table")
+        if codes and count % self.block_length:
+            raise ValueError(f"sign codes take whole blocks: count must be a multiple of {self.block_length}")
+        size, dtype = (count // self.block_length, np.uint8) if codes else (count, np.float64)
         if out is None:
-            out = np.empty(count, dtype=np.float64)
-        elif out.shape != (count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError("out must be a contiguous float64 array of count values")
+            out = np.empty(size, dtype=dtype)
+        elif out.shape != (size,) or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous {np.dtype(dtype).name} array of {size} values")
         if count == 0:
             return out
         if self.kind is XKind.PARITY_RADEMACHER:
-            return self._sample_parity(count, stream, out, sums_from)
+            return self._sample_parity(count, stream, out, codes)
         u = stream.uniforms(count)
         if self.kind is XKind.IID_UNIFORM:  # half_width * (2u - 1)
             u *= 2.0
@@ -198,8 +200,7 @@ class XFamily:
             return np.subtract(u, self.pareto_shift, out=out)
         return np.exp(u, out=out)
 
-    def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray,
-                       sums_from: float | None) -> np.ndarray:
+    def _sample_parity(self, count: int, stream: UniformStream, out: np.ndarray, codes: bool) -> np.ndarray:
         # sign i of a block is -1 when its i-th uniform is below 1/2; the
         # block's sign bits, folded into an integer code, select its values
         bits, length = self.block_bits, self.block_length
@@ -207,29 +208,24 @@ class XFamily:
         negative = stream.below_half(n_blocks * bits).reshape(n_blocks, bits)
         # bit i of a code is sign i; codes that fit in a byte are built on the bools' own bytes
         signs = negative.view(np.uint8) if bits <= _TABLE_BITS else negative.astype(np.int64)
-        codes = signs[:, 0].copy()
+        code = out if codes else np.empty(n_blocks, dtype=signs.dtype)
+        np.copyto(code, signs[:, 0])
         for i in range(1, bits):
-            codes |= signs[:, i] << i
+            code |= signs[:, i] << i
+        if codes:
+            return out
         full = count // length
         rows = out[:full * length].reshape(full, length)
-        if sums_from is not None:
-            # each block's prefix row plus its offset: r and the totals of the blocks before it
-            _parity_prefix_table(bits).take(codes[:full], axis=0, out=rows, mode="clip")
-            offsets = np.empty(full)
-            offsets[:1] = sums_from
-            offsets[1:] = rows[:-1, -1]
-            rows += np.cumsum(offsets, out=offsets)[:, None]
-            return out
         if bits <= _TABLE_BITS:
             # mode="clip" writes straight into out (codes are in range); "raise" would buffer it
-            _parity_table(bits).take(codes[:full], axis=0, out=rows, mode="clip")
+            _parity_table(bits).take(code[:full], axis=0, out=rows, mode="clip")
         else:
             step = max(_CHUNK // length, 1)
             for b0 in range(0, full, step):
-                ones = codes[b0:min(b0 + step, full), None] & np.arange(1, length + 1, dtype=np.int64)
+                ones = code[b0:min(b0 + step, full), None] & np.arange(1, length + 1, dtype=np.int64)
                 _parity_signs(ones, bits, rows[b0:b0 + step])
         if full < n_blocks:
-            _block_values(int(codes[full]), 1, bits, out[full * length:])
+            _block_values(int(code[full]), 1, bits, out[full * length:])
         return out
 
 
@@ -246,11 +242,27 @@ def _parity_table(bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=_TABLE_BITS)
 def _parity_prefix_table(bits: int) -> np.ndarray:
-    """Row c holds the running sums of row c of :func:`_parity_table`,
-    exact small integers.  Read-only, as every caller shares it."""
-    table = np.cumsum(_parity_table(bits), axis=1)
+    """Row c holds the running sums of row c of :func:`_parity_table` from
+    0: entry (c, i) is the sum of its first i values, an exact small
+    integer, and entry (c, 2**bits - 1) the block's total, which is
+    2**bits - 1 for code 0 and -1 for any other.  Read-only, as every caller
+    shares it."""
+    table = np.zeros((2 ** bits, 2 ** bits))
+    np.cumsum(_parity_table(bits), axis=1, out=table[:, 1:])
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=_TABLE_BITS)
+def _parity_extremes(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per code, the least and greatest running sum of its block, and the
+    greatest magnitude of one: the min, max and max |.| over the columns
+    1 .. 2**bits - 1 of :func:`_parity_prefix_table`.  Read-only."""
+    sums = _parity_prefix_table(bits)[:, 1:]
+    extremes = sums.min(axis=1), sums.max(axis=1), np.abs(sums).max(axis=1)
+    for table in extremes:
+        table.flags.writeable = False
+    return extremes
 
 
 def _block_values(code: int, first: int, bits: int, out: np.ndarray) -> None:
@@ -262,13 +274,6 @@ def _block_values(code: int, first: int, bits: int, out: np.ndarray) -> None:
         ones = np.arange(first, first + out.size, dtype=np.int64)
         ones &= code
         _parity_signs(ones, bits, out)
-
-
-def _running_sums(values: np.ndarray, start: float) -> None:
-    """``values``, ±1 and fewer than a block of them, turned in place into
-    their running sums from ``start``, an integer: exact integers."""
-    values.cumsum(out=values)
-    values += start
 
 
 def _parity_signs(ones: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
@@ -289,8 +294,8 @@ class XSampler:
 
     Successive :meth:`fill` calls give the values one
     :meth:`XFamily.sample_block` call for all of them gives, from the same
-    uniforms in the same order; a :meth:`fill_sums` call in between takes
-    the place of the :meth:`fill` of as many values.  A parity block that a
+    uniforms in the same order; a :meth:`blocks` call in between takes the
+    place of the :meth:`fill` of as many values.  A parity block that a
     slice cuts stays open: what is kept is its sign code and how many of its
     values are written, never the values, so the state is two integers
     however long the block (up to 2**23 - 1 values).
@@ -305,39 +310,52 @@ class XSampler:
     def fill(self, out: np.ndarray) -> np.ndarray:
         """The next ``out.size`` draws, written into ``out`` (contiguous
         float64) and returned."""
-        return self._fill(out, sums=False)
+        family, count = self.family, out.size
+        if family.kind is not XKind.PARITY_RADEMACHER:
+            return family.sample_block(count, self.stream, out=out)
+        head, full, tail = self._split(count)
+        if head:
+            _block_values(self.code, self.offset + 1, family.block_bits, out[:head])
+        family.sample_block(full * family.block_length, self.stream, out=out[head:count - tail])
+        if tail:
+            _block_values(self._open(), 1, family.block_bits, out[count - tail:])
+        self.offset = tail or (self.offset + head) % family.block_length
+        return out
 
-    def fill_sums(self, out: np.ndarray) -> np.ndarray:
-        """The running sums X_1, X_1 + X_2, ... of the next ``out.size``
-        draws, exact integers, written into ``out`` and returned: the
+    def blocks(self, count: int) -> tuple[np.ndarray, int]:
+        """The sign codes (uint8) of the parity blocks the next ``count``
+        draws fall in, and the column of the first draw in the first: the
         uniforms :meth:`fill` would take, and the state it would leave.  A
         family that is not :attr:`XFamily.sums_by_table` raises
-        ``ValueError``, as :meth:`XFamily.sample_block` does, and is left
-        as it was."""
-        return self._fill(out, sums=True)
-
-    def _fill(self, out: np.ndarray, sums: bool) -> np.ndarray:
-        family, count = self.family, out.size
-        start = 0.0 if sums else None  # the running sum before the next value
-        if family.kind is not XKind.PARITY_RADEMACHER:
-            return family.sample_block(count, self.stream, out=out, sums_from=start)
-        bits, length = family.block_bits, family.block_length
-        head = min(count, (length - self.offset) % length)  # the rest of the open block
+        ``ValueError``, as :meth:`XFamily.sample_block` does, and is left as
+        it was."""
+        family = self.family
+        head, full, tail = self._split(count)
+        whole = slice(bool(head), bool(head) + full)
+        codes = np.empty(whole.stop + bool(tail), dtype=np.uint8)
+        family.sample_block(full * family.block_length, self.stream, out=codes[whole], codes=True)
+        first = self.offset if head else 0
         if head:
-            _block_values(self.code, self.offset + 1, bits, out[:head])
-            if sums:
-                _running_sums(out[:head], start)
-                start = float(out[head - 1])
+            codes[0] = self.code
+        if tail:
+            codes[-1] = self._open()
+        self.offset = tail or (self.offset + head) % family.block_length
+        return codes, first
+
+    def _split(self, count: int) -> tuple[int, int, int]:
+        """The next ``count`` draws as the rest of the open block, whole
+        blocks and the head of a new one: how many of each."""
+        length = self.family.block_length
+        head = min(count, (length - self.offset) % length)
         full, tail = divmod(count - head, length)
-        family.sample_block(full * length, self.stream, out=out[head:head + full * length], sums_from=start)
-        if tail:  # a new block, its sign bits drawn after those of the full blocks
-            negative = self.stream.below_half(bits).tolist()
-            self.code = sum(1 << i for i in range(bits) if negative[i])
-            _block_values(self.code, 1, bits, out[count - tail:])
-            if sums:
-                _running_sums(out[count - tail:], float(out[count - tail - 1]) if count > tail else 0.0)
-        self.offset = tail or (self.offset + head) % length
-        return out
+        return head, full, tail
+
+    def _open(self) -> int:
+        """Open a new block, its sign bits drawn after those of the blocks
+        before it, and return its code."""
+        negative = self.stream.below_half(self.family.block_bits).tolist()
+        self.code = sum(1 << i for i in range(self.family.block_bits) if negative[i])
+        return self.code
 
 
 class EnvelopeKind(Enum):

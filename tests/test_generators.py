@@ -15,6 +15,9 @@ from slln_lab.generators import (
     XFamily,
     XKind,
     XSampler,
+    _parity_extremes,
+    _parity_prefix_table,
+    _parity_table,
     draw_heavy,
     infinite_mean_onset,
     reciprocal_exponents,
@@ -102,44 +105,87 @@ def test_sampler_slices_equal_one_block(family, slices):
     assert np.array_equal(np.concatenate(parts), family.sample_block(sum(slices), _stream(5)))
 
 
+def _running_sums_of_blocks(family, codes, first, count, start):
+    """start + X_1, start + X_1 + X_2, ... of the ``count`` values that the
+    sign codes of :meth:`XSampler.blocks` cover, from the first column
+    ``first`` of the first block, read off the prefix table."""
+    table, length = _parity_prefix_table(family.block_bits), family.block_length
+    ends = np.minimum(np.arange(1, codes.size + 1) * length - first, count)  # the X count at each block's end
+    sums, total = [], start
+    for code, lo, hi in zip(codes.tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
+        col = first if lo == 0 else 0
+        sums.extend(total + table[code, col + 1:col + hi - lo + 1] - table[code, col])
+        total += table[code, col + hi - lo] - table[code, col]
+    return np.array(sums)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(bits=st.integers(1, 8), slices=st.lists(st.integers(0, 600), min_size=1, max_size=8),
        start=st.integers(-2 ** 20, 2 ** 20))
 @example(bits=4, slices=[16], start=3)  # a block and one value of the next
+@example(bits=4, slices=[3, 15, 2], start=0)  # a block cut at both ends
 def test_sampler_running_sums_are_those_of_its_values(bits, slices, start):
-    # the same uniforms in the same order and the same state left; the running
-    # sums of a slice start from 0, and values and sums may alternate
+    # the sign codes of a slice give the running sums of its values, from the
+    # same uniforms in the same order and leaving the same state; values and
+    # codes may alternate
     family = XFamily.parity(bits)
-    plain, summed = XSampler(family, _stream(7)), XSampler(family, _stream(7))
+    plain, coded = XSampler(family, _stream(7)), XSampler(family, _stream(7))
     for i, size in enumerate(slices):
         values = plain.fill(np.empty(size))
-        got = summed.fill(np.empty(size)) if i % 2 else summed.fill_sums(np.empty(size))
-        assert np.array_equal(got, values if i % 2 else np.cumsum(values))
-        assert (summed.code, summed.offset) == (plain.code, plain.offset)
-    assert np.array_equal(summed.stream.uniforms(3), plain.stream.uniforms(3))
-    # one call for the whole blocks of them; a cut block is the sampler's to sum, as above,
+        if i % 2:
+            assert np.array_equal(coded.fill(np.empty(size)), values)
+        else:
+            codes, first = coded.blocks(size)
+            assert codes.dtype == np.uint8 and 0 <= first < family.block_length
+            assert np.array_equal(_running_sums_of_blocks(family, codes, first, size, start),
+                                  start + np.cumsum(values))
+        assert (coded.code, coded.offset) == (plain.code, plain.offset)
+    assert np.array_equal(coded.stream.uniforms(3), plain.stream.uniforms(3))
+    # one call for the whole blocks of them; a cut block is the sampler's to keep, as above,
     # and sample_block refuses it by name, before taking a uniform
     count = sum(slices) // family.block_length * family.block_length
-    assert np.array_equal(family.sample_block(count, _stream(8), sums_from=float(start)),
+    codes = family.sample_block(count, _stream(8), codes=True)
+    assert np.array_equal(_running_sums_of_blocks(family, codes, 0, count, start),
                           start + np.cumsum(family.sample_block(count, _stream(8))))
     if count < sum(slices):
         stream = _stream(8)
         with pytest.raises(ValueError, match="whole blocks"):
-            family.sample_block(sum(slices), stream, sums_from=float(start))
+            family.sample_block(sum(slices), stream, codes=True)
         assert np.array_equal(stream.uniforms(3), _stream(8).uniforms(3))
 
 
 @pytest.mark.parametrize("family", [XFamily.parity(9), XFamily.uniform(1.0)])
 def test_running_sums_need_a_parity_table(family):
+    # the sign codes from which the running sums of a block are read need its table
     sampler, twin = XSampler(family, _stream()), XSampler(family, _stream())
     sampler.fill(np.empty(5))
-    with pytest.raises(ValueError, match="running sums"):
-        sampler.fill_sums(np.empty(600))
-    with pytest.raises(ValueError, match="running sums"):
-        family.sample_block(5, _stream(), sums_from=0.0)
+    with pytest.raises(ValueError, match="sign codes need a parity family with a table"):
+        sampler.blocks(600)
+    with pytest.raises(ValueError, match="sign codes need a parity family with a table"):
+        family.sample_block(5, _stream(), codes=True)
     # the refused call took no uniform and left the open block as it was
     assert np.array_equal(sampler.fill(np.empty(600)), twin.fill(np.empty(605))[5:])
     assert not family.sums_by_table and XFamily.parity(8).sums_by_table
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_parity_tables_hold_the_closed_form(bits):
+    # what the block engine rests on: a block's total is 2**b - 1 for code 0 and -1
+    # otherwise, its least, greatest and greatest absolute running sums are the
+    # extremes tables, and X_i X_j = X_(i xor j) for masks i != j (pairwise independence
+    # within a block: each column but for i xor j)
+    values, sums = _parity_table(bits), _parity_prefix_table(bits)
+    length = 2 ** bits - 1
+    assert np.array_equal(sums[:, 0], np.zeros(2 ** bits))
+    assert np.array_equal(sums[:, 1:], np.cumsum(values, axis=1))
+    assert np.array_equal(sums[:, -1], np.where(np.arange(2 ** bits) == 0, length, -1))
+    low, high, reach = _parity_extremes(bits)
+    brute = [[min(row), max(row), max(map(abs, row))] for row in sums[:, 1:].tolist()]
+    assert np.array_equal(np.stack((low, high, reach), axis=1), brute)
+    masks = np.arange(1, length + 1)
+    for i in masks:
+        others = masks[masks != i]
+        assert np.array_equal(values[:, i - 1, None] * values[:, others - 1], values[:, (i ^ others) - 1])
 
 
 def test_sampler_resumes_a_long_block_without_holding_it():

@@ -8,13 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slln_lab import cli, mixture
+from slln_lab import cli, diagnostics, mixture
 from slln_lab.diagnostics import PathSummary, run_ensemble
 from slln_lab.errors import ConfigError, InvalidExponent
-from slln_lab.generators import DependenceMode, TailEnvelope, XFamily, XKind
+from slln_lab.generators import DependenceMode, TailEnvelope, XFamily, XKind, _parity_table
 from slln_lab.hypotheses import verify_hypotheses
 from slln_lab.mixture import MAX_HORIZON, MAX_PATH_CHECKPOINTS, MAX_PATHS, ExperimentSpec, run_path
 from slln_lab.rng import Channel, StreamKey, derive_stream
@@ -353,7 +353,7 @@ def _planting(monkeypatch, config, planted):
     """Make the draws at the indices ``planted`` (index: value) of
     ``config`` carry their values, whichever engine sums them: the heavy
     draws at its inserts, and elsewhere the X values, which must be drawn as
-    values, not as running sums."""
+    values, not as sign codes."""
     alpha = config.pattern.alpha(config.horizon).astype(bool)
     before = {True: np.cumsum(alpha) - 1, False: np.cumsum(~alpha) - 1}  # the draws of its kind before an index
     by_draw = {kind: {int(before[kind][i]): v for i, v in planted.items() if alpha[i] == kind} for kind in before}
@@ -386,7 +386,7 @@ NONFINITE = pytest.mark.parametrize("planted", [
 
 @NONFINITE
 def test_nonfinite_values_in_several_chunks_match_reference(monkeypatch, planted):
-    # a family without running sums by table: its chunks are spliced and summed by np.cumsum
+    # a family without a table: its chunks are spliced and summed by np.cumsum
     config, checkpoints = _long_case(build_sparsity(SCHED, 1.0), x_family=XFamily.uniform(1.5))
     values = reference_values(config)
     values[list(planted)] = list(planted.values())
@@ -450,7 +450,7 @@ BASES = st.one_of(
                      math.inf, -math.inf, math.nan, -0.0, 0.0)),
     st.floats(),
 )
-# the domain _sum_chunks admits to _run_sums: finite, with every partial sum below 2**53
+# the domain run_path admits to _reduce_blocks: finite, with every partial sum below 2**53
 RUN_BASES = st.one_of(
     st.builds(lambda k, m, sign: sign * (2.0 ** k - m * 2.0 ** (k - 53)),
               st.integers(-60, 52), st.integers(0, 3), st.sampled_from((1.0, -1.0))),
@@ -467,6 +467,40 @@ def test_exact_limit_is_that_of_the_lowest_set_bit(total, limit):
     assert mixture._exact_limit(total) == limit
 
 
+def _reduced_by_blocks(total, s0, bits, codes, first, values, at, cp_at):
+    """What _reduce_blocks makes of a chunk after s0, from the S ``total``:
+    its X values fall in the parity blocks of sign codes ``codes`` from
+    column ``first`` of the first, and ``values`` are all of them with its
+    heavy draws at the offsets ``at``.  The S at its end, its averages at
+    the checkpoint offsets ``cp_at`` and its maxima."""
+    averages, maxima = np.empty(len(cp_at)), np.empty(len(cp_at) + 1)
+    at = np.asarray(at, dtype=np.int64)
+    end = mixture._reduce_blocks((np.asarray(codes, dtype=np.uint8), first), bits, at, np.asarray(values)[at],
+                                 total, s0, len(values), np.asarray(cp_at, dtype=np.int64), averages, maxima)
+    return end, averages, maxima
+
+
+def _spliced(bits, codes, first, size, inserts, heavy):
+    """The values of a chunk of ``size``: heavy draws (``heavy``, cycled) at
+    the offsets ``inserts``, and elsewhere the X values of the blocks of
+    sign codes ``codes`` from column ``first`` of the first."""
+    values, at = np.empty(size), sorted(inserts)
+    x = np.ones(size, dtype=bool)
+    x[at] = False
+    values[x] = _parity_table(bits)[codes].ravel()[first:first + size - len(at)]
+    values[at] = [heavy[k % len(heavy)] * (k + 1) for k in range(len(at))]
+    return values, at
+
+
+def _left_to_right_reduced(total, s0, values, cp_at):
+    """The same, by the strictly left-to-right sum."""
+    sums = _left_to_right(total, values)
+    averages = np.array(sums) / np.arange(s0 + 1, s0 + len(sums) + 1)
+    deviations = np.abs(averages)
+    segments = [deviations[c:d].max() for c, d in zip(cp_at, [*cp_at[1:], len(sums)])]
+    return sums[-1], averages[cp_at], np.array([deviations.max(), *segments])
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(RUN_BASES, st.integers(-CH, CH), st.lists(st.sampled_from((1.0, -1.0)), min_size=1, max_size=300))
 @example(16 - 2.0 ** -49, 0, [1.0, -1.0])  # 17 - 2**-49 rounds up to 17, and 16 follows, not 16 - 2**-49
@@ -477,13 +511,72 @@ def test_exact_limit_is_that_of_the_lowest_set_bit(total, limit):
 @example(-0.0, 0, [1.0, -1.0])
 @example(0.5 - 2.0 ** -54, 7, [1.0])  # an event at the run's only value
 def test_run_sums_add_left_to_right(total, prev, steps):
-    running = prev + np.cumsum(steps)
-    out = np.empty(len(steps))
-    last = mixture._run_sums(running, float(prev), total, out)
-    expected = _left_to_right(total, steps)
-    assert all(abs(s) < 2.0 ** 53 for s in expected)  # the examples stay in the domain
-    assert np.array_equal(out, expected) and np.array_equal(_signs(out), _signs(expected))
-    assert last == expected[-1]
+    # a run of X values from the S total, in a chunk CH + prev indices in: the
+    # block engine rounds where the sequential add rounds, and reduces what it
+    # gives; the checkpoints are its first, middle and last index
+    s0, cp_at = CH + prev, sorted({0, len(steps) // 2, len(steps) - 1})
+    expected = _left_to_right_reduced(total, s0, steps, cp_at)
+    assert all(abs(s) < 2.0 ** 53 for s in _left_to_right(total, steps))  # the examples stay in the domain
+    end, averages, maxima = _reduced_by_blocks(total, s0, 1, np.less(steps, 0), 0, steps, [], cp_at)
+    assert end == expected[0] and _signs(end) == _signs(expected[0])
+    assert np.array_equal(averages, expected[1]) and np.array_equal(_signs(averages), _signs(expected[1]))
+    assert np.array_equal(maxima, expected[2])
+
+
+@st.composite
+def engine_chunks(draw):
+    """A chunk for _reduce_blocks: block_bits 1-8, up to 40 blocks of sign
+    codes from any column of the first, inserts anywhere, a start S, an
+    offset s0 small enough that |S_n/n| moves within a block, and up to five
+    checkpoints; every partial sum below 2**53."""
+    bits = draw(st.integers(1, 8))
+    length = 2 ** bits - 1
+    codes = draw(st.lists(st.integers(0, 2 ** bits - 1), min_size=1, max_size=40))
+    first = draw(st.integers(0, length - 1))
+    x_count = draw(st.integers(max((len(codes) - 1) * length - first + 1, 1), len(codes) * length - first))
+    size = x_count + draw(st.integers(0, 6))
+    inserts = draw(st.sets(st.integers(0, size - 1), min_size=size - x_count, max_size=size - x_count))
+    heavy = draw(st.lists(st.sampled_from((0.5 + 2.0 ** -40, -3.25, 7.0, -0.0, 1e12 + 0.5)) | RUN_BASES,
+                          min_size=1, max_size=3))
+    total = draw(st.sampled_from((-0.0, 0.0, 3.0, 16 - 2.0 ** -49, -(64 - 2.0 ** -40))) | RUN_BASES)
+    cp_at = sorted(draw(st.sets(st.integers(0, size - 1), max_size=5)))
+    return _engine_case(total, draw(st.integers(0, 2000)), bits, codes, first, size, inserts, heavy, cp_at)
+
+
+def _engine_case(total, s0, bits, codes, first, size, inserts, heavy, cp_at):
+    return (total, s0, bits, codes, first, *_spliced(bits, codes, first, size, inserts, heavy), cp_at)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(engine_chunks())
+# the greatest |S_n/n| inside a whole first block, past every block's end: 12/102
+@example(_engine_case(-10.0, 100, 2, [3, 0, 0, 0], 0, 12, (), (), []))
+@example(_engine_case(-10.0, 100, 2, [3, 0, 0, 0], 0, 12, (), (), [5]))
+def test_block_engine_matches_the_left_to_right_sum(case):
+    # the S at the chunk's end, its averages at the checkpoints and its maxima, exactly, -0.0 included:
+    # the rounding events, the inserts' anchors, and the blocks the bound lets go unevaluated
+    total, s0, bits, codes, first, values, at, cp_at = case
+    sums = _left_to_right(total, values.tolist())
+    assume(all(abs(s) < 2.0 ** 53 for s in sums))
+    got = _reduced_by_blocks(total, s0, bits, codes, first, values, at, cp_at)
+    expected = _left_to_right_reduced(total, s0, values.tolist(), cp_at)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e) and np.array_equal(_signs(g), _signs(e))
+
+
+@pytest.mark.parametrize("inserts", [(0,), (0, 1), (39,), (20, 21, 22), (5, 39)],
+                         ids=["at_0", "two_at_0", "last", "three_in_a_row", "inside_and_last"])
+@pytest.mark.parametrize("value", [0.25 + 2.0 ** -40, -3.5, -0.0, 1e12 + 0.5])
+def test_a_run_after_an_insert_adds_left_to_right(inserts, value):
+    # inserts at the chunk's first index, in a row, and last, then runs that round
+    # from the sum they leave: the index offset of each, and its anchor
+    codes = ([0, 1, 2, 3] * 4)[:-(-(40 - len(inserts)) // 3)]  # the blocks of its X values
+    values, at = _spliced(2, codes, 0, 40, inserts, [value])
+    cp_at = [0, 4, 20, 39]
+    got = _reduced_by_blocks(-0.0, CH, 2, codes, 0, values, at, cp_at)
+    expected = _left_to_right_reduced(-0.0, CH, values.tolist(), cp_at)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e) and np.array_equal(_signs(g), _signs(e))
 
 
 def _block_case(bits, horizon, inserts, planted, checkpoints, dependence=DependenceMode.INDEPENDENT, path=0,
@@ -511,11 +604,12 @@ def block_cases(draw):
                        draw(st.sampled_from((0, mixture._BLOCK_SUM_INSERTS, CH))))
 
 
-def _chunks_summed_by_blocks(config, values, most_inserts):
-    """How many chunks the rule of ``_sum_chunks`` sums by blocks, read off
+def _chunks_summed_by_blocks(config, values, most_inserts, checkpoints):
+    """How many chunks the rule of ``run_path`` reduces by blocks, read off
     the path's ``values``: those with X values of a family with a table, at
-    most ``most_inserts`` inserts and |S before| + (inserts) * max(1,
-    max |y|) + (chunk length) below 2**52."""
+    most ``most_inserts`` inserts, at most ``_BLOCK_SUM_CHECKPOINTS``
+    checkpoints and |S before| + (inserts) * max(1, max |y|) + (chunk
+    length) below 2**52."""
     if not config.x_family.sums_by_table:
         return 0
     alpha = config.pattern.alpha(config.horizon).astype(bool)
@@ -524,7 +618,8 @@ def _chunks_summed_by_blocks(config, values, most_inserts):
     for s0 in range(0, config.horizon, CH):
         heavy = values[s0:s0 + CH][alpha[s0:s0 + CH]]
         size = min(CH, config.horizon - s0)
-        if heavy.size < size and heavy.size <= most_inserts:
+        in_chunk = sum(s0 < c <= s0 + size for c in checkpoints)
+        if heavy.size < size and heavy.size <= most_inserts and in_chunk <= mixture._BLOCK_SUM_CHECKPOINTS:
             count += bool(abs(before[s0]) + heavy.size * np.abs(heavy).max(initial=1.0) + size < 2.0 ** 52)
     return count
 
@@ -553,13 +648,13 @@ def test_block_sums_match_the_left_to_right_reference(case):
     with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(invalid="ignore"):
         monkeypatch.setattr(mixture, "_BLOCK_SUM_INSERTS", most_inserts)
         _planting(monkeypatch, config, planted)
-        calls = _counting(monkeypatch, ("_block_sums",))
+        calls = _counting(monkeypatch, ("_reduce_blocks",))
         got = run_path(config, checkpoints)
         expected = reference_summary(config, checkpoints, values)
     assert_same_summary(got, expected)
     assert np.array_equal(_signs([*got.running_avg, got.final_avg]),
                           _signs([*expected.running_avg, expected.final_avg]))
-    assert calls["_block_sums"] == _chunks_summed_by_blocks(config, values, most_inserts)
+    assert calls["_reduce_blocks"] == _chunks_summed_by_blocks(config, values, most_inserts, checkpoints)
 
 
 def _counting(monkeypatch, names):
@@ -575,11 +670,14 @@ def _counting(monkeypatch, names):
 
 def test_theorem_path_is_summed_by_blocks(monkeypatch):
     # the paths of the bundled parity fixtures, theorem paths 0-49 and pure-x
-    # paths 0-19: no chunk is spliced and summed by np.cumsum, so a change that
-    # puts them back on the cumsum, or a rule that turns some of their chunks
-    # away, fails here, not only in the benchmark
+    # paths 0-19: every chunk is reduced by blocks, none spliced and summed by
+    # np.cumsum, and at most 15% of the blocks are evaluated index by index, so
+    # a change that puts them back on the cumsum, turns some chunks away or
+    # loosens the bound fails here, not only in the benchmark
     for name, paths, runs_per_path in (("theorem", 50, 54), ("pure-x", 20, 16)):
-        calls = _counting(monkeypatch, ("_values", "_cumsum", "_block_sums", "_run_sums"))
+        calls = _counting(monkeypatch, ("_values", "_cumsum", "_reduce_blocks"))
+        blocks = _recording(monkeypatch, "_reduce_blocks", lambda args: args[0][0].size)
+        evaluated = _recording(monkeypatch, "_piece_values", lambda args: args[0].size)
         spec = cli.load_config(f"{name}.json")
         workspace = mixture.path_workspace(spec)
         # the runs of X values between the inserts, in each chunk
@@ -587,21 +685,57 @@ def test_theorem_path_is_summed_by_blocks(monkeypatch):
                    for s0, (at, _) in zip(range(0, spec.horizon, CH), workspace.layout))
         for path in range(paths):
             run_path(spec.with_path(path), spec.checkpoints, workspace)
-        assert calls == {"_values": 0, "_cumsum": 0, "_block_sums": paths * len(workspace.layout),
-                         "_run_sums": paths * runs}, name
+        assert calls == {"_values": 0, "_cumsum": 0, "_reduce_blocks": paths * len(workspace.layout)}, name
         assert runs == runs_per_path
+        assert sum(evaluated) <= 0.15 * sum(blocks), name
         monkeypatch.undo()
+
+
+def _recording(monkeypatch, name, measure):
+    """Wrap the ``mixture`` function ``name`` so that ``measure(args)`` of
+    each call is appended to the list returned."""
+    measures, call = [], getattr(mixture, name)
+
+    def recorded(*args, **kwargs):
+        measures.append(measure(args))
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(mixture, name, recorded)
+    return measures
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
 def test_a_chunk_of_many_inserts_is_spliced_and_summed_by_cumsum(monkeypatch, extra):
-    # block sums take a Python step per insert; past _BLOCK_SUM_INSERTS of them
+    # the block engine takes a Python step per insert; past _BLOCK_SUM_INSERTS of them
     # in a chunk, np.cumsum over its spliced values is the faster
     inserts = range(0, 2 * (mixture._BLOCK_SUM_INSERTS + extra), 2)
     config = make_config(pattern=_explicit(CH + 7, inserts), x_family=XFamily.parity(4), horizon=CH + 7)
-    calls = _counting(monkeypatch, ("_values", "_block_sums"))
+    calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
     assert_same_summary(run_path(config, [1, CH, CH + 7]), reference_summary(config, [1, CH, CH + 7]))
-    assert calls == {"_values": extra, "_block_sums": 2 - extra}
+    assert calls == {"_values": extra, "_reduce_blocks": 2 - extra}
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
+def test_a_chunk_of_many_checkpoints_is_reduced_per_index(monkeypatch, extra):
+    # each checkpoint forces its block to be evaluated index by index; past
+    # _BLOCK_SUM_CHECKPOINTS of them in a chunk, the per-index reduction is the faster
+    horizon = CH + 7
+    config = make_config(pattern=_explicit(horizon, {0, 100, CH + 3}), x_family=XFamily.parity(4), horizon=horizon)
+    checkpoints = [*range(3, 3 + 509 * (mixture._BLOCK_SUM_CHECKPOINTS + extra), 509), horizon]
+    calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+    assert calls == {"_values": extra, "_reduce_blocks": 2 - extra}
+
+
+def test_a_path_checks_its_checkpoints_once(monkeypatch):
+    # with_path checks only the path index, so a path of a dense spec checks its
+    # checkpoints once, in run_path, not again in the constructor
+    spec = dataclasses.replace(make_config(horizon=2000, n_paths=4), checkpoints=tuple(range(1, 2001)))
+    calls = _counting(monkeypatch, ("_checkpoint_array",))
+    summaries = diagnostics._run_paths(spec, range(3))
+    assert calls == {"_checkpoint_array": 3}
+    assert [s.path_index for s in summaries] == [0, 1, 2] and spec.with_path(2).path_index == 2
+    assert dataclasses.replace(spec, path_index=2) == spec.with_path(2)
 
 
 @st.composite
