@@ -13,11 +13,12 @@ statistics before making the next.  Every float it gives is, bit for bit,
 what adding Z_1, Z_2, ... strictly left to right in double precision and
 reducing every |S_n/n| gives.  When the X values are parity signs read off
 a table, and a chunk has few inserts and checkpoints and a sum bound below
-2**52 (decided before drawing them), :func:`_reduce_blocks` reduces it a
-parity block at a time: exact block sums from the blocks' sign codes, the
-rounding events of the sequential add found block by block, and a bound on
-|S_n/n| over each block, so that only the blocks that can set a maximum,
-a few in a thousand, are evaluated index by index.  Any other chunk has
+2**52 (decided before drawing them), the block engine,
+:func:`~slln_lab.diagnostics._reduce_blocks`, reduces it a parity block at
+a time: exact block sums from the blocks' sign codes, the rounding events
+of the sequential add found block by block, and a bound on |S_n/n| over
+each block, so that only the blocks that can set a maximum, a few in a
+thousand, are evaluated index by index.  Any other chunk has
 its heavy draws spliced into its X values, is summed by ``np.cumsum`` and
 is reduced index by index.  What is the same on every path of a spec in
 one process, the insert offsets of each chunk, 1/a_n at them and the chunk
@@ -39,10 +40,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, suffix_sup
+from .diagnostics import DEFAULT_CHECKPOINTS, DEFAULT_EPSILONS, PathSummary, _reduce_blocks, suffix_sup
 from .errors import ConfigError, FieldError, as_float, as_int, as_object, keyed, known_keys
-from .generators import (DependenceMode, TailEnvelope, XFamily, XSampler, _parity_extremes, _parity_prefix_table,
-                         draw_heavy, reciprocal_exponents)
+from .generators import DependenceMode, TailEnvelope, XFamily, XSampler, draw_heavy, reciprocal_exponents
 from .rng import Channel, StreamKey, UniformStream, derive_stream
 from .schedules import _CHUNK, MomentSchedule, SparsityMode, SparsityPattern
 
@@ -373,233 +373,6 @@ def _reduce_values(z: np.ndarray, s0: int, cp_at: np.ndarray, workspace: PathWor
 _BLOCK_SUM_INSERTS = 48
 _BLOCK_SUM_CHECKPOINTS = 128
 
-_EXACT = 2.0 ** 53  # from here on, not every integer is a float
-
-
-def _exact_limit(total: float) -> float:
-    """2**(q + 53), q <= 0 the exponent of the lowest set bit of ``total``
-    (0 for an integer, ±0 included), for a ``total`` below 2**53 in
-    magnitude, as every S of a chunk :func:`run_path` reduces by blocks is.
-    A multiple of 2**q below it in magnitude is a float, and so is ``total``."""
-    if total.is_integer():
-        return _EXACT
-    mantissa, exponent = math.frexp(total)
-    digits = int(abs(mantissa) * _EXACT)  # total = ±digits * 2**(exponent - 53)
-    return math.ldexp(1.0, exponent + (digits & -digits).bit_length() - 1)
-
-
-def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y: np.ndarray, total: float,
-                   s0: int, size: int, cp_at: np.ndarray, averages: np.ndarray, maxima: np.ndarray) -> float:
-    """Reduce the chunk of ``size`` indices after ``s0`` as
-    :func:`_reduce_values` does, from the sign codes of its X values
-    (``blocks``, as :meth:`XSampler.blocks` gives them) and its heavy draws
-    ``y`` at the offsets ``at``, after the S ``total`` of the chunks
-    before; return the S at its end.  Every float is the one the strictly
-    left-to-right sum gives, and no array is as long as the chunk.
-
-    The X values fall in *pieces*, one per parity block: piece j holds the
-    X values ``edges[j] + 1 .. edges[j + 1]`` of the chunk, a whole block
-    but for a first one cut by the chunk's start and a last one cut by its
-    end, and ``sums[j]``, the X sum before it, is an exact integer from the
-    block totals.  S is exact from each of the :func:`_anchors`.
-
-    Rounding to nearest is monotone, so no value of a piece within one
-    anchor's run exceeds U = fl(fl(|S before it| + its greatest |running
-    sum|) / n of its first value), and fl(|S_n|/n) at its last value is
-    exact.  In each checkpoint segment (the chunk's start to the first
-    checkpoint, and each checkpoint to the next) the greatest of those last
-    values is a value of the segment, so a piece is evaluated index by
-    index (:func:`_piece_values`) only when its U exceeds it, or when the
-    bound does not cover it: a piece cut by the chunk's seams, or holding an
-    anchor or a checkpoint.  The inserts' values are read off their anchors.
-    """
-    codes, first = blocks
-    table = _parity_prefix_table(bits)
-    length, count, nx = table.shape[1] - 1, codes.size, size - at.size
-    edges = np.arange(-first, count * length - first + 1, length, dtype=np.float64)
-    edges[0], edges[-1] = 0.0, nx
-    head, tail = int(edges[1]), nx - int(edges[-2])  # the values of the first and of the last piece
-    totals = table[:, -1].take(codes)
-    totals[0] = table[codes[0], first + head] - table[codes[0], first]
-    if count > 1:
-        totals[-1] = table[codes[-1], tail]
-    sums = np.empty(count + 1)
-    sums[0] = 0.0
-    np.cumsum(totals, out=sums[1:])
-    low_of, high_of, reach_of = _parity_extremes(bits)
-    anchors, of_inserts = _anchors(codes, first, edges, sums, table, low_of, high_of, at, y, total)
-    last, s, last_sum, _ = anchors[-1]
-    end = s if nx == last else float(s + (sums[-1] - last_sum))
-
-    # per boundary, |S| and n before the X value after it, past any inserts there
-    if len(anchors) == 1:
-        anchor_arrays, held = None, []
-        starts = np.add(sums, total)
-        n_starts = edges + (s0 + 1.0)
-    else:
-        anchor_arrays = x_at, s_at, sum_at, inserts_at = np.array(anchors).T
-        of = edges.searchsorted(x_at)  # the first boundary each anchor is the anchor of
-        sizes = _sizes(of, count + 1)
-        starts = sums - sum_at.repeat(sizes)
-        starts += s_at.repeat(sizes)
-        n_starts = edges + (inserts_at + (s0 + 1.0)).repeat(sizes)
-        held = of[edges[of] > x_at] - 1  # the pieces holding an anchor
-    np.abs(starts, out=starts)
-    before, after, n_first, n_last = starts[:-1], starts[1:], n_starts[:-1], n_starts[1:] - 1.0
-    if anchor_arrays is not None:  # a piece that ends right before an anchor ends in the anchor before it
-        on_edge = np.flatnonzero((edges[of] == x_at) & (of > 0))
-        if on_edge.size:
-            b, prior = of[on_edge], x_at.searchsorted(x_at[on_edge]) - 1
-            after = after.copy()
-            after[b - 1] = np.abs(s_at[prior] + (sums[b] - sum_at[prior]))
-            n_last[b - 1] = edges[b] + inserts_at[prior] + float(s0)
-    last_values = after / n_last
-    bounds = reach_of.take(codes)
-    bounds += before
-    bounds /= n_first
-    # the first piece that ends in each checkpoint's segment, the one after the X values before it; the
-    # bound does not cover it, nor a piece cut by the chunk's seams or holding an anchor
-    x_before = cp_at - at.searchsorted(cp_at)
-    seg_starts = np.where(x_before < nx, (x_before + first) // length, count)
-    for pieces in (seg_starts[seg_starts < count], held, [0] if head < length else [],
-                   [count - 1] if tail < length else []):
-        bounds[pieces] = np.inf
-    cp_n = cp_at + (s0 + 1.0)
-    n_at = at + (s0 + 1.0)
-    at_values = s_at[of_inserts] / n_at if at.size else n_at
-    if not cp_n.size:  # one segment, the chunk
-        known = last_values.max()
-        values, _ = _piece_values(np.flatnonzero(bounds > known), codes, first, edges, sums, table, total,
-                                  anchor_arrays, s0)
-        maxima[0] = max(known, np.abs(values).max(initial=0.0), np.abs(at_values).max(initial=0.0))
-        return end
-    seg_starts = np.append(0, seg_starts)
-    seg_sizes = _sizes(seg_starts, count)
-    known = np.maximum.reduceat(np.append(last_values, 0.0), seg_starts)
-    known[seg_sizes == 0] = 0.0
-    values, n = _piece_values(np.flatnonzero(bounds > known.repeat(seg_sizes)), codes, first, edges, sums, table,
-                              total, anchor_arrays, s0)
-    values = np.append(values, 0.0)  # a sentinel past the last value
-    seg_starts = np.append(0, n.searchsorted(cp_n))
-    averages[:] = values[seg_starts[1:]]
-    np.abs(values, out=values)
-    found = np.maximum.reduceat(values, seg_starts)
-    found[_sizes(seg_starts, n.size) == 0] = 0.0
-    np.maximum(found, known, out=found)
-    if at.size:  # the inserts' values, and the checkpoints at them
-        of_cps = n_at.searchsorted(cp_n)
-        is_at = n_at.take(of_cps, mode="clip") == cp_n
-        averages[is_at] = at_values[of_cps[is_at]]
-        np.maximum.at(found, cp_n.searchsorted(n_at, side="right"), np.abs(at_values))
-    maxima[0] = found.max()
-    maxima[1:] = found[1:]
-    return end
-
-
-def _anchors(codes, first, edges, sums, table, low_of, high_of, at, y, total) -> tuple[list, list]:
-    """The anchors of a chunk of :func:`_reduce_blocks`, in order, each
-    (X count A, S after it, X sum to it, inserts up to it), and the index
-    of each insert's.
-
-    From an anchor at A, where S is T, S after X value c is T + (X sum to
-    c - X sum to A), one exact add, while it stays below
-    :func:`_exact_limit` of T.  The anchors are the chunk's start, each
-    insert (its one float add) and each *rounding event*, the first value
-    at which that exact sum reaches the limit: the one add that rounds
-    there is the one the sequential add makes.  An event is looked for in
-    the pieces whose S at their start is within a block of the limit, by
-    their blocks' least and greatest running sums, and then found in the
-    first of them that reaches it.
-    """
-    length = table.shape[1] - 1
-    anchors, of_inserts = [(0, total, 0.0, 0)], []
-
-    def run_to(stop: int) -> None:
-        # add the rounding events among the X values after the last anchor, up to stop
-        x_count, s, x_sum, inserts = anchors[-1]
-        start = x_count
-        while start < stop:
-            limit = _exact_limit(s)
-            if abs(s) + (stop - x_count) < limit:  # X values are ±1
-                return
-            j0 = (start + first) // length  # the pieces of values start + 1 .. stop, and their starts
-            near = sums[j0:(stop - 1 + first) // length + 1]
-            if s + (near.max() - x_sum) < limit - length and s + (near.min() - x_sum) > length - limit:
-                return
-            near = np.flatnonzero(np.abs(s + (near - x_sum)) >= limit - length) + j0
-            if not near.size:
-                return
-            offset, code = sums[near] - x_sum, codes[near]
-            hit = (s + (offset + high_of[code]) >= limit) | (s + (offset + low_of[code]) <= -limit)
-            hit[0] |= near[0] == 0 and first > 0  # the values of a first piece cut by the chunk's start decide
-            if not hit.any():
-                return
-            j = int(near[hit.argmax()])
-            row, col = table[codes[j]], (first if j == 0 else 0) - int(edges[j])  # X value c is in column col + c
-            lo, hi = max(start, int(edges[j])), min(stop, int(edges[j + 1]))  # its values lo + 1 .. hi
-            steps = row[col + lo + 1:col + hi + 1] + (sums[j] - row[col + int(edges[j])] - x_sum)
-            reached = np.abs(s + steps) >= limit
-            if not reached.any():
-                start = hi
-                continue
-            event = int(reached.argmax())
-            x_count = start = lo + event + 1
-            s, x_sum = float(s + steps[event]), x_sum + float(steps[event])
-            anchors.append((x_count, s, x_sum, inserts))
-
-    for x_count, value in zip((at - np.arange(at.size)).tolist(), y.tolist()):  # the X values before each insert
-        run_to(x_count)
-        last, s, last_sum, inserts = anchors[-1]
-        j = max(x_count - 1 + first, 0) // length  # the piece of X value x_count, and its column there
-        col = (first if j == 0 else 0) + x_count - int(edges[j])
-        x_sum = float(sums[j] + (table[codes[j], col] - table[codes[j], col - x_count + int(edges[j])]))
-        s = s if x_count == last else s + (x_sum - last_sum)  # no X value between: no add, so -0.0 stays
-        of_inserts.append(len(anchors))
-        anchors.append((x_count, s + value, x_sum, inserts + 1))
-    run_to(int(edges[-1]))
-    return anchors, of_inserts
-
-
-def _sizes(starts: np.ndarray, end: int) -> np.ndarray:
-    """The sizes of the groups that start at ``starts`` (sorted) and end at ``end``."""
-    sizes = np.empty_like(starts)
-    sizes[:-1] = starts[1:]
-    sizes[-1] = end
-    sizes -= starts
-    return sizes
-
-
-def _piece_values(pieces, codes, first, edges, sums, table, total, anchors, s0) -> tuple[np.ndarray, np.ndarray]:
-    """S_n/n and n at every X value of the ``pieces`` of
-    :func:`_reduce_blocks`, in the order of n: a row of 2**bits - 1 per
-    piece, in which a cut piece repeats its first or last value where its
-    block has no value of the chunk.  ``anchors`` is None for the one
-    anchor at the chunk's start, where S is ``total``."""
-    code = codes.take(pieces)
-    x_sum = table[:, 1:].take(code, axis=0)
-    offset = sums.take(pieces)
-    x_count = edges.take(pieces)[:, None] + np.arange(1.0, table.shape[1])
-    if pieces.size and pieces[0] == 0 and first:  # the first piece starts at column first of its block
-        offset[0] -= table[codes[0], first]
-        x_count[0] -= first
-        x_sum[0, :first], x_count[0, :first] = x_sum[0, first], x_count[0, first]
-    end = int(edges[-1] - edges[-2]) + (first if codes.size == 1 else 0)  # the last piece ends before column end
-    if pieces.size and pieces[-1] == codes.size - 1:
-        x_sum[-1, end:], x_count[-1, end:] = x_sum[-1, end - 1], x_count[-1, end - 1]
-    x_sum += offset[:, None]
-    if anchors is None:
-        x_sum += total
-    else:
-        x_at, s_at, sum_at, inserts_at = anchors
-        of = x_at.searchsorted(x_count) - 1
-        x_sum -= sum_at[of]
-        x_sum += s_at[of]
-        x_count += inserts_at[of]
-    x_count += s0
-    x_sum /= x_count
-    return x_sum.ravel(), x_count.ravel()
-
-
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
              workspace: PathWorkspace | None = None) -> PathSummary:
     """Simulate one path to its horizon and summarize it at the checkpoints.
@@ -615,7 +388,7 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     from it to the next one (the last one's to the chunk's end).  The max
     of ``maxima`` from a checkpoint's entry on, the reverse max that
     :func:`suffix_sup` takes, is then D there.  A chunk is reduced by
-    :func:`_reduce_blocks`, decided before its X values are drawn, when
+    :func:`~slln_lab.diagnostics._reduce_blocks`, decided before its X values are drawn, when
     they are of a family :attr:`~XFamily.sums_by_table`, it has at most
     ``_BLOCK_SUM_INSERTS`` inserts and ``_BLOCK_SUM_CHECKPOINTS``
     checkpoints, and |total| + (inserts) * peak +
@@ -627,7 +400,7 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     reduction gives.
 
     The bound keeps every partial sum of a chunk reduced by blocks,
-    rounded or not, finite and below 2**53, as :func:`_exact_limit` needs:
+    rounded or not, finite and below 2**53, as :func:`~slln_lab.diagnostics._exact_limit` needs:
     rounding to nearest is monotone, so each |S_j| is at most the float
     sum, left to right, of |total| and the magnitudes of the values up to j
     (X values are ±1), and over at most 2**16 adds that exceeds the exact

@@ -464,7 +464,7 @@ RUN_BASES = st.one_of(
     (-0.75, 2.0 ** 51), (16 - 2.0 ** -49, 16.0), (1 + 2.0 ** -52, 2.0), (5e-324, 2.0 ** -1021),
 ])
 def test_exact_limit_is_that_of_the_lowest_set_bit(total, limit):
-    assert mixture._exact_limit(total) == limit
+    assert diagnostics._exact_limit(total) == limit
 
 
 def _reduced_by_blocks(total, s0, bits, codes, first, values, at, cp_at):
@@ -475,15 +475,16 @@ def _reduced_by_blocks(total, s0, bits, codes, first, values, at, cp_at):
     the checkpoint offsets ``cp_at`` and its maxima."""
     averages, maxima = np.empty(len(cp_at)), np.empty(len(cp_at) + 1)
     at = np.asarray(at, dtype=np.int64)
-    end = mixture._reduce_blocks((np.asarray(codes, dtype=np.uint8), first), bits, at, np.asarray(values)[at],
-                                 total, s0, len(values), np.asarray(cp_at, dtype=np.int64), averages, maxima)
+    end = diagnostics._reduce_blocks((np.asarray(codes, dtype=np.uint8), first), bits, at, np.asarray(values)[at],
+                                     total, s0, len(values), np.asarray(cp_at, dtype=np.int64), averages, maxima)
     return end, averages, maxima
 
 
 def _spliced(bits, codes, first, size, inserts, heavy):
-    """The values of a chunk of ``size``: heavy draws (``heavy``, cycled) at
-    the offsets ``inserts``, and elsewhere the X values of the blocks of
-    sign codes ``codes`` from column ``first`` of the first."""
+    """The values of a chunk of ``size``: at the k-th of the offsets
+    ``inserts`` the heavy draw heavy[k % len(heavy)] * (k + 1), and
+    elsewhere the X values of the blocks of sign codes ``codes`` from
+    column ``first`` of the first."""
     values, at = np.empty(size), sorted(inserts)
     x = np.ones(size, dtype=bool)
     x[at] = False
@@ -528,7 +529,7 @@ def engine_chunks(draw):
     """A chunk for _reduce_blocks: block_bits 1-8, up to 40 blocks of sign
     codes from any column of the first, inserts anywhere, a start S, an
     offset s0 small enough that |S_n/n| moves within a block, and up to five
-    checkpoints; every partial sum below 2**53."""
+    checkpoints."""
     bits = draw(st.integers(1, 8))
     length = 2 ** bits - 1
     codes = draw(st.lists(st.integers(0, 2 ** bits - 1), min_size=1, max_size=40))
@@ -552,12 +553,16 @@ def _engine_case(total, s0, bits, codes, first, size, inserts, heavy, cp_at):
 # the greatest |S_n/n| inside a whole first block, past every block's end: 12/102
 @example(_engine_case(-10.0, 100, 2, [3, 0, 0, 0], 0, 12, (), (), []))
 @example(_engine_case(-10.0, 100, 2, [3, 0, 0, 0], 0, 12, (), (), [5]))
+# the greatest inside the block that holds an insert, 55/102, where S before it bounds only 41/100
+@example(_engine_case(40.0, 99, 2, [1, 3, 3, 3], 0, 13, {1}, [15.0], []))
+# an event at the one value of a first block cut by the chunk's start, whose full row never rises:
+# 17 - 2**-49 rounds to 17, and 16 follows
+@example(_engine_case(16 - 2.0 ** -49, 0, 2, [3, 1], 2, 4, (), (), [1, 3]))
 def test_block_engine_matches_the_left_to_right_sum(case):
     # the S at the chunk's end, its averages at the checkpoints and its maxima, exactly, -0.0 included:
     # the rounding events, the inserts' anchors, and the blocks the bound lets go unevaluated
     total, s0, bits, codes, first, values, at, cp_at = case
-    sums = _left_to_right(total, values.tolist())
-    assume(all(abs(s) < 2.0 ** 53 for s in sums))
+    assume(all(abs(s) < 2.0 ** 53 for s in _left_to_right(total, values.tolist())))  # the engine's domain
     got = _reduced_by_blocks(total, s0, bits, codes, first, values, at, cp_at)
     expected = _left_to_right_reduced(total, s0, values.tolist(), cp_at)
     for g, e in zip(got, expected):
@@ -676,8 +681,8 @@ def test_theorem_path_is_summed_by_blocks(monkeypatch):
     # loosens the bound fails here, not only in the benchmark
     for name, paths, runs_per_path in (("theorem", 50, 54), ("pure-x", 20, 16)):
         calls = _counting(monkeypatch, ("_values", "_cumsum", "_reduce_blocks"))
-        blocks = _recording(monkeypatch, "_reduce_blocks", lambda args: args[0][0].size)
-        evaluated = _recording(monkeypatch, "_piece_values", lambda args: args[0].size)
+        blocks = _recording(monkeypatch, mixture, "_reduce_blocks", lambda args: args[0][0].size)
+        evaluated = _recording(monkeypatch, diagnostics, "_piece_values", lambda args: args[0].size)
         spec = cli.load_config(f"{name}.json")
         workspace = mixture.path_workspace(spec)
         # the runs of X values between the inserts, in each chunk
@@ -691,16 +696,16 @@ def test_theorem_path_is_summed_by_blocks(monkeypatch):
         monkeypatch.undo()
 
 
-def _recording(monkeypatch, name, measure):
-    """Wrap the ``mixture`` function ``name`` so that ``measure(args)`` of
+def _recording(monkeypatch, module, name, measure):
+    """Wrap the function ``name`` of ``module`` so that ``measure(args)`` of
     each call is appended to the list returned."""
-    measures, call = [], getattr(mixture, name)
+    measures, call = [], getattr(module, name)
 
     def recorded(*args, **kwargs):
         measures.append(measure(args))
         return call(*args, **kwargs)
 
-    monkeypatch.setattr(mixture, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return measures
 
 
