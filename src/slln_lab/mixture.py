@@ -373,6 +373,7 @@ def _reduce_values(z: np.ndarray, s0: int, cp_at: np.ndarray, workspace: PathWor
 _BLOCK_SUM_INSERTS = 48
 _BLOCK_SUM_CHECKPOINTS = 128
 
+
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
              workspace: PathWorkspace | None = None) -> PathSummary:
     """Simulate one path to its horizon and summarize it at the checkpoints.
