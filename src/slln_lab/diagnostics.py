@@ -8,9 +8,9 @@ read off ensemble quantiles, never off a single path.
 
 A path is reduced to its checkpoint statistics a chunk at a time: the
 averages there, and maxima of |S_m/m| whose reverse max :func:`suffix_sup`
-reads as D.  A chunk of parity X values is reduced a block at a time by
-:func:`_reduce_blocks`, which evaluates |S_m/m| index by index only in the
-blocks that can set a maximum.
+reads as D.  A span of chunks of parity X values is reduced a block at a
+time by :func:`_reduce_blocks`, which evaluates |S_m/m| index by index only
+in the blocks that can set a maximum.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ def _exact_limit(total: float) -> float:
 
 def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y: np.ndarray, total: float,
                    s0: int, size: int, cp_at: np.ndarray, averages: np.ndarray, maxima: np.ndarray) -> float:
-    """Reduce the chunk of ``size`` indices after ``s0`` as
-    :func:`~slln_lab.mixture._reduce_values` does, from the sign codes of its X values
-    (``blocks``, as :meth:`~slln_lab.generators.XSampler.blocks` gives them) and its heavy draws
-    ``y`` at the offsets ``at``, after the S ``total`` of the chunks
-    before; return the S at its end.  Every float is the one the strictly
-    left-to-right sum gives, and no array is as long as the chunk.
+    """Reduce the *chunk* of ``size`` indices after ``s0``, a span of one or
+    more chunks of ``run_path``, as :func:`~slln_lab.mixture._reduce_values` does, from the sign
+    codes of its X values (``blocks``, as :meth:`~slln_lab.generators.XSampler.blocks` gives them)
+    and its heavy draws ``y`` at the offsets ``at``, after the S ``total``
+    of the chunks before; return the S at its end.  Every float is the one
+    the strictly left-to-right sum gives, and no array is as long as the
+    chunk: five floats per parity block are kept to the end.
 
     The X values fall in *pieces*, one per parity block: piece j holds the
     X values ``edges[j] + 1 .. edges[j + 1]`` of the chunk, a whole block
@@ -92,13 +93,13 @@ def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y:
     edges = np.arange(-first, count * length - first + 1, length, dtype=np.float64)
     edges[0], edges[-1] = 0.0, nx
     head, tail = int(edges[1]), nx - int(edges[-2])  # the values of the first and of the last piece
-    totals = table[:, -1].take(codes)
+    sums = np.empty(count + 1)  # the block totals, then in place their running sums from 0
+    sums[0] = 0.0
+    totals = table[:, -1].take(codes, out=sums[1:], mode="clip")  # "clip" writes straight into out
     totals[0] = table[codes[0], first + head] - table[codes[0], first]
     if count > 1:
         totals[-1] = table[codes[-1], tail]
-    sums = np.empty(count + 1)
-    sums[0] = 0.0
-    np.cumsum(totals, out=sums[1:])
+    np.cumsum(totals, out=totals)
     low_of, high_of, reach_of = _parity_extremes(bits)
     anchors, of_inserts = _anchors(codes, first, edges, sums, table, low_of, high_of, at, y, total)
     last, s, last_sum, _ = anchors[-1]
@@ -118,18 +119,19 @@ def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y:
         n_starts = edges + (inserts_at + (s0 + 1.0)).repeat(sizes)
         held = of[edges[of] > x_at] - 1  # the pieces holding an anchor
     np.abs(starts, out=starts)
-    before, after, n_first, n_last = starts[:-1], starts[1:], n_starts[:-1], n_starts[1:] - 1.0
+    bounds = reach_of.take(codes)
+    bounds += starts[:-1]
+    bounds /= n_starts[:-1]
+    # then, in place, |S| and n at the last X value of each piece
+    after, n_last = starts[1:], n_starts[1:]
+    n_last -= 1.0
     if anchor_arrays is not None:  # a piece that ends right before an anchor ends in the anchor before it
         on_edge = np.flatnonzero((edges[of] == x_at) & (of > 0))
         if on_edge.size:
             b, prior = of[on_edge], x_at.searchsorted(x_at[on_edge]) - 1
-            after = after.copy()
             after[b - 1] = np.abs(s_at[prior] + (sums[b] - sum_at[prior]))
             n_last[b - 1] = edges[b] + inserts_at[prior] + float(s0)
-    last_values = after / n_last
-    bounds = reach_of.take(codes)
-    bounds += before
-    bounds /= n_first
+    last_values = np.divide(after, n_last, out=after)
     # the first piece that ends in each checkpoint's segment, the one after the X values before it; the
     # bound does not cover it, nor a piece cut by the chunk's seams or holding an anchor
     x_before = cp_at - at.searchsorted(cp_at)
@@ -264,7 +266,8 @@ def _piece_values(pieces, codes, first, edges, sums, table, total, anchors, s0) 
         x_sum += total
     else:
         x_at, s_at, sum_at, inserts_at = anchors
-        of = x_at.searchsorted(x_count) - 1
+        of = x_at.searchsorted(x_count)
+        of -= 1
         x_sum -= sum_at[of]
         x_sum += s_at[of]
         x_count += inserts_at[of]

@@ -8,22 +8,23 @@ their heavy draws.  The exponent of an insert is the schedule value at its
 global position.
 
 :func:`run_path` is the one engine: it makes a path one chunk of
-``_CHUNK`` indices at a time and reduces each chunk to the checkpoint
-statistics before making the next.  Every float it gives is, bit for bit,
-what adding Z_1, Z_2, ... strictly left to right in double precision and
-reducing every |S_n/n| gives.  When the X values are parity signs read off
-a table, and a chunk has few inserts and checkpoints and a sum bound below
-2**52 (decided before drawing them), the block engine,
-:func:`~slln_lab.diagnostics._reduce_blocks`, reduces it a parity block at
-a time: exact block sums from the blocks' sign codes, the rounding events
-of the sequential add found block by block, and a bound on |S_n/n| over
-each block, so that only the blocks that can set a maximum, a few in a
-thousand, are evaluated index by index.  Any other chunk has
-its heavy draws spliced into its X values, is summed by ``np.cumsum`` and
-is reduced index by index.  What is the same on every path of a spec in
-one process, the insert offsets of each chunk, 1/a_n at them and the chunk
-buffers, is a :class:`PathWorkspace`, built once from one pass of
-:meth:`SparsityPattern.chunks`; the spec itself holds no state.
+``_CHUNK`` indices at a time and reduces it to the checkpoint statistics
+as it goes.  Every float it gives is, bit for bit, what adding Z_1, Z_2,
+... strictly left to right in double precision and reducing every |S_n/n|
+gives.  When the X values are parity signs read off a table, consecutive
+chunks with few inserts and checkpoints and a sum bound below 2**52
+(decided before drawing their X values) form a *span*, of at most
+``_SPAN_BLOCKS`` parity blocks' values past its first chunk, and the block
+engine, :func:`~slln_lab.diagnostics._reduce_blocks`, reduces the span in
+one call, a parity block at a time: exact block sums from the blocks' sign
+codes, the rounding events of the sequential add found block by block, and
+a bound on |S_n/n| over each block, so that only the blocks that can set a
+maximum, a few in a thousand, are evaluated index by index.  Any other
+chunk has its heavy draws spliced into its X values, is summed by
+``np.cumsum`` and is reduced index by index.  What is the same on every
+path of a spec in one process, the insert offsets of each chunk, 1/a_n at
+them and the chunk buffers, is a :class:`PathWorkspace`, built once from
+one pass of :meth:`SparsityPattern.chunks`; the spec itself holds no state.
 
 An :class:`ExperimentSpec` describes one experiment: the recipe every path
 runs from, plus the ensemble around the paths.  It is what a JSON config
@@ -368,10 +369,27 @@ def _reduce_values(z: np.ndarray, s0: int, cp_at: np.ndarray, workspace: PathWor
 # evaluates the block of each checkpoint index by index, about a microsecond,
 # where a splice, a cumsum and a reduction take some nanoseconds per value.
 # On a 2-core Xeon the two cost the same at about 64 random inserts, or about
-# 200 checkpoints, in a chunk of 2**16; past these many, a chunk is spliced,
-# summed by np.cumsum and reduced per index.
+# 200 checkpoints, in a chunk of 2**16.  A span holds at most these many; a
+# chunk with more is spliced, summed by np.cumsum and reduced per index.
 _BLOCK_SUM_INSERTS = 48
 _BLOCK_SUM_CHECKPOINTS = 128
+# A span grows by whole chunks while its values fill at most these many parity
+# blocks.  An engine call costs some 60 small NumPy calls: 200 theorem paths
+# took 1.17-1.25 s at a chunk a call and 0.87-0.98 s at three (2-core Xeon).
+# The engine keeps five floats a block: the traced peak of a run_path to 3e6
+# at block_bits 4 is 0.65 MiB at three chunks a span and 0.86 MiB at four,
+# and 1.12 MiB at block_bits 8, all 46 chunks in one span, under Tier-1's 1.25.
+_SPAN_BLOCKS = 2 ** 14
+
+
+def _admits(total: float, size: int, inserts: int, checkpoints: int, peak: float) -> bool:
+    """Whether the block engine may reduce ``size`` values after the S
+    ``total``, with these many inserts and checkpoints among them and
+    max(1, max |y|) over their heavy draws ``peak``: at most
+    ``_BLOCK_SUM_INSERTS`` and ``_BLOCK_SUM_CHECKPOINTS``, and |total| +
+    inserts * peak + size < 2**52 (false for an inf or NaN)."""
+    return (inserts <= _BLOCK_SUM_INSERTS and checkpoints <= _BLOCK_SUM_CHECKPOINTS
+            and abs(total) + inserts * peak + size < 2.0 ** 52)
 
 
 def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
@@ -383,30 +401,39 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     :meth:`ExperimentSpec.with_path` does), so the paths of an ensemble can
     share one; None builds one.
 
-    Each chunk is reduced before the next is made: S_n/n, read at the
-    checkpoints, and |S_n/n|, whose max over the chunk goes into
-    ``maxima``, followed by one entry per checkpoint in the chunk, the max
-    from it to the next one (the last one's to the chunk's end).  The max
-    of ``maxima`` from a checkpoint's entry on, the reverse max that
-    :func:`suffix_sup` takes, is then D there.  A chunk is reduced by
-    :func:`~slln_lab.diagnostics._reduce_blocks`, decided before its X values are drawn, when
-    they are of a family :attr:`~XFamily.sums_by_table`, it has at most
+    The path is reduced a *unit* at a time, each before the next is made:
+    a span of chunks reduced by blocks, or one chunk reduced per index.
+    The unit gives S_n/n, read at the checkpoints, and |S_n/n|, whose max
+    over the unit goes into ``maxima``, followed by one entry per
+    checkpoint in the unit, the max from it to the next one (the last
+    one's to the unit's end).  The max of ``maxima`` from a checkpoint's
+    entry on, the reverse max that :func:`suffix_sup` takes, is then D
+    there.
+
+    A chunk joins a span, decided before its X values are drawn, when they
+    are of a family :attr:`~XFamily.sums_by_table` with ``block_bits`` of
+    at least 2 and the span with it passes :func:`_admits`: at most
     ``_BLOCK_SUM_INSERTS`` inserts and ``_BLOCK_SUM_CHECKPOINTS``
-    checkpoints, and |total| + (inserts) * peak +
-    (chunk length) < 2**52, ``total`` the S before it and ``peak`` max(1,
-    max |y|) over its heavy draws (false for an inf or NaN).  Any other
-    chunk is drawn by :func:`_values`, summed by :func:`_cumsum` and
+    checkpoints, and |total| + (inserts) * peak + (span length) < 2**52,
+    ``total`` the S before the span and ``peak`` max(1, max |y|) over its
+    heavy draws.  A span also stops before it would cover more than
+    ``_SPAN_BLOCKS`` blocks' values, though one chunk is always a span,
+    and it is reduced by one :func:`~slln_lab.diagnostics._reduce_blocks`
+    call once the next chunk does not join it.  A chunk that cannot start
+    a span is drawn by :func:`_values`, summed by :func:`_cumsum` and
     reduced by :func:`_reduce_values`, from the same uniforms and leaving
     the same sampler state.  Every float is the one the whole-horizon
     reduction gives.
 
-    The bound keeps every partial sum of a chunk reduced by blocks,
-    rounded or not, finite and below 2**53, as :func:`~slln_lab.diagnostics._exact_limit` needs:
+    The bound keeps every partial sum of a span, rounded or not, finite
+    and below 2**53, as :func:`~slln_lab.diagnostics._exact_limit` needs:
     rounding to nearest is monotone, so each |S_j| is at most the float
     sum, left to right, of |total| and the magnitudes of the values up to j
-    (X values are ±1), and over at most 2**16 adds that exceeds the exact
-    sum, below 2**52, by a factor of at most about 1 + 2**16 * 2**-53
-    (Higham's gamma_n), which leaves room for the rounding of the bound too.
+    (X values are ±1).  A span has at most max(2**16, 2**14 * 255) < 2**22
+    values, and over that many adds the float sum exceeds the exact sum,
+    below 2**52, by a factor of at most about 1 + 2**22 * 2**-53 = 1 +
+    2**-31 (Higham's gamma_n), which leaves room for the rounding of the
+    bound too.
 
     The checkpoints, which need not be the spec's, follow the spec's rule,
     :func:`_checkpoint_array`.
@@ -420,32 +447,60 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
         raise ValueError("workspace was built for another spec")
 
     running_avg = np.empty(cps.size)
-    chunk_of = (cps - 1) // _CHUNK
-    # per chunk, its max and then its checkpoints' entries, so no entry reaches back into its chunk
+    # per unit, its max and then its checkpoints' entries, so no entry reaches back into its unit
     maxima = np.empty(len(workspace.layout) + cps.size)
-    entries = chunk_of + np.arange(2, cps.size + 2)  # 1-based: chunk m's max and i entries come before entry i
-    by_blocks, bits = config.x_family.sums_by_table, config.x_family.block_bits
+    unit_of = []  # per chunk, the index of its unit
+    family = config.x_family
+    # at block_bits 1 every value is its own block, and the per-index reduction is the faster
+    by_blocks, most_values = family.sums_by_table and family.block_bits > 1, _SPAN_BLOCKS * family.block_length
     total = -0.0  # the identity of float addition, so that a -0.0 Z_1 stays S_1
-    peaks, nonfinite = [], 0
-    for m, (s0, z, at, y, x) in enumerate(_path_chunks(config, workspace)):
-        c0, c1 = np.searchsorted(cps, (s0, s0 + z.size), side="right")
-        cp_at, reduced = cps[c0:c1] - 1 - s0, (running_avg[c0:c1], maxima[m + c0:m + c1 + 1])
-        if (by_blocks and at is not None and at.size <= _BLOCK_SUM_INSERTS and cp_at.size <= _BLOCK_SUM_CHECKPOINTS
-                and abs(total) + at.size * (peak := np.abs(y).max(initial=1.0)) + z.size < 2.0 ** 52):
-            total = _reduce_blocks(x.blocks(z.size - at.size), bits, at, y, total, s0, z.size, cp_at, *reduced)
-        else:
-            peak, chunk_nonfinite = _peak(_values(z, at, y, x))
-            nonfinite += chunk_nonfinite
-            _cumsum(z, total)
-            total = float(z[-1])
-            _reduce_values(z, s0, cp_at, workspace, *reduced)
+    peaks, nonfinite = [], 0  # per unit, max |Z|
+    start = None  # the s0 of the open span, None when none is open
+
+    def reduce_span(x: XSampler) -> float:
+        # one engine call over the open span's chunks, their insert offsets counted from its start
+        at, u = np.concatenate(ats), len(peaks)
+        peaks.append(span_peak)
+        return _reduce_blocks(x.blocks(span_end - start - at.size), family.block_bits, at, np.concatenate(ys), total,
+                              start, span_end - start, cps[c_start:c_end] - 1 - start, running_avg[c_start:c_end],
+                              maxima[u + c_start:u + c_end + 1])
+
+    for s0, z, at, y, x in _path_chunks(config, workspace):
+        end = s0 + z.size
+        c0, c1 = np.searchsorted(cps, (s0, end), side="right")
+        if by_blocks and at is not None:
+            peak = np.abs(y).max(initial=1.0)
+            if start is not None and not (end - start <= most_values and _admits(
+                    total, end - start, inserts + at.size, c1 - c_start, np.maximum(span_peak, peak))):
+                total, start = reduce_span(x), None
+            if start is None and _admits(total, z.size, at.size, c1 - c0, peak):
+                start, c_start, inserts, span_peak, ats, ys = s0, c0, 0, peak, [], []
+            if start is not None:
+                inserts, span_peak, span_end, c_end = inserts + at.size, np.maximum(span_peak, peak), end, c1
+                ats.append(at + (s0 - start))
+                ys.append(y.copy())  # the next chunk's heavy draws overwrite y
+                unit_of.append(len(peaks))
+                continue
+        if start is not None:
+            total, start = reduce_span(x), None
+        u = len(peaks)
+        unit_of.append(u)
+        peak, chunk_nonfinite = _peak(_values(z, at, y, x))
+        nonfinite += chunk_nonfinite
+        _cumsum(z, total)
+        total = float(z[-1])
+        _reduce_values(z, s0, cps[c0:c1] - 1 - s0, workspace, running_avg[c0:c1], maxima[u + c0:u + c1 + 1])
         peaks.append(peak)
+    if start is not None:
+        total = reduce_span(x)
+    # 1-based: unit u's max and i entries come before entry i
+    entries = np.asarray(unit_of)[(cps - 1) // _CHUNK] + np.arange(2, cps.size + 2)
     return PathSummary(
         path_index=config.path_index,
         horizon=horizon,
         checkpoints=cps,
         running_avg=running_avg,
-        deviation_sup=suffix_sup(maxima, entries),
+        deviation_sup=suffix_sup(maxima[:len(peaks) + cps.size], entries),
         insert_count=workspace.insert_count,
         # abs turns a -0.0 peak into 0.0, and NaN propagates
         max_abs_value=float(abs(np.max(peaks))),

@@ -593,8 +593,8 @@ def _block_case(bits, horizon, inserts, planted, checkpoints, dependence=Depende
 
 @st.composite
 def block_cases(draw):
-    """A parity path, block_bits 1-9 (9 has no table and is summed by
-    np.cumsum), with heavy draws planted at inserts at index 0, at chunk
+    """A parity path, block_bits 1-9 (1 and 9, which has no table, are
+    summed by np.cumsum), with heavy draws planted at inserts at index 0, at chunk
     seams or anywhere, past one chunk maybe a chunk of one X value, and the
     most inserts of a chunk summed by blocks: none, as many as the engine
     sums so, or every chunk with an X value."""
@@ -609,28 +609,62 @@ def block_cases(draw):
                        draw(st.sampled_from((0, mixture._BLOCK_SUM_INSERTS, CH))))
 
 
-def _chunks_summed_by_blocks(config, values, most_inserts, checkpoints):
-    """How many chunks the rule of ``run_path`` reduces by blocks, read off
-    the path's ``values``: those with X values of a family with a table, at
-    most ``most_inserts`` inserts, at most ``_BLOCK_SUM_CHECKPOINTS``
-    checkpoints and |S before| + (inserts) * max(1, max |y|) + (chunk
-    length) below 2**52."""
-    if not config.x_family.sums_by_table:
+def _spans_summed_by_blocks(config, values, most_inserts, checkpoints):
+    """How many spans the rule of ``run_path`` reduces by blocks, read off
+    the path's ``values``.  X values of a family with a table and
+    block_bits >= 2 are needed.  A span is consecutive chunks with X values,
+    with at most ``most_inserts`` inserts, at most
+    ``_BLOCK_SUM_CHECKPOINTS`` checkpoints and |S before it| + (inserts) *
+    max(1, max |y|) + (span length) below 2**52; past its first chunk, its
+    length is at most the values of ``_SPAN_BLOCKS`` blocks."""
+    family = config.x_family
+    if not (family.sums_by_table and family.block_bits > 1):
         return 0
     alpha = config.pattern.alpha(config.horizon).astype(bool)
     before = list(itertools.accumulate(values.tolist(), initial=-0.0))  # S before each index, left to right
-    count = 0
+
+    def admitted(start, end):
+        heavy = values[start:end][alpha[start:end]]
+        in_span = sum(start < c <= end for c in checkpoints)
+        return (heavy.size <= most_inserts and in_span <= mixture._BLOCK_SUM_CHECKPOINTS
+                and abs(before[start]) + heavy.size * np.abs(heavy).max(initial=1.0) + (end - start) < 2.0 ** 52)
+
+    count, start = 0, None
     for s0 in range(0, config.horizon, CH):
-        heavy = values[s0:s0 + CH][alpha[s0:s0 + CH]]
-        size = min(CH, config.horizon - s0)
-        in_chunk = sum(s0 < c <= s0 + size for c in checkpoints)
-        if heavy.size < size and heavy.size <= most_inserts and in_chunk <= mixture._BLOCK_SUM_CHECKPOINTS:
-            count += bool(abs(before[s0]) + heavy.size * np.abs(heavy).max(initial=1.0) + size < 2.0 ** 52)
+        end = min(s0 + CH, config.horizon)
+        if alpha[s0:end].all():
+            start = None
+        elif not (start is not None and end - start <= mixture._SPAN_BLOCKS * family.block_length
+                  and admitted(start, end)):
+            start = s0 if admitted(s0, end) else None
+            count += start is not None
     return count
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(block_cases())
+def _span_case(*args, **kwargs):
+    """A :func:`_block_case` under the engine's own insert limit."""
+    return _block_case(*args, most_inserts=mixture._BLOCK_SUM_INSERTS, **kwargs)
+
+
+@st.composite
+def span_cases(draw):
+    """A parity path of two to four chunks, block_bits 2-8, so that spans of
+    several chunks form, with inserts and checkpoints at chunk seams or
+    anywhere, maybe a run of inserts across a seam that passes the insert
+    limit, and heavy draws planted at some inserts."""
+    bits = draw(st.sampled_from((2, 3, 4, 8)))
+    horizon = draw(st.sampled_from((CH + 1, 2 * CH, 2 * CH + 1, 3 * CH + 5)))
+    seams = st.sampled_from(_chunk_edges(horizon))
+    inserts = draw(st.sets(seams | st.integers(0, horizon - 1), max_size=12))
+    if draw(st.booleans()):  # a run of inserts across the first seam, up to past the limit
+        inserts |= set(range(CH - 2 * draw(st.integers(0, 40)), min(CH + draw(st.integers(0, 40)), horizon)))
+    planted = draw(st.dictionaries(st.sampled_from(sorted(inserts)), BASES, max_size=4)) if inserts else {}
+    return _span_case(bits, horizon, inserts, planted, draw(st.sets(seams.map(lambda e: e + 1), max_size=4)),
+                      draw(st.sampled_from(DependenceMode)), draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=65)
+@given(block_cases() | span_cases())
 # planted draws whose chunk is summed by np.cumsum: a bound past 2**52 (up past 2**53 in the
 # chunk, and past 2**60), inf and -inf, NaN, and an inf S carried into a chunk of X values
 @example(_block_case(4, 300, {0, 150}, {0: 16 - 2.0 ** -49, 150: 2.0 ** 53 - 3}, [2, 3]))
@@ -646,6 +680,27 @@ def _chunks_summed_by_blocks(config, values, most_inserts, checkpoints):
 @example(_block_case(4, 300, {0}, {0: 301 - 2.0 ** 52}, [2]))
 @example(_block_case(1, 300, {0}, {0: -0.0}, [2]))
 @example(_block_case(9, CH + 1, {0, CH}, {0: 16 - 2.0 ** -49}, [CH]))
+# inserts at the last index of one chunk and the first of the next, one span
+@example(_span_case(4, 2 * CH + 1, {CH - 1, CH}, {}, [CH - 1]))
+@example(_span_case(8, 3 * CH + 5, {CH - 1, CH, 2 * CH - 1, 2 * CH}, {CH: 1e6}, [], DependenceMode.COMONOTONE))
+# checkpoints at both sides of a seam inside a span, and a parity block cut by each seam (2**16 = 1 mod 15)
+@example(_span_case(4, 2 * CH + 1, set(), {}, [CH, CH + 1, 2 * CH]))
+@example(_span_case(8, 2 * CH, {5}, {5: -7.25}, [CH, CH + 1], DependenceMode.COMONOTONE, path=1))
+# a rounding event at the first value of chunk 1, in the block that straddles the seam:
+# S is 0 after the first insert and 16 - 2**-49 after the second, and the X values then reach 17
+@example(_span_case(4, 2 * CH + 1, {CH - 4, CH - 3}, {CH - 4: -110.0, CH - 3: 16 - 2.0 ** -49}, [CH], path=4))
+@example(_span_case(4, 2 * CH + 1, {CH - 4, CH - 3}, {CH - 4: -110.0, CH - 3: 16 - 2.0 ** -49}, [CH],
+                    DependenceMode.COMONOTONE, path=4))
+# a span stopped by the block cap: at 3 bits, 2**14 blocks are under two chunks; at 4 bits, under four
+@example(_span_case(3, 2 * CH + 1, {7}, {}, [CH]))
+@example(_span_case(4, 4 * CH + 1, set(), {}, [2 * CH]))
+# stopped by the insert limit: 48 inserts in chunk 0 and one more in chunk 1
+@example(_span_case(4, 2 * CH, set(range(CH - 96, CH, 2)) | {CH + 9}, {}, [CH]))
+# stopped by the 2**52 bound: a planted draw in the span's second chunk takes 0 + |y| + 2 * 2**16 to
+# 2**52 + 10, while chunk 1 alone stays below it; and the same draw one chunk later
+@example(_span_case(4, 2 * CH, {CH + 3}, {CH + 3: 2.0 ** 52 - 2 * CH + 10}, [CH]))
+@example(_span_case(4, 3 * CH + 5, {2 * CH + 3}, {2 * CH + 3: 2.0 ** 52 - 3 * CH + 10}, [CH],
+                    DependenceMode.COMONOTONE))
 def test_block_sums_match_the_left_to_right_reference(case):
     config, planted, checkpoints, most_inserts = case
     values = reference_values(config)
@@ -659,7 +714,7 @@ def test_block_sums_match_the_left_to_right_reference(case):
     assert_same_summary(got, expected)
     assert np.array_equal(_signs([*got.running_avg, got.final_avg]),
                           _signs([*expected.running_avg, expected.final_avg]))
-    assert calls["_reduce_blocks"] == _chunks_summed_by_blocks(config, values, most_inserts, checkpoints)
+    assert calls["_reduce_blocks"] == _spans_summed_by_blocks(config, values, most_inserts, checkpoints)
 
 
 def _counting(monkeypatch, names):
@@ -676,9 +731,11 @@ def _counting(monkeypatch, names):
 def test_theorem_path_is_summed_by_blocks(monkeypatch):
     # the paths of the bundled parity fixtures, theorem paths 0-49 and pure-x
     # paths 0-19: every chunk is reduced by blocks, none spliced and summed by
-    # np.cumsum, and at most 15% of the blocks are evaluated index by index, so
-    # a change that puts them back on the cumsum, turns some chunks away or
-    # loosens the bound fails here, not only in the benchmark
+    # np.cumsum, in 5 spans a path (the 2**14-block cap takes three chunks of
+    # 2**16, and the last span the last 16,960 values too), and at most 15% of
+    # the blocks are evaluated index by index, so a change that puts them back
+    # on the cumsum, turns some chunks away, moves the cap or loosens the bound
+    # fails here, not only in the benchmark
     for name, paths, runs_per_path in (("theorem", 50, 54), ("pure-x", 20, 16)):
         calls = _counting(monkeypatch, ("_values", "_cumsum", "_reduce_blocks"))
         blocks = _recording(monkeypatch, mixture, "_reduce_blocks", lambda args: args[0][0].size)
@@ -690,7 +747,8 @@ def test_theorem_path_is_summed_by_blocks(monkeypatch):
                    for s0, (at, _) in zip(range(0, spec.horizon, CH), workspace.layout))
         for path in range(paths):
             run_path(spec.with_path(path), spec.checkpoints, workspace)
-        assert calls == {"_values": 0, "_cumsum": 0, "_reduce_blocks": paths * len(workspace.layout)}, name
+        assert len(workspace.layout) == 16
+        assert calls == {"_values": 0, "_cumsum": 0, "_reduce_blocks": paths * 5}, name
         assert runs == runs_per_path
         assert sum(evaluated) <= 0.15 * sum(blocks), name
         monkeypatch.undo()
@@ -712,24 +770,41 @@ def _recording(monkeypatch, module, name, measure):
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
 def test_a_chunk_of_many_inserts_is_spliced_and_summed_by_cumsum(monkeypatch, extra):
     # the block engine takes a Python step per insert; past _BLOCK_SUM_INSERTS of them
-    # in a chunk, np.cumsum over its spliced values is the faster
-    inserts = range(0, 2 * (mixture._BLOCK_SUM_INSERTS + extra), 2)
+    # in a chunk, np.cumsum over its spliced values is the faster.  At the limit both
+    # chunks are one span; past it, chunk 0 is spliced and chunk 1 is a span alone
+    limit = mixture._BLOCK_SUM_INSERTS
+    inserts = range(0, 2 * (limit + extra), 2)
     config = make_config(pattern=_explicit(CH + 7, inserts), x_family=XFamily.parity(4), horizon=CH + 7)
     calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
     assert_same_summary(run_path(config, [1, CH, CH + 7]), reference_summary(config, [1, CH, CH + 7]))
-    assert calls == {"_values": extra, "_reduce_blocks": 2 - extra}
+    assert calls == {"_values": extra, "_reduce_blocks": 1}
+    # half of them on each side of a seam: one span at the limit, two past it
+    inserts = [*range(CH - limit, CH, 2), *range(CH + 1, CH + 1 + 2 * (limit // 2 + extra), 2)]
+    config = make_config(pattern=_explicit(2 * CH, inserts), x_family=XFamily.parity(4), horizon=2 * CH)
+    calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
+    assert_same_summary(run_path(config, [1, CH, 2 * CH]), reference_summary(config, [1, CH, 2 * CH]))
+    assert calls == {"_values": 0, "_reduce_blocks": 1 + extra}
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "past_it"])
 def test_a_chunk_of_many_checkpoints_is_reduced_per_index(monkeypatch, extra):
     # each checkpoint forces its block to be evaluated index by index; past
-    # _BLOCK_SUM_CHECKPOINTS of them in a chunk, the per-index reduction is the faster
-    horizon = CH + 7
+    # _BLOCK_SUM_CHECKPOINTS of them in a chunk, the per-index reduction is the faster.
+    # The last checkpoint takes the span past the limit, so chunk 1 is a span alone
+    limit, horizon = mixture._BLOCK_SUM_CHECKPOINTS, CH + 7
     config = make_config(pattern=_explicit(horizon, {0, 100, CH + 3}), x_family=XFamily.parity(4), horizon=horizon)
-    checkpoints = [*range(3, 3 + 509 * (mixture._BLOCK_SUM_CHECKPOINTS + extra), 509), horizon]
+    checkpoints = [*range(3, 3 + 509 * (limit + extra), 509), horizon]
     calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
     assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
     assert calls == {"_values": extra, "_reduce_blocks": 2 - extra}
+    # half of them on each side of a seam: one span at the limit, two past it
+    horizon = 2 * CH
+    config = make_config(pattern=_explicit(horizon, {0, 100, CH + 3}), x_family=XFamily.parity(4), horizon=horizon)
+    checkpoints = [*range(CH - 509 * (limit // 2 - 1), CH + 1, 509),
+                   *range(CH + 7, CH + 7 + 509 * (limit // 2 + extra), 509)]
+    calls = _counting(monkeypatch, ("_values", "_reduce_blocks"))
+    assert_same_summary(run_path(config, checkpoints), reference_summary(config, checkpoints))
+    assert calls == {"_values": 0, "_reduce_blocks": 1 + extra}
 
 
 def test_a_path_checks_its_checkpoints_once(monkeypatch):
@@ -827,12 +902,17 @@ def test_workspace_peak_memory_is_what_it_keeps(name):
     assert peak < kept + 4 * 8 * mixture._CHUNK
 
 
-@pytest.mark.parametrize("block_bits", [4, 23])
+@pytest.mark.parametrize("block_bits", [1, 4, 8, 23])
 def test_run_path_peak_memory_does_not_grow_with_the_horizon(block_bits):
-    # at block_bits 23 one parity block spans 128 chunks; none is held whole
+    # at block_bits 1 every value is a block, and the chunks are reduced per
+    # index; at 4 a span holds three chunks and at 8 all 46, as the 2**14-block
+    # cap allows; at 23 one parity block spans 128 chunks; none is held whole.
+    # The workspace and the parity tables, kept for every path of a process, are
+    # built first, by an untraced path
     spec = dataclasses.replace(cli.load_config("theorem.json"), horizon=3 * 10 ** 6,
                                checkpoints=(1, 10 ** 6, 3 * 10 ** 6), x_family=XFamily.parity(block_bits))
     workspace = mixture.path_workspace(spec)
+    run_path(spec.with_path(1), spec.checkpoints, workspace)
     tracemalloc.start()
     try:
         run_path(spec, spec.checkpoints, workspace)
