@@ -69,7 +69,8 @@ def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y:
     and its heavy draws ``y`` at the offsets ``at``, after the S ``total``
     of the chunks before; return the S at its end.  Every float is the one
     the strictly left-to-right sum gives, and no array is as long as the
-    chunk: five floats per parity block are kept to the end.
+    chunk: five floats per parity block are kept to the end, and the values
+    evaluated index by index are taken ``_EVALUATED`` at a time.
 
     The X values fall in *pieces*, one per parity block: piece j holds the
     X values ``edges[j] + 1 .. edges[j + 1]`` of the chunk, a whole block
@@ -142,25 +143,27 @@ def _reduce_blocks(blocks: tuple[np.ndarray, int], bits: int, at: np.ndarray, y:
     cp_n = cp_at + (s0 + 1.0)
     n_at = at + (s0 + 1.0)
     at_values = s_at[of_inserts] / n_at if at.size else n_at
+    evaluated = (codes, first, edges, sums, table, total, anchor_arrays, s0)
     if not cp_n.size:  # one segment, the chunk
-        known = last_values.max()
-        values, _ = _piece_values(np.flatnonzero(bounds > known), codes, first, edges, sums, table, total,
-                                  anchor_arrays, s0)
-        maxima[0] = max(known, np.abs(values).max(initial=0.0), np.abs(at_values).max(initial=0.0))
+        found = last_values.max()
+        for values, _ in _evaluated(np.flatnonzero(bounds > found), length, evaluated):
+            found = max(found, np.abs(values).max())
+        maxima[0] = max(found, np.abs(at_values).max(initial=0.0))
         return end
     seg_starts = np.append(0, seg_starts)
     seg_sizes = _sizes(seg_starts, count)
-    known = np.maximum.reduceat(np.append(last_values, 0.0), seg_starts)
-    known[seg_sizes == 0] = 0.0
-    values, n = _piece_values(np.flatnonzero(bounds > known.repeat(seg_sizes)), codes, first, edges, sums, table,
-                              total, anchor_arrays, s0)
-    values = np.append(values, 0.0)  # a sentinel past the last value
-    seg_starts = np.append(0, n.searchsorted(cp_n))
-    averages[:] = values[seg_starts[1:]]
-    np.abs(values, out=values)
-    found = np.maximum.reduceat(values, seg_starts)
-    found[_sizes(seg_starts, n.size) == 0] = 0.0
-    np.maximum(found, known, out=found)
+    found = np.maximum.reduceat(np.append(last_values, 0.0), seg_starts)
+    found[seg_sizes == 0] = 0.0
+    for values, n in _evaluated(np.flatnonzero(bounds > found.repeat(seg_sizes)), length, evaluated):
+        at_cp = n.searchsorted(cp_n)
+        hit = n.take(at_cp, mode="clip") == cp_n  # every checkpoint but an insert's is in one batch
+        averages[hit] = values[at_cp[hit]]
+        values = np.append(values, 0.0)  # a sentinel past the last value
+        np.abs(values, out=values)
+        starts = np.append(0, at_cp)
+        in_batch = np.maximum.reduceat(values, starts)
+        in_batch[_sizes(starts, n.size) == 0] = 0.0
+        np.maximum(found, in_batch, out=found)
     if at.size:  # the inserts' values, and the checkpoints at them
         of_cps = n_at.searchsorted(cp_n)
         is_at = n_at.take(of_cps, mode="clip") == cp_n
@@ -242,6 +245,18 @@ def _sizes(starts: np.ndarray, end: int) -> np.ndarray:
     sizes[-1] = end
     sizes -= starts
     return sizes
+
+
+_EVALUATED = 2 ** 14  # the values of the pieces evaluated at a time
+
+
+def _evaluated(pieces: np.ndarray, length: int, evaluated: tuple):
+    """:func:`_piece_values` of the ``pieces`` (rows of ``length`` values)
+    and the rest of its arguments ``evaluated``, at most ``_EVALUATED``
+    values at a time, so that no array grows with the span."""
+    step = max(1, _EVALUATED // length)
+    for lo in range(0, pieces.size, step):
+        yield _piece_values(pieces[lo:lo + step], *evaluated)
 
 
 def _piece_values(pieces, codes, first, edges, sums, table, total, anchors, s0) -> tuple[np.ndarray, np.ndarray]:

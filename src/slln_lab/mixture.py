@@ -14,11 +14,11 @@ as it goes.  Every float it gives is, bit for bit, what adding Z_1, Z_2,
 gives.  When the X values are parity signs read off a table, consecutive
 chunks with few inserts and checkpoints and a sum bound below 2**52
 (decided before drawing their X values) form a *span*, of at most
-``_SPAN_BLOCKS`` parity blocks' values past its first chunk, and the block
-engine, :func:`~slln_lab.diagnostics._reduce_blocks`, reduces the span in
-one call, a parity block at a time: exact block sums from the blocks' sign
-codes, the rounding events of the sequential add found block by block, and
-a bound on |S_n/n| over each block, so that only the blocks that can set a
+``_SPAN_BLOCKS`` parity blocks and ``_SPAN_VALUES`` values past its first
+chunk, and the block engine, :func:`~slln_lab.diagnostics._reduce_blocks`,
+reduces the span in one call, a parity block at a time: exact block sums
+from the blocks' sign codes, the rounding events of the sequential add
+found block by block, and a bound on |S_n/n| over each block, so that only the blocks that can set a
 maximum, a few in a thousand, are evaluated index by index.  Any other
 chunk has its heavy draws spliced into its X values, is summed by
 ``np.cumsum`` and is reduced index by index.  What is the same on every
@@ -373,13 +373,17 @@ def _reduce_values(z: np.ndarray, s0: int, cp_at: np.ndarray, workspace: PathWor
 # chunk with more is spliced, summed by np.cumsum and reduced per index.
 _BLOCK_SUM_INSERTS = 48
 _BLOCK_SUM_CHECKPOINTS = 128
-# A span grows by whole chunks while its values fill at most these many parity
-# blocks.  An engine call costs some 60 small NumPy calls: 200 theorem paths
-# took 1.17-1.25 s at a chunk a call and 0.87-0.98 s at three (2-core Xeon).
-# The engine keeps five floats a block: the traced peak of a run_path to 3e6
-# at block_bits 4 is 0.65 MiB at three chunks a span and 0.86 MiB at four,
-# and 1.12 MiB at block_bits 8, all 46 chunks in one span, under Tier-1's 1.25.
+# A span grows by whole chunks while it holds at most _SPAN_BLOCKS parity
+# blocks and at most _SPAN_VALUES values: three chunks at block_bits 4 and 8,
+# one at 2 and 3.  An engine call costs some 60 small NumPy calls: 200 theorem
+# paths took 1.17-1.25 s at a chunk a call and 0.87-0.98 s at three (2-core
+# Xeon).  Memory sets the caps, as the engine's arrays are per block: the
+# traced peak of a run_path to 3e6 at block_bits 4 is 0.64 MiB at three chunks
+# a span and 0.86 MiB at four.  At block_bits 8, ten such paths took 0.10 s at
+# a chunk a call, 0.06 s at three and 0.03 s at all 46, but a pure-x path to
+# 5e6 peaked at 1.53 MiB with spans of up to 63 chunks and 0.92 MiB at three.
 _SPAN_BLOCKS = 2 ** 14
+_SPAN_VALUES = 15 * _SPAN_BLOCKS
 
 
 def _admits(total: float, size: int, inserts: int, checkpoints: int, peak: float) -> bool:
@@ -416,23 +420,24 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     ``_BLOCK_SUM_INSERTS`` inserts and ``_BLOCK_SUM_CHECKPOINTS``
     checkpoints, and |total| + (inserts) * peak + (span length) < 2**52,
     ``total`` the S before the span and ``peak`` max(1, max |y|) over its
-    heavy draws.  A span also stops before it would cover more than
-    ``_SPAN_BLOCKS`` blocks' values, though one chunk is always a span,
-    and it is reduced by one :func:`~slln_lab.diagnostics._reduce_blocks`
-    call once the next chunk does not join it.  A chunk that cannot start
-    a span is drawn by :func:`_values`, summed by :func:`_cumsum` and
-    reduced by :func:`_reduce_values`, from the same uniforms and leaving
-    the same sampler state.  Every float is the one the whole-horizon
+    heavy draws.  A span also stops before it would hold more values than
+    ``_SPAN_BLOCKS`` blocks or more than ``_SPAN_VALUES``, though one chunk
+    is always a span, and it is reduced by one
+    :func:`~slln_lab.diagnostics._reduce_blocks` call once the next chunk
+    does not join it.  A chunk that cannot start a span is drawn by
+    :func:`_values`, summed by :func:`_cumsum` and reduced by
+    :func:`_reduce_values`, from the same uniforms and leaving the same
+    sampler state.  Every float is the one the whole-horizon
     reduction gives.
 
     The bound keeps every partial sum of a span, rounded or not, finite
     and below 2**53, as :func:`~slln_lab.diagnostics._exact_limit` needs:
     rounding to nearest is monotone, so each |S_j| is at most the float
     sum, left to right, of |total| and the magnitudes of the values up to j
-    (X values are ±1).  A span has at most max(2**16, 2**14 * 255) < 2**22
+    (X values are ±1).  A span has at most ``_SPAN_VALUES`` < 2**18
     values, and over that many adds the float sum exceeds the exact sum,
-    below 2**52, by a factor of at most about 1 + 2**22 * 2**-53 = 1 +
-    2**-31 (Higham's gamma_n), which leaves room for the rounding of the
+    below 2**52, by a factor of at most about 1 + 2**18 * 2**-53 = 1 +
+    2**-35 (Higham's gamma_n), which leaves room for the rounding of the
     bound too.
 
     The checkpoints, which need not be the spec's, follow the spec's rule,
@@ -452,7 +457,8 @@ def run_path(config: ExperimentSpec, checkpoints: Sequence[int],
     unit_of = []  # per chunk, the index of its unit
     family = config.x_family
     # at block_bits 1 every value is its own block, and the per-index reduction is the faster
-    by_blocks, most_values = family.sums_by_table and family.block_bits > 1, _SPAN_BLOCKS * family.block_length
+    by_blocks = family.sums_by_table and family.block_bits > 1
+    most_values = min(_SPAN_BLOCKS * family.block_length, _SPAN_VALUES)
     total = -0.0  # the identity of float addition, so that a -0.0 Z_1 stays S_1
     peaks, nonfinite = [], 0  # per unit, max |Z|
     start = None  # the s0 of the open span, None when none is open
